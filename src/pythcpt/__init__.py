@@ -30,12 +30,10 @@ from .triples import (
 from .frames import (
     EntangledFrame,
     FrameValidation,
-    SearchOutcome,
     build_w,
     entanglement_entropy,
     general_even_frame,
     label_to_column,
-    search_w,
     validate_frame,
 )
 from .dynamics import (
@@ -48,7 +46,6 @@ from .dynamics import (
     build_h_tp,
     coupling_graph,
     forbidden_scan,
-    propagator,
     propagator_tp,
     simulate,
     simulate_lab,
@@ -95,7 +92,6 @@ __all__ = [
     "PythTriple",
     "RecipeResult",
     "RetrogradeSystem",
-    "SearchOutcome",
     "SigmaSet",
     "SimulationResult",
     "SpinRep",
@@ -122,12 +118,10 @@ __all__ = [
     "odd_dim_demo",
     "ordered_propagator",
     "params_from_pair",
-    "propagator",
     "propagator_tp",
     "pythagorean_pulse",
     "retrograde_hamiltonian",
     "run_suite",
-    "search_w",
     "semi_retrograde_hamiltonian",
     "sigma_set",
     "simulate",

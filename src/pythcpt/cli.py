@@ -22,8 +22,8 @@ import sys
 
 import numpy as np
 
-from .dynamics import SystemSpec, build_h_tp, coupling_graph, simulate_lab, to_lab, verify_cpt
-from .frames import build_w, search_w
+from .dynamics import CPT_TOL, SystemSpec, build_h_tp, coupling_graph, simulate_lab, to_lab, verify_cpt
+from .frames import MAX_N, build_w
 from .retrograde import basic_cpts, check_equivalence, odd_dim_demo, pythagorean_pulse
 from .su2 import y_matrix
 from .suite import run_suite
@@ -40,12 +40,13 @@ class ConfigError(ValueError):
 
 
 _REQUIRED = object()
+_MAX_LEVELS = 2 ** MAX_N  # largest n that build_w serves
 
 
 def _default_tol() -> float:
     raw = os.environ.get("PYTHCPT_TOL")
     if raw is None:
-        return 1e-9
+        return CPT_TOL
     try:
         return float(raw)
     except ValueError as exc:
@@ -98,44 +99,16 @@ def _cmd_triples(args: argparse.Namespace) -> int:
 
 
 def _cmd_frame(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, {"N": _REQUIRED, "matrix": False, "budget": 2_000_000})
+    cfg = _merge_config(args, {"N": _REQUIRED, "matrix": False})
     N = int(cfg["N"])
-    if N <= 3:
-        frame = build_w(N)
-        payload: dict = {"N": N, "n": frame.n, "labels": list(frame.labels)}
-    else:
-        outcome = search_w(N, budget=int(cfg["budget"]))
-        if outcome.frame is None:
-            _print_json(
-                {
-                    "N": N,
-                    "found": False,
-                    "exhausted": outcome.exhausted,
-                    "nodes_explored": outcome.nodes_explored,
-                    "budget": outcome.budget,
-                }
-            )
-            return 0
-        frame = outcome.frame
-        payload = {
-            "N": N,
-            "n": frame.n,
-            "labels": list(frame.labels),
-            "experimental": True,
-            "nodes_explored": outcome.nodes_explored,
-        }
+    frame = build_w(N)
+    payload: dict = {"N": N, "n": frame.n, "labels": list(frame.labels)}
     if cfg["matrix"]:
         numerators = np.rint(frame.W * np.sqrt(2.0 ** N)).astype(int)
         payload["numerators"] = numerators.tolist()
         payload["denominator_squared"] = 2 ** N
     _print_json(payload)
     return 0
-
-
-def _grid_labels(result) -> list[str]:
-    return ["t_over_tau" if result.time_unit == "tau" else "t"] + [
-        f"pop_{i + 1}" for i in range(result.populations.shape[1])
-    ]
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -153,8 +126,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         },
     )
     n = int(cfg["n"])
-    if n not in (2, 4, 8):
-        raise ConfigError(f"n must be one of 2, 4, 8, got {n}")
+    if n % 2 or not 2 <= n <= _MAX_LEVELS:
+        raise ConfigError(f"n must be even with 2 <= n <= {_MAX_LEVELS}, got {n}")
     result, tau = simulate_lab(
         int(cfg["p"]), int(cfg["q"]), float(cfg["k"]), n, float(cfg["t_max"]), int(cfg["steps"])
     )
@@ -237,8 +210,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         args, {"p": _REQUIRED, "q": _REQUIRED, "k": 0.0, "n": 4, "format": "dot"}
     )
     n = int(cfg["n"])
-    if n not in (2, 4, 8):
-        raise ConfigError(f"n must be one of 2, 4, 8, got {n}")
+    if n < 2 or n & (n - 1) or n > _MAX_LEVELS:
+        raise ConfigError(f"n must be a power of two with 2 <= n <= {_MAX_LEVELS}, got {n}")
     if cfg["format"] not in ("dot", "json"):
         raise ConfigError(f"format must be dot or json, got {cfg['format']!r}")
     params = params_from_pair(int(cfg["p"]), int(cfg["q"]), float(cfg["k"]))
@@ -370,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("frame", help="entangled frame labels and matrix")
     p.add_argument("--N", dest="N", type=int)
     p.add_argument("--matrix", action="store_true", default=None)
-    p.add_argument("--budget", type=int)
     add_config(p)
     p.set_defaults(func=_cmd_frame)
 

@@ -26,8 +26,8 @@ class SystemSpec:
     """A coupled pair of n-level factors plus an optional lab frame.
 
     When ``frame`` is None a frame is chosen automatically: the
-    canonical entangled frame if n is a power of two, otherwise the
-    generic even-n frame.
+    symmetric entangled frame of :func:`build_w` if n is a power of
+    two, otherwise the generic even-n frame.
     """
 
     n: int
@@ -140,15 +140,10 @@ def to_lab(h_tp: np.ndarray, w: np.ndarray, ortho_tol: float = 1e-10) -> np.ndar
     return w @ h_tp @ w
 
 
-def propagator(h: np.ndarray, t: float) -> np.ndarray:
-    """Unitary exp(-i h t) for a Hermitian Hamiltonian."""
-    return matexp_unitary(h, t)
-
-
 def propagator_tp(h1: np.ndarray, h2: np.ndarray, t: float) -> np.ndarray:
     """Factored propagator exp(-i h1 t) (x) exp(-i h2 t).
 
-    Equals ``propagator`` of the two-factor Hamiltonian because the two
+    Equals ``matexp_unitary`` of the two-factor Hamiltonian because the two
     summands commute.
     """
     return kron(matexp_unitary(h1, t), matexp_unitary(h2, t))

@@ -6,17 +6,37 @@ products of the four Sigma matrices. A column is labelled by its digit
 string over {0,1,2,3}, e.g. "31" stands for Sigma3 (x) Sigma1.
 
 Columns are stored in row-major stacking of the tensor product, i.e.
-``vectorize(product.T)``. With the canonical label orderings below this
-is what makes W symmetric (column-major stacking flips the sign of
-every Sigma2 factor and breaks the symmetry), and it reproduces the
-conventional lab-frame coupling pattern. The generic even-n frame in
+``vectorize(product.T)``; column-major stacking would flip the sign of
+every Sigma2 factor and break the symmetry. The generic even-n frame in
 :func:`general_even_frame` uses plain column stacking, since there no
 symmetry is required.
+
+:func:`build_w` writes W in closed form for every N. Split the vec
+index as i = r*n + c and read r and c as N-bit vectors, most
+significant bit first. Column (r, c) is the Sigma string with X-part
+x = r xor c and Z-part z = F r over GF(2), where F is the N-by-N matrix
+with ones on the sub- and super-diagonal, F[0, 0] = 1 and zeros
+elsewhere:
+
+    W[(r', c'), (r, c)] = 2^(-N/2) [r' xor c' = r xor c] (-1)^(r'^T F r)
+
+Label digit k is read from (x_k, z_k): (0,0) -> "0", (1,0) -> "1",
+(1,1) -> "2", (0,1) -> "3". For N = 1, 2, 3 this is the ordering of
+the conventional 4-, 16- and 64-level lab frames. Each demand on W
+follows from one property of F:
+
+- F symmetric => W is exactly symmetric.
+- det F = 1 over GF(2) => the labels are distinct, so W is orthogonal.
+- diag F = e_1 => the diagonal is + on the first half, - on the second
+  (demand b).
+- F 1 = e_N => the last column alternates (demand c), and the target
+  column n^2 - n is "1...12", which is +-V(Y_n)/sqrt(n).
+- Row r = 0 is X-only => the first n columns are nonnegative
+  (demand a).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,24 +46,8 @@ from .su2 import sigma_set, spin_generators, y_matrix
 
 SYMMETRY_TOL = 1e-13
 ORTHOGONALITY_TOL = 1e-12
-
-# canonical label orderings; each makes W symmetric and demand-conform
-_LABELS_1 = ("0", "1", "2", "3")
-_LABELS_2 = (
-    "00", "01", "10", "11", "31", "30", "21", "20",
-    "23", "22", "33", "32", "12", "13", "02", "03",
-)
-_LABELS_3 = (
-    "000", "001", "010", "011", "100", "101", "110", "111",
-    "031", "030", "021", "020", "131", "130", "121", "120",
-    "313", "312", "303", "302", "213", "212", "203", "202",
-    "322", "323", "332", "333", "222", "223", "232", "233",
-    "230", "231", "220", "221", "330", "331", "320", "321",
-    "201", "200", "211", "210", "301", "300", "311", "310",
-    "123", "122", "133", "132", "023", "022", "033", "032",
-    "112", "113", "102", "103", "012", "013", "002", "003",
-)
-_CANONICAL_LABELS = {1: _LABELS_1, 2: _LABELS_2, 3: _LABELS_3}
+# W is 4^N x 4^N: N = 5 is 1024^2 (8 MB); N = 6 would mean a 4096^2 eigh downstream
+MAX_N = 5
 
 
 @dataclass(frozen=True)
@@ -52,14 +56,11 @@ class EntangledFrame:
 
     ``W`` is dim-by-dim (dim = 4^N) with entries in {0, +-2^(-N/2)};
     column j is the normalized vectorization for ``labels[j]``.
-    ``canonical`` is False for frames produced by search rather than
-    the built-in orderings.
     """
 
     N: int
     labels: tuple[str, ...]
     W: np.ndarray
-    canonical: bool = True
 
     @property
     def n(self) -> int:
@@ -93,16 +94,6 @@ class FrameValidation:
         )
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    """Result of :func:`search_w`: a frame, or proof the budget ran out."""
-
-    frame: EntangledFrame | None
-    exhausted: bool
-    nodes_explored: int
-    budget: int
-
-
 def _sigma_product(label: str) -> np.ndarray:
     sigmas = sigma_set()
     out = np.array([[1.0]])
@@ -125,31 +116,26 @@ def label_to_column(label: str) -> np.ndarray:
     return vectorize(prod.T) / np.sqrt(2.0 ** len(label))
 
 
-def _integer_columns(N: int) -> tuple[tuple[str, ...], np.ndarray]:
-    """All 4^N labels (lexicographic) and their unnormalized integer columns."""
-    labels = ["".join(digits) for digits in itertools.product("0123", repeat=N)]
-    dim = 4 ** N
-    cols = np.zeros((dim, dim), dtype=np.int8)
-    for idx, lab in enumerate(labels):
-        cols[:, idx] = np.rint(label_to_column(lab) * np.sqrt(2.0 ** N)).astype(np.int8)
-    return tuple(labels), cols
-
-
-def _assemble(N: int, labels: tuple[str, ...], canonical: bool) -> EntangledFrame:
-    w = np.column_stack([label_to_column(lab) for lab in labels])
-    return EntangledFrame(N=N, labels=tuple(labels), W=w, canonical=canonical)
-
-
 def build_w(N: int) -> EntangledFrame:
-    """Canonical entangled frame for N in {1, 2, 3}.
+    """Entangled frame for n = 2^N, 1 <= N <= MAX_N, from the closed form.
 
-    The label sequences are fixed so that W is exactly symmetric and
-    the transfer lands on basis state n^2 - n + 1; larger N has no
-    canonical ordering here, use :func:`search_w`.
+    See the module docstring for the formula and why it meets every
+    demand; W lands the transfer on basis state n^2 - n + 1.
     """
-    if N not in _CANONICAL_LABELS:
-        raise ValueError(f"no canonical frame for N={N}; use search_w for N >= 4")
-    return _assemble(N, _CANONICAL_LABELS[N], canonical=True)
+    if not 1 <= N <= MAX_N:
+        raise ValueError(f"N must be in 1..{MAX_N}, got {N}")
+    n = 2 ** N
+    f = np.eye(N, k=1, dtype=int) + np.eye(N, k=-1, dtype=int)
+    f[0, 0] = 1
+    bits = (np.arange(n)[:, None] >> np.arange(N - 1, -1, -1)) & 1  # row r: r, MSB first
+    z = bits @ f % 2  # row r: F r
+    sign = 1 - 2 * (bits @ z.T % 2)  # sign[r', r] = (-1)^(r'^T F r)
+    r, c = np.divmod(np.arange(n * n), n)
+    x = r ^ c
+    w = np.where(x[:, None] == x[None, :], sign[r[:, None], r[None, :]], 0) / np.sqrt(2.0 ** N)
+    codes = bits[x] + 2 * z[r]  # digit k indexes "0132" by x_k + 2 z_k
+    labels = tuple("".join("0132"[d] for d in row) for row in codes.tolist())
+    return EntangledFrame(N=N, labels=labels, W=w)
 
 
 def _alternating(column: np.ndarray, scale: float) -> bool:
@@ -191,78 +177,6 @@ def validate_frame(frame: EntangledFrame) -> FrameValidation:
         symmetry_residual=sym,
         orthogonality_residual=orth,
     )
-
-
-def search_w(N: int, budget: int = 2_000_000) -> SearchOutcome:
-    """Backtracking search for a symmetric demand-conform label ordering.
-
-    Labels are explored in lexicographic order, so the outcome is
-    deterministic. Any distinct-label ordering is automatically
-    orthogonal; the search enforces symmetry pairwise plus the three
-    structural demands as pruning rules. Exhausting the node budget is
-    reported, not raised.
-    """
-    if N == 1:
-        return SearchOutcome(frame=build_w(1), exhausted=False, nodes_explored=0, budget=budget)
-    labels, cols = _integer_columns(N)
-    dim = 4 ** N
-    n = 2 ** N
-    nonneg = [bool(np.min(cols[:, i]) >= 0) for i in range(dim)]
-
-    def alternating_int(i: int) -> bool:
-        nz = cols[:, i][cols[:, i] != 0]
-        return bool(np.all(nz == (-1) ** np.arange(nz.size)))
-
-    alt_ok = [alternating_int(i) for i in range(dim)]
-    assigned: list[int] = []
-    used = np.zeros(dim, dtype=bool)
-    nodes = 0
-
-    def feasible(pos: int, idx: int) -> bool:
-        if pos < n and not nonneg[idx]:
-            return False
-        d = cols[pos, idx]
-        if pos < dim // 2:
-            if d <= 0:
-                return False
-        elif d >= 0:
-            return False
-        if pos == dim - 1 and not alt_ok[idx]:
-            return False
-        if assigned:
-            pos_arr = np.arange(pos)
-            if not np.array_equal(cols[pos_arr, idx], cols[pos, assigned]):
-                return False
-        return True
-
-    def dfs(pos: int) -> bool:
-        nonlocal nodes
-        if pos == dim:
-            return True
-        for idx in range(dim):
-            if used[idx]:
-                continue
-            nodes += 1
-            if nodes > budget:
-                return False
-            if not feasible(pos, idx):
-                continue
-            used[idx] = True
-            assigned.append(idx)
-            if dfs(pos + 1):
-                return True
-            if nodes > budget:
-                return False
-            assigned.pop()
-            used[idx] = False
-        return False
-
-    found = dfs(0)
-    if not found:
-        return SearchOutcome(frame=None, exhausted=nodes > budget, nodes_explored=nodes, budget=budget)
-    ordering = tuple(labels[i] for i in assigned)
-    frame = _assemble(N, ordering, canonical=N in _CANONICAL_LABELS and ordering == _CANONICAL_LABELS[N])
-    return SearchOutcome(frame=frame, exhausted=False, nodes_explored=nodes, budget=budget)
 
 
 def general_even_frame(n: int) -> np.ndarray:

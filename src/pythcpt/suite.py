@@ -18,6 +18,7 @@ import numpy as np
 
 from . import reference_tables
 from .dynamics import (
+    CPT_TOL,
     SystemSpec,
     build_h_tp,
     coupling_graph,
@@ -31,8 +32,6 @@ from .linalg import kron, vectorize
 from .retrograde import PulseSchedule, basic_cpts, check_equivalence, odd_dim_demo, pythagorean_pulse
 from .su2 import y_matrix
 from .triples import CouplingParams, enumerate_primitive_pairs, lab_couplings, params_from_pair
-
-CPT_TOL_DEFAULT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -220,7 +219,7 @@ def _check_frame_validation(
 def run_suite(
     n: int | None = None,
     frame_hook: Callable[[EntangledFrame], EntangledFrame] | None = None,
-    tol: float = CPT_TOL_DEFAULT,
+    tol: float = CPT_TOL,
     seed: int = 20260810,
 ) -> SuiteReport:
     """Run the verification battery and collect per-check results.

@@ -265,7 +265,7 @@ def test_criterion_9_scaling():
 
 def test_criterion_10_entanglement_certification():
     worst = 0.0
-    for N in (1, 2, 3):
+    for N in (1, 2, 3, 4):
         frame = build_w(N)
         target = np.log(frame.n)
         for j in range(frame.dim):

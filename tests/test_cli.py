@@ -150,6 +150,48 @@ def test_frame_output(capsys):
     assert np.array_equal(mat @ mat.T, 4 * np.eye(16))
 
 
+def test_frame_output_sixteen_levels(capsys):
+    code, out, _ = run_cli(capsys, "frame", "--N", "4", "--matrix")
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"N", "n", "labels", "numerators", "denominator_squared"}
+    assert len(set(payload["labels"])) == 256
+    mat = np.array(payload["numerators"])
+    assert np.array_equal(mat, mat.T)
+    assert np.array_equal(mat @ mat.T, 16 * np.eye(256))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["--N", "0"], "1..5"), (["--N", "6"], "1..5"), (["--N", "2", "--budget", "5"], "--budget")],
+)
+def test_frame_rejects_bad_input(capsys, argv, message):
+    code, _, err = run_cli(capsys, "frame", *argv)
+    assert code == 2
+    assert message in err
+
+
+def test_simulate_sixteen_levels_per_factor(capsys):
+    code, out, _ = run_cli(
+        capsys, "simulate", "--p", "3", "--q", "1", "--n", "16", "--steps", "2", "--t-max", "2",
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    header = lines[0].split(",")
+    at_tau = dict(zip(header, (float(x) for x in lines[2].split(","))))
+    assert at_tau["t_over_tau"] == 1.0
+    assert at_tau["pop_241"] >= 1.0 - 1e-9
+
+
+@pytest.mark.parametrize(
+    "command, n", [("simulate", "3"), ("simulate", "34"), ("graph", "6"), ("graph", "64")]
+)
+def test_unsupported_n_rejected(capsys, command, n):
+    code, _, err = run_cli(capsys, command, "--p", "3", "--q", "1", "--n", n)
+    assert code == 2
+    assert "<= 32" in err
+
+
 def test_config_file_and_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"p": 3, "q": 1, "n": 2, "k": 0.0}))
@@ -230,7 +272,7 @@ def test_suite_frame_hook_detects_corruption():
     def flip_one_sign(frame: EntangledFrame) -> EntangledFrame:
         w = frame.W.copy()
         w[0, -1] = -w[0, -1]
-        return EntangledFrame(N=frame.N, labels=frame.labels, W=w, canonical=False)
+        return EntangledFrame(N=frame.N, labels=frame.labels, W=w)
 
     report = run_suite(frame_hook=flip_one_sign)
     assert not report.all_passed

@@ -7,7 +7,6 @@ from pythcpt.dynamics import (
     build_h_tp,
     coupling_graph,
     forbidden_scan,
-    propagator,
     propagator_tp,
     simulate,
     simulate_lab,
@@ -15,6 +14,7 @@ from pythcpt.dynamics import (
     verify_cpt,
 )
 from pythcpt.frames import build_w
+from pythcpt.linalg import matexp_unitary
 from pythcpt.reference_tables import sixteen_level_lab, sixteen_level_tp
 from pythcpt.triples import CouplingParams, lab_couplings, params_from_pair
 
@@ -121,14 +121,14 @@ def test_propagator_factorizes():
     h2 = build_h_single(3, params.delta2, params.omega2)
     h = build_h_tp(3, params)
     for t in (0.0, 0.31, 1.7):
-        assert np.max(np.abs(propagator(h, t) - propagator_tp(h1, h2, t))) < 1e-10
-    assert np.max(np.abs(propagator(h, 0.0) - np.eye(9))) < 1e-14
+        assert np.max(np.abs(matexp_unitary(h, t) - propagator_tp(h1, h2, t))) < 1e-10
+    assert np.max(np.abs(matexp_unitary(h, 0.0) - np.eye(9))) < 1e-14
 
 
 def test_lab_propagator_full_transfer_column():
     params = params_from_pair(3, 1, 0.0)
     w = build_w(1).W
-    u_lab = w @ propagator(build_h_tp(2, params), params.tau) @ w
+    u_lab = w @ matexp_unitary(build_h_tp(2, params), params.tau) @ w
     col = np.abs(u_lab[:, 0])
     assert col[2] > 1.0 - 1e-9
     assert max(col[0], col[1], col[3]) < 1e-7
@@ -173,6 +173,17 @@ def test_verify_cpt_lifts():
         assert cert.tau == params.tau
 
 
+@pytest.mark.parametrize(
+    "n, pqk",
+    [(16, (3, 1, 0.0)), (16, (7, 3, 0.7)), (16, (11, 5, -1.3)), (32, (7, 3, 0.7))],
+)
+def test_verify_cpt_default_frame_beyond_eight_levels(n, pqk):
+    cert = verify_cpt(SystemSpec(n=n, params=params_from_pair(*pqk)))
+    assert cert.target_index == n * n - n + 1
+    assert cert.fidelity >= 1.0 - 1e-9
+    assert cert.passed
+
+
 def test_verify_cpt_general_even():
     cert = verify_cpt(SystemSpec(n=6, params=params_from_pair(3, 1, 0.0)))
     assert cert.target_index == 31
@@ -190,8 +201,8 @@ def test_frame_equivalence_of_propagators():
     h_tp = build_h_tp(4, params)
     h_lab = to_lab(h_tp, w)
     for t in (0.2, 0.9, 2.3):
-        u_lab = propagator(h_lab, t)
-        assert np.max(np.abs(u_lab - w @ propagator(h_tp, t) @ w)) < 1e-10
+        u_lab = matexp_unitary(h_lab, t)
+        assert np.max(np.abs(u_lab - w @ matexp_unitary(h_tp, t) @ w)) < 1e-10
 
 
 def test_spectrum_is_kron_sum():

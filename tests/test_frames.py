@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from pythcpt.frames import (
+    MAX_N,
     EntangledFrame,
     build_w,
     entanglement_entropy,
     general_even_frame,
     label_to_column,
-    search_w,
     validate_frame,
 )
 from pythcpt.linalg import vectorize
@@ -15,6 +15,7 @@ from pythcpt.reference_tables import sixteen_level_w
 from pythcpt.su2 import y_matrix
 
 S2 = np.sqrt(2.0)
+ALL_N = tuple(range(1, MAX_N + 1))
 
 
 def test_label_to_column_identity():
@@ -75,14 +76,14 @@ def test_build_w3_label_rows():
 
 
 def test_frames_symmetric_orthogonal():
-    for N in (1, 2, 3):
+    for N in ALL_N:
         w = build_w(N).W
         assert np.array_equal(w, w.T)  # exact
         assert np.max(np.abs(w.T @ w - np.eye(4 ** N))) < 1e-13
 
 
 def test_frame_entry_values():
-    for N in (1, 2, 3):
+    for N in ALL_N:
         w = build_w(N).W
         scale = 2.0 ** (-N / 2.0)
         mags = np.unique(np.round(np.abs(w), 14))
@@ -90,7 +91,7 @@ def test_frame_entry_values():
 
 
 def test_validate_frame_passes_builtin():
-    for N in (1, 2, 3):
+    for N in ALL_N:
         v = validate_frame(build_w(N))
         assert v.first_columns_nonnegative
         assert v.diagonal_split_signs
@@ -106,7 +107,7 @@ def test_validate_frame_detects_swap():
     # swap a first-half column with a second-half one out of order
     labels[0], labels[10] = labels[10], labels[0]
     w = np.column_stack([label_to_column(lab) for lab in labels])
-    bad = EntangledFrame(N=2, labels=tuple(labels), W=w, canonical=False)
+    bad = EntangledFrame(N=2, labels=tuple(labels), W=w)
     assert not validate_frame(bad).diagonal_split_signs
     assert not validate_frame(bad).all_pass
 
@@ -115,35 +116,34 @@ def test_validate_frame_detects_sign_flip():
     frame = build_w(2)
     w = frame.W.copy()
     w[0, 5] = -w[0, 5]
-    bad = EntangledFrame(N=2, labels=frame.labels, W=w, canonical=False)
+    bad = EntangledFrame(N=2, labels=frame.labels, W=w)
     v = validate_frame(bad)
     assert v.symmetry_residual > 1e-3 or v.orthogonality_residual > 1e-3
     assert not v.all_pass
 
 
-def test_search_delegates_for_depth_one():
-    out = search_w(1)
-    assert out.frame is not None and out.frame.labels == ("0", "1", "2", "3")
+def test_frame_columns_match_labels():
+    # label_to_column builds each column from Sigma products, independently of the closed form
+    for N in ALL_N:
+        frame = build_w(N)
+        assert len(set(frame.labels)) == frame.dim
+        for j, label in enumerate(frame.labels):
+            assert np.array_equal(frame.W[:, j], label_to_column(label))
 
 
-def test_search_rediscovers_depth_two():
-    out = search_w(2)
-    assert out.frame is not None
-    assert not out.exhausted
-    assert validate_frame(out.frame).all_pass
+def test_target_row_is_vy():
+    for N in ALL_N:
+        frame = build_w(N)
+        n = frame.n
+        row = frame.W[n * n - n]
+        vy = vectorize(y_matrix(n).real) / np.sqrt(n)
+        assert min(np.max(np.abs(row - vy)), np.max(np.abs(row + vy))) < 1e-12
 
 
-def test_search_rediscovers_depth_three():
-    out = search_w(3)
-    assert out.frame is not None
-    assert validate_frame(out.frame).all_pass
-
-
-def test_search_budget_exhaustion():
-    out = search_w(4, budget=1_000)
-    assert out.frame is None
-    assert out.exhausted
-    assert out.nodes_explored > 1_000
+def test_build_w_rejects_out_of_range():
+    for N in (0, MAX_N + 1):
+        with pytest.raises(ValueError, match=f"1..{MAX_N}"):
+            build_w(N)
 
 
 def test_general_even_frame_two():
@@ -174,7 +174,7 @@ def test_entropy_product_state():
 
 
 def test_entropy_of_frame_columns():
-    for N in (1, 2):
+    for N in ALL_N:
         frame = build_w(N)
         for j in range(frame.dim):
             s = entanglement_entropy(frame.W[:, j], frame.n)
