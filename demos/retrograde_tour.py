@@ -33,7 +33,7 @@ print()
 print("Propagator statement <-> doubled-space statement:")
 for p, q in ((3, 1), (5, 1)):
     rep = check_equivalence(pythagorean_pulse(p, q, 0.0), y_matrix(2))
-    print(f"  ({p},{q}): (forward, backward) = {rep.as_pair()}, "
+    print(f"  ({p},{q}): (propagator matches, doubled state matches) = {rep.as_pair()}, "
           f"measured sign {rep.propagator_phase.real:+.0f}, transfer is complete: {rep.is_cpt}")
 control = PulseSchedule(segments=((np.diag([1.0, -1.0]).astype(complex), 1.0),))
 rep = check_equivalence(control, y_matrix(2))

@@ -33,6 +33,7 @@ from .frames import (
     build_w,
     entanglement_entropy,
     general_even_frame,
+    lab_frame,
     label_to_column,
     validate_frame,
 )
@@ -46,10 +47,9 @@ from .dynamics import (
     build_h_tp,
     coupling_graph,
     forbidden_scan,
-    propagator_tp,
+    lab_hamiltonian,
     simulate,
     simulate_lab,
-    to_lab,
     verify_cpt,
 )
 from .retrograde import (
@@ -113,12 +113,13 @@ __all__ = [
     "general_recipe",
     "kron",
     "lab_couplings",
+    "lab_frame",
+    "lab_hamiltonian",
     "label_to_column",
     "matexp_unitary",
     "odd_dim_demo",
     "ordered_propagator",
     "params_from_pair",
-    "propagator_tp",
     "pythagorean_pulse",
     "retrograde_hamiltonian",
     "run_suite",
@@ -127,7 +128,6 @@ __all__ = [
     "simulate",
     "simulate_lab",
     "spin_generators",
-    "to_lab",
     "triple_from_pair",
     "unvectorize",
     "validate_frame",

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .dynamics import CPT_TOL, SystemSpec, build_h_tp, coupling_graph, simulate_lab, to_lab, verify_cpt
+from .dynamics import CPT_TOL, SystemSpec, coupling_graph, lab_hamiltonian, simulate_lab, verify_cpt
 from .frames import MAX_N, build_w
 from .retrograde import basic_cpts, check_equivalence, odd_dim_demo, pythagorean_pulse
 from .su2 import y_matrix
@@ -170,7 +170,6 @@ _SYMBOLIC_NAMES = ("V12", "V23", "V34", "V14")
 
 def _symbolic_basis(n: int) -> list[np.ndarray]:
     """Lab-frame Hamiltonians for unit values of each nearest-neighbour coupling."""
-    w = build_w(n.bit_length() - 1).W
     mats = []
     for name in _SYMBOLIC_NAMES:
         v = {key: (1.0 if key == name else 0.0) for key in _SYMBOLIC_NAMES}
@@ -179,7 +178,7 @@ def _symbolic_basis(n: int) -> list[np.ndarray]:
         o1 = (v["V12"] - v["V34"]) / 2.0
         o2 = (v["V12"] + v["V34"]) / 2.0
         params = CouplingParams(d1, o1, d2, o2, k=0.0, tau=1.0)
-        mats.append(to_lab(build_h_tp(n, params), w).real)
+        mats.append(lab_hamiltonian(SystemSpec(n=n, params=params)).real)
     return mats
 
 
@@ -215,9 +214,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     if cfg["format"] not in ("dot", "json"):
         raise ConfigError(f"format must be dot or json, got {cfg['format']!r}")
     params = params_from_pair(int(cfg["p"]), int(cfg["q"]), float(cfg["k"]))
-    w = build_w(n.bit_length() - 1).W
-    h_lab = to_lab(build_h_tp(n, params), w).real
-    graph = coupling_graph(h_lab)
+    graph = coupling_graph(lab_hamiltonian(SystemSpec(n=n, params=params)).real)
     symbolic = _symbolic_basis(n) if n in (2, 4) else None
     edges = []
     for i, j, weight in graph.edges:
@@ -274,13 +271,14 @@ def _cmd_retro(args: argparse.Namespace) -> int:
     payload = {
         "n": n,
         "variant": cfg["variant"],
-        "forward": equiv.forward,
-        "backward": equiv.backward,
+        # the two sides of the equivalence, each measured
+        "forward": equiv.propagator_matches,
+        "backward": equiv.doubled_state_matches,
         "propagator_phase": [equiv.propagator_phase.real, equiv.propagator_phase.imag],
         "doubled_phase": [equiv.doubled_phase.real, equiv.doubled_phase.imag],
         "is_cpt": equiv.is_cpt,
     }
-    ok = equiv.forward and equiv.backward
+    ok = equiv.propagator_matches and equiv.doubled_state_matches
     if cfg["variant"] == "retrograde":
         report = basic_cpts(n, p, q, k)
         payload["pairwise_transfers"] = [

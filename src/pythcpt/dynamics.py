@@ -2,8 +2,9 @@
 dynamics, and transfer certification.
 
 The two-factor Hamiltonian is h1 (x) I + I (x) h2 with each factor
-2*Delta*J3 + 2*Omega*J1 in the spin-(n-1)/2 representation; conjugating
-with an entangled frame W gives the sparse lab-frame form whose
+2*Delta*J3 + 2*Omega*J1 in the spin-(n-1)/2 representation;
+:func:`lab_hamiltonian` conjugates it with the lab frame W of
+:func:`pythcpt.frames.lab_frame`, giving the sparse lab-frame form whose
 nearest-neighbour couplings are the V's of :func:`pythcpt.triples.lab_couplings`.
 """
 
@@ -13,50 +14,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import EntangledFrame, build_w, general_even_frame
-from .linalg import kron, matexp_unitary, vectorize, hermiticity_deviation
+from .frames import lab_frame
+from .linalg import kron, matexp_unitary, require_hermitian, vectorize
 from .su2 import spin_generators, y_matrix
 from .triples import CouplingParams, params_from_pair
 
 CPT_TOL = 1e-9
+# sampled populations of lab states 2 and 4 must stay below this
+FORBIDDEN_MAX_POP = 1.0 - 1e-6
 
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """A coupled pair of n-level factors plus an optional lab frame.
-
-    When ``frame`` is None a frame is chosen automatically: the
-    symmetric entangled frame of :func:`build_w` if n is a power of
-    two, otherwise the generic even-n frame.
-    """
+    """A coupled pair of n-level factors; the lab frame is ``lab_frame(n)``."""
 
     n: int
     params: CouplingParams
-    frame: EntangledFrame | np.ndarray | None = None
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
-        if self.frame is not None and self._frame_matrix().shape[0] != self.n ** 2:
-            raise ValueError(
-                f"frame dimension {self._frame_matrix().shape[0]} != n^2 = {self.n ** 2}"
-            )
-
-    def _frame_matrix(self) -> np.ndarray:
-        if isinstance(self.frame, EntangledFrame):
-            return self.frame.W
-        return np.asarray(self.frame)
-
-    def resolve_frame(self) -> np.ndarray:
-        """Frame matrix whose rows are the lab basis vectors."""
-        if self.frame is not None:
-            return self._frame_matrix()
-        n = self.n
-        if n & (n - 1) == 0:  # power of two
-            return build_w(n.bit_length() - 1).W
-        if n % 2 == 0:
-            return general_even_frame(n)
-        raise ValueError(f"no lab frame for odd n={n}: transfer states are not orthogonal")
 
 
 @dataclass(frozen=True)
@@ -131,30 +108,13 @@ def build_h_tp(n: int, params: CouplingParams) -> np.ndarray:
     return kron(h1, eye) + kron(eye, h2)
 
 
-def to_lab(h_tp: np.ndarray, w: np.ndarray, ortho_tol: float = 1e-10) -> np.ndarray:
-    """Conjugate a product-basis Hamiltonian with a symmetric orthogonal W."""
-    w = np.asarray(w)
-    err = np.max(np.abs(w.T @ w - np.eye(w.shape[0])))
-    if err > ortho_tol:
-        raise ValueError(f"frame is not orthogonal: max |W^T W - I| = {err:.3e}")
-    return w @ h_tp @ w
+def lab_hamiltonian(spec: SystemSpec) -> np.ndarray:
+    """Two-factor Hamiltonian in the lab frame: W h_tp W^T with W = lab_frame(n)."""
+    w = lab_frame(spec.n)
+    return w @ build_h_tp(spec.n, spec.params) @ w.T
 
 
-def propagator_tp(h1: np.ndarray, h2: np.ndarray, t: float) -> np.ndarray:
-    """Factored propagator exp(-i h1 t) (x) exp(-i h2 t).
-
-    Equals ``matexp_unitary`` of the two-factor Hamiltonian because the two
-    summands commute.
-    """
-    return kron(matexp_unitary(h1, t), matexp_unitary(h2, t))
-
-
-def simulate(
-    h: np.ndarray,
-    psi0: np.ndarray,
-    times: np.ndarray,
-    time_unit: str = "absolute",
-) -> SimulationResult:
+def simulate(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> SimulationResult:
     """Populations |<e_i|exp(-i h t)|psi0>|^2 on a time grid.
 
     The Hamiltonian is diagonalized once and all grid points are
@@ -165,9 +125,7 @@ def simulate(
     norm = np.linalg.norm(psi0)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"psi0 must be normalized, got |psi0| = {norm}")
-    dev = hermiticity_deviation(h)
-    if dev > 1e-12:
-        raise ValueError(f"Hamiltonian not Hermitian (deviation {dev:.3e})")
+    require_hermitian(h, "Hamiltonian")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     evals, evecs = np.linalg.eigh(np.asarray(h, dtype=complex))
     coeffs = evecs.conj().T @ psi0
@@ -175,7 +133,7 @@ def simulate(
     waves = (phases * coeffs) @ evecs.T  # (T, d), component i of psi(t)
     pops = np.abs(waves) ** 2
     labels = tuple(str(i + 1) for i in range(psi0.size))
-    return SimulationResult(times=times, populations=pops, labels=labels, time_unit=time_unit)
+    return SimulationResult(times=times, populations=pops, labels=labels)
 
 
 def simulate_lab(
@@ -192,14 +150,12 @@ def simulate_lab(
     together with tau itself.
     """
     params = params_from_pair(p, q, k)
-    spec = SystemSpec(n=n, params=params)
-    w = spec.resolve_frame()
-    h_lab = w @ build_h_tp(n, params) @ w.T
+    h_lab = lab_hamiltonian(SystemSpec(n=n, params=params))
     tau = params.tau
     grid_tau = np.linspace(0.0, t_max_tau, steps + 1)
     psi0 = np.zeros(n * n)
     psi0[0] = 1.0
-    result = simulate(h_lab, psi0, grid_tau * tau, time_unit="tau")
+    result = simulate(h_lab, psi0, grid_tau * tau)
     return SimulationResult(
         times=grid_tau, populations=result.populations, labels=result.labels, time_unit="tau"
     ), tau
@@ -220,12 +176,10 @@ def verify_cpt(spec: SystemSpec, tol: float = CPT_TOL) -> CptCertificate:
     if spec.params.tau is None:
         raise ValueError("params carry no transfer time tau")
     tau = spec.params.tau
-    w = spec.resolve_frame()
-    h_tp = build_h_tp(n, spec.params)
-    u_tp = matexp_unitary(h_tp, tau)
-    u_lab = w @ u_tp @ w.T
+    w = lab_frame(n)
+    u_tp = matexp_unitary(build_h_tp(n, spec.params), tau)
     target = n * n - n  # 0-based
-    amp = u_lab[target, 0]
+    amp = w[target] @ u_tp @ w[0]  # (W U W^T)[target, 0] without forming W U W^T
     vi = vectorize(np.eye(n)) / np.sqrt(n)
     vy = vectorize(y_matrix(spin_generators(n))) / np.sqrt(n)
     tp_overlap = abs(np.vdot(vy, u_tp @ vi))
@@ -240,11 +194,7 @@ def verify_cpt(spec: SystemSpec, tol: float = CPT_TOL) -> CptCertificate:
     )
 
 
-def forbidden_scan(
-    spec: SystemSpec,
-    times: np.ndarray | None = None,
-    threshold: float = 1.0 - 1e-6,
-) -> ForbiddenScanReport:
+def forbidden_scan(spec: SystemSpec, times: np.ndarray | None = None) -> ForbiddenScanReport:
     """Scan for population of lab states 2 and 4 in the two-level system.
 
     Starting from state 1 those populations stay strictly below one;
@@ -258,17 +208,15 @@ def forbidden_scan(
         if tau is None:
             raise ValueError("params carry no tau; pass an explicit grid")
         times = np.linspace(0.0, 20.0 * tau, 10_000)
-    w = spec.resolve_frame()
-    h_lab = w @ build_h_tp(2, spec.params) @ w.T
     psi0 = np.zeros(4)
     psi0[0] = 1.0
-    result = simulate(h_lab, psi0, times)
+    result = simulate(lab_hamiltonian(spec), psi0, times)
     return ForbiddenScanReport(
         max_pop_2=float(np.max(result.populations[:, 1])),
         max_pop_4=float(np.max(result.populations[:, 3])),
         n_points=len(np.atleast_1d(times)),
         t_max=float(np.max(times)),
-        threshold=threshold,
+        threshold=FORBIDDEN_MAX_POP,
     )
 
 
@@ -279,9 +227,7 @@ def coupling_graph(h_lab: np.ndarray, zero_tol: float | None = None) -> Coupling
     magnitude. Indices are 1-based to match the usual state labelling.
     """
     h_lab = np.asarray(h_lab)
-    dev = hermiticity_deviation(h_lab)
-    if dev > 1e-10:
-        raise ValueError(f"Hamiltonian not Hermitian (deviation {dev:.3e})")
+    require_hermitian(h_lab, "Hamiltonian")
     scale = float(np.max(np.abs(h_lab))) if h_lab.size else 0.0
     tol = zero_tol if zero_tol is not None else 1e-10 * scale
     d = h_lab.shape[0]

@@ -1,5 +1,10 @@
 """Maximally entangled basis frames.
 
+:func:`lab_frame` is the one place that picks the lab frame for an
+n-level pair: the symmetric W of :func:`build_w` when n is a power of
+two, :func:`general_even_frame` for any other even n, and an error for
+odd n. Its rows are the lab basis vectors.
+
 For n = 2^N the lab frame comes from a real orthogonal *symmetric*
 matrix W whose columns are (normalized) vectorizations of N-fold tensor
 products of the four Sigma matrices. A column is labelled by its digit
@@ -9,7 +14,9 @@ Columns are stored in row-major stacking of the tensor product, i.e.
 ``vectorize(product.T)``; column-major stacking would flip the sign of
 every Sigma2 factor and break the symmetry. The generic even-n frame in
 :func:`general_even_frame` uses plain column stacking, since there no
-symmetry is required.
+symmetry is required. Only its rows 1 and n^2 - n + 1, V(I)/sqrt(n)
+and V(Y)/sqrt(n), are fixed; the other rows are a QR completion
+(:func:`pythcpt.linalg.complete_orthogonal`) and carry no meaning.
 
 :func:`build_w` writes W in closed form for every N. Split the vec
 index as i = r*n + c and read r and c as N-bit vectors, most
@@ -184,7 +191,7 @@ def general_even_frame(n: int) -> np.ndarray:
 
     Row 1 is V(I_n)/sqrt(n) and row n^2-n+1 is V(Y_n)/sqrt(n) so the
     transfer runs between lab states 1 and n^2-n+1 as in the 2^N
-    frames; the rest is a deterministic Gram-Schmidt completion. Odd n
+    frames; the rest is a deterministic QR completion. Odd n
     is rejected because there V(I) and V(Y) are not orthogonal
     (trace(Y_n) = +-1).
     """
@@ -201,14 +208,20 @@ def general_even_frame(n: int) -> np.ndarray:
     vy = vectorize(y.real) / np.sqrt(n)
     q = complete_orthogonal([v1, vy])
     target = n * n - n  # 0-based row index for V(Y)
-    rows = np.empty_like(q)
-    rows[0] = q[0]
-    rows[target] = q[1]
-    rest = iter(q[2:])
-    for i in range(1, n * n):
-        if i != target:
-            rows[i] = next(rest)
-    return rows
+    return np.vstack([q[:1], q[2:target + 1], q[1:2], q[target + 1:]])
+
+
+def lab_frame(n: int) -> np.ndarray:
+    """Lab frame for an n-level pair, as rows (see the module docstring).
+
+    ``build_w(N).W`` for n = 2^N, :func:`general_even_frame` for any
+    other even n; odd n has no such frame.
+    """
+    if n & (n - 1) == 0:
+        return build_w(n.bit_length() - 1).W
+    if n % 2 == 0:
+        return general_even_frame(n)
+    raise ValueError(f"no lab frame for odd n={n}: transfer states are not orthogonal")
 
 
 def entanglement_entropy(column: np.ndarray, n: int) -> float:

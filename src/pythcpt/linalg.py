@@ -1,6 +1,6 @@
 """Dense complex matrix utilities: Kronecker products, vectorization,
-exact unitary propagators for Hermitian generators, and orthogonal
-completion of partial real frames.
+the Hermiticity gate, exact unitary propagators for Hermitian
+generators, and orthogonal completion of partial real frames.
 
 All functions are pure and operate on plain numpy arrays. Matrices are
 2-d ``ndarray``s, vectors 1-d. Everything here is exact up to
@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-12
+HERMITICITY_TOL = 1e-12  # relative to max(1, max|h|), see require_hermitian
 UNITARITY_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-10
-GRAM_SCHMIDT_RESIDUAL_TOL = 1e-8
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -51,87 +50,65 @@ def hermiticity_deviation(h: np.ndarray) -> float:
     return float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
 
 
-def matexp_unitary(
-    h: np.ndarray,
-    t: float,
-    herm_tol: float = HERMITICITY_TOL,
-    check_unitarity: bool = True,
-    unitarity_tol: float = UNITARITY_TOL,
-) -> np.ndarray:
-    """Return ``exp(-i h t)`` for Hermitian ``h``.
+def require_hermitian(h: np.ndarray, what: str) -> None:
+    """Raise unless ``h`` is Hermitian to HERMITICITY_TOL * max(1, max|h|).
+
+    The gate is relative because a frame conjugation ``W h W^T`` is
+    symmetric only to about eps * max|h|, which an absolute bound
+    rejects once the couplings grow large.
+    """
+    h = np.asarray(h)
+    dev = hermiticity_deviation(h)
+    scale = max(1.0, float(np.max(np.abs(h)))) if h.size else 1.0
+    if dev > HERMITICITY_TOL * scale:
+        raise ValueError(
+            f"{what} is not Hermitian: max |h - h^dagger| = {dev:.3e} "
+            f"exceeds {HERMITICITY_TOL:.0e} * max(1, max|h|) = {HERMITICITY_TOL * scale:.3e}"
+        )
+
+
+def matexp_unitary(h: np.ndarray, t: float) -> np.ndarray:
+    """Return ``exp(-i h t)`` for Hermitian ``h`` (hbar = 1).
 
     Computed by diagonalizing ``h`` and exponentiating its (real)
     eigenvalues, so the result is unitary to eigendecomposition
-    accuracy.
-
-    Parameters
-    ----------
-    h : ndarray
-        Hermitian generator. Rejected if the max elementwise deviation
-        from its adjoint exceeds ``herm_tol``.
-    t : float
-        Evolution time (hbar = 1 throughout).
-    check_unitarity : bool
-        If set, verify ``U U^dagger = I`` within ``unitarity_tol``.
+    accuracy; ``h`` must pass :func:`require_hermitian` and the result
+    must satisfy ``U U^dagger = I`` within UNITARITY_TOL.
     """
     h = np.asarray(h, dtype=complex)
-    dev = hermiticity_deviation(h)
-    if dev > herm_tol:
-        raise ValueError(
-            f"generator is not Hermitian: max |h - h^dagger| = {dev:.3e} "
-            f"exceeds tolerance {herm_tol:.3e}"
-        )
+    require_hermitian(h, "generator")
     evals, evecs = np.linalg.eigh(h)
     u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-    if check_unitarity:
-        err = np.max(np.abs(u @ u.conj().T - np.eye(h.shape[0])))
-        if err > unitarity_tol:
-            raise ValueError(f"propagator unitarity error {err:.3e} exceeds {unitarity_tol:.3e}")
+    err = np.max(np.abs(u @ u.conj().T - np.eye(h.shape[0])))
+    if err > UNITARITY_TOL:
+        raise ValueError(f"propagator unitarity error {err:.3e} exceeds {UNITARITY_TOL:.3e}")
     return u
 
 
-def complete_orthogonal(
-    rows: list[np.ndarray] | tuple[np.ndarray, ...],
-    ortho_tol: float = ORTHONORMALITY_TOL,
-    residual_tol: float = GRAM_SCHMIDT_RESIDUAL_TOL,
-) -> np.ndarray:
+def complete_orthogonal(rows: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
     """Complete real orthonormal rows to a full real orthogonal matrix.
 
-    The given rows appear first, unchanged. The remaining rows come
-    from Gram-Schmidt over the standard basis taken in index order;
-    candidates whose residual norm falls below ``residual_tol`` are
-    skipped. Each appended row is sign-fixed so its first nonzero
-    entry is positive, which makes the completion deterministic.
+    The given rows appear first, unchanged. The remaining rows are the
+    trailing columns of one QR factorization of ``[seeds^T | I]``,
+    i.e. the seeds followed by the standard basis in index order. Each
+    appended row is sign-fixed so its first nonzero entry is positive,
+    which makes the completion deterministic.
     """
-    seed = [np.asarray(r, dtype=float).reshape(-1) for r in rows]
-    if not seed:
+    if not rows:
         raise ValueError("at least one seed row is required")
-    for r in rows:
-        if np.iscomplexobj(np.asarray(r)) and np.max(np.abs(np.asarray(r).imag)) > ortho_tol:
-            raise ValueError("seed rows must be real")
-    dim = seed[0].size
-    gram = np.array([[float(np.dot(a, b)) for b in seed] for a in seed])
-    if np.max(np.abs(gram - np.eye(len(seed)))) > ortho_tol:
+    seed = np.vstack([np.asarray(r).reshape(-1) for r in rows])
+    if np.iscomplexobj(seed) and np.max(np.abs(seed.imag)) > ORTHONORMALITY_TOL:
+        raise ValueError("seed rows must be real")
+    seed = seed.real.astype(float)
+    k, dim = seed.shape
+    gram_err = np.max(np.abs(seed @ seed.T - np.eye(k)))
+    if gram_err > ORTHONORMALITY_TOL:
         raise ValueError(
-            f"seed rows are not orthonormal within {ortho_tol:.1e} "
-            f"(max Gram deviation {np.max(np.abs(gram - np.eye(len(seed)))):.3e})"
+            f"seed rows are not orthonormal within {ORTHONORMALITY_TOL:.1e} "
+            f"(max Gram deviation {gram_err:.3e})"
         )
-    basis = list(seed)
-    for i in range(dim):
-        if len(basis) == dim:
-            break
-        cand = np.zeros(dim)
-        cand[i] = 1.0
-        for b in basis:
-            cand = cand - np.dot(b, cand) * b
-        norm = np.linalg.norm(cand)
-        if norm < residual_tol:
-            continue
-        cand /= norm
-        nz = np.nonzero(np.abs(cand) > 1e-12)[0]
-        if nz.size and cand[nz[0]] < 0:
-            cand = -cand
-        basis.append(cand)
-    if len(basis) != dim:
-        raise ValueError(f"completion produced {len(basis)} rows, expected {dim}")
-    return np.vstack(basis)
+    q, _ = np.linalg.qr(np.hstack([seed.T, np.eye(dim)]))
+    rest = q[:, k:].T
+    first = np.argmax(np.abs(rest) > 1e-12, axis=1)
+    rest = rest * np.sign(rest[np.arange(dim - k), first])[:, None]
+    return np.vstack([seed, rest])

@@ -11,16 +11,14 @@ which is what yields complete transfers between entangled states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import build_h_single
-from .linalg import kron, matexp_unitary, vectorize, hermiticity_deviation
+from .dynamics import CPT_TOL, build_h_single
+from .linalg import kron, matexp_unitary, require_hermitian, vectorize
 from .su2 import spin_generators, y_matrix
 from .triples import OddPair, params_from_pair
-
-EQUIV_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -38,9 +36,7 @@ class PulseSchedule:
                 raise ValueError("all segments must share one dimension")
             if d <= 0:
                 raise ValueError(f"segment durations must be positive, got {d}")
-            dev = hermiticity_deviation(h)
-            if dev > 1e-12:
-                raise ValueError(f"segment generator not Hermitian (deviation {dev:.3e})")
+            require_hermitian(h, "segment generator")
 
     @property
     def dim(self) -> int:
@@ -52,12 +48,6 @@ class PulseSchedule:
 
     def boundaries(self) -> np.ndarray:
         return np.concatenate([[0.0], np.cumsum([d for _, d in self.segments])])
-
-    def hamiltonian_at(self, t: float) -> np.ndarray:
-        """Generator active at time t (right-continuous, clamped to [0, T])."""
-        bounds = self.boundaries()
-        idx = int(np.searchsorted(bounds[1:-1], t, side="right"))
-        return self.segments[idx][0]
 
 
 def ordered_propagator(schedule: PulseSchedule, t0: float, t1: float) -> np.ndarray:
@@ -106,36 +96,17 @@ def pythagorean_pulse(p: int, q: int, k: float = 0.0, n: int = 2) -> PulseSchedu
 class RetrogradeSystem:
     """Doubled-space system for a base schedule.
 
-    ``doubled`` is the explicit piecewise-constant schedule of the
-    doubled Hamiltonian (segment boundaries are the union of the base
-    boundaries and their time reversal); ``propagator`` uses the exact
-    factorized form instead of stepping through it.
+    The doubled Hamiltonian is never formed: ``propagator`` uses the
+    exact factorized form U(T-t, T-t0) (x) U(t, t0) of the base
+    schedule's propagators.
     """
 
     base: PulseSchedule
     variant: str  # "retrograde" | "semi"
-    doubled: PulseSchedule = field(init=False)
 
     def __post_init__(self):
         if self.variant not in ("retrograde", "semi"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        object.__setattr__(self, "doubled", self._build_doubled())
-
-    def _build_doubled(self) -> PulseSchedule:
-        T = self.base.T
-        bounds = np.unique(np.concatenate([self.base.boundaries(), T - self.base.boundaries()]))
-        eye = np.eye(self.base.dim)
-        segs = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            mid = 0.5 * (lo + hi)
-            h_fwd = self.base.hamiltonian_at(mid)
-            h_rev = self.base.hamiltonian_at(T - mid)
-            if self.variant == "retrograde":
-                big = kron(-h_rev, eye) + kron(eye, h_fwd)
-            else:
-                big = kron(h_rev.conj(), eye) + kron(eye, h_fwd)
-            segs.append((big, float(hi - lo)))
-        return PulseSchedule(segments=tuple(segs))
 
     def propagator(self, t: float, t0: float = 0.0) -> np.ndarray:
         """Factorized doubled propagator U(T-t, T-t0) (x) U(t, t0)."""
@@ -173,13 +144,10 @@ class EquivalenceReport:
 
     ``propagator_matches`` is the direct statement U(T,0) = phase * y;
     ``doubled_state_matches`` is the doubled-space statement that
-    V(I)/sqrt(n) flows to V(y)/sqrt(n) at T/2. ``forward``/``backward``
-    hold when the corresponding implication is demonstrated, i.e. when
-    its premise and conclusion are both verified.
+    V(I)/sqrt(n) flows to V(y)/sqrt(n) at T/2. Each side is measured on
+    its own, so the equivalence shows as the two agreeing.
     """
 
-    forward: bool
-    backward: bool
     propagator_matches: bool
     doubled_state_matches: bool
     propagator_phase: complex
@@ -188,14 +156,14 @@ class EquivalenceReport:
     trace_y: complex
 
     def as_pair(self) -> tuple[bool, bool]:
-        return (self.forward, self.backward)
+        return (self.propagator_matches, self.doubled_state_matches)
 
 
 def check_equivalence(
     base: PulseSchedule,
     y: np.ndarray,
     variant: str = "retrograde",
-    tol: float = EQUIV_TOL,
+    tol: float = CPT_TOL,
 ) -> EquivalenceReport:
     """Verify both directions of U(T,0) = y <=> doubled V(I) -> V(y).
 
@@ -234,8 +202,6 @@ def check_equivalence(
     state_ok, state_phase = _phase_match(moved, vy, tol)
     trace_y = complex(np.trace(y))
     return EquivalenceReport(
-        forward=prop_ok and state_ok,
-        backward=state_ok and prop_ok,
         propagator_matches=prop_ok,
         doubled_state_matches=state_ok,
         propagator_phase=prop_phase,
@@ -268,7 +234,7 @@ def general_recipe(
     i_state: np.ndarray,
     f_state: np.ndarray,
     phi: float,
-    tol: float = EQUIV_TOL,
+    tol: float = CPT_TOL,
 ) -> RecipeResult:
     """Complete-transfer recipe for any system with a two-state cycle.
 
@@ -341,10 +307,9 @@ def time_independent_conditions(
     h: np.ndarray,
     i_state: np.ndarray,
     T: float,
-    n_samples: int = 8,
-    tol: float = EQUIV_TOL,
+    tol: float = CPT_TOL,
 ) -> TimeIndependentReport:
-    """Check the constant-Hamiltonian transfer conditions and sample the family."""
+    """Check the constant-Hamiltonian transfer conditions and sample 8 family members."""
     i_state = np.asarray(i_state, dtype=complex).reshape(-1)
     norm = np.linalg.norm(i_state)
     if abs(norm - 1.0) > 1e-10:
@@ -372,7 +337,7 @@ def time_independent_conditions(
         initial0 = initial0 / np.linalg.norm(initial0)
         u_fwd_half = matexp_unitary(h, T / 2.0)
         doubled_half = kron(u_fwd_half.conj().T, u_fwd_half)
-        for t in np.linspace(0.0, T, n_samples):
+        for t in np.linspace(0.0, T, 8):
             shift = matexp_unitary(h, t)
             psi_t = kron(shift, shift) @ initial0
             final_t = doubled_half @ psi_t
@@ -398,7 +363,7 @@ class BasicCptRecord:
 
     @property
     def ok(self) -> bool:
-        return self.orthogonality_residual <= EQUIV_TOL
+        return self.orthogonality_residual <= CPT_TOL
 
 
 @dataclass(frozen=True)
@@ -427,8 +392,8 @@ class BasicCptReport:
     def all_ok(self) -> bool:
         return (
             all(r.ok for r in self.records)
-            and all(res <= EQUIV_TOL for _, res in self.family_samples)
-            and self.uniform_target_residual <= EQUIV_TOL
+            and all(res <= CPT_TOL for _, res in self.family_samples)
+            and self.uniform_target_residual <= CPT_TOL
         )
 
 
@@ -441,13 +406,13 @@ def _basis_ket(n: int, a: int, b: int) -> np.ndarray:
     return kron(va, vb)
 
 
-def basic_cpts(n: int, p: int, q: int, k: float = 0.0, n_family: int = 20, seed: int = 7) -> BasicCptReport:
+def basic_cpts(n: int, p: int, q: int, k: float = 0.0) -> BasicCptReport:
     """Pairwise transfers of the lifted pulse in even dimension n.
 
     Each of the n/2 initial states (|ii> + |n+1-i,n+1-i>)/sqrt(2) is
     propagated to T/2 in the doubled space and certified orthogonal to
-    its image; random unit combinations of the initial states are
-    sampled as well. The uniform combination is compared against the
+    its image; 20 random unit combinations of the initial states
+    (seeded, so reports repeat) are sampled as well. The uniform combination is compared against the
     universal target V(Y)/sqrt(n).
     """
     if n % 2 != 0:
@@ -471,9 +436,9 @@ def basic_cpts(n: int, p: int, q: int, k: float = 0.0, n_family: int = 20, seed:
             BasicCptRecord(index=i, initial=initial, final=final, orthogonality_residual=resid)
         )
         initials.append(initial)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     family = []
-    for _ in range(n_family):
+    for _ in range(20):
         coeffs = rng.normal(size=n // 2) + 1j * rng.normal(size=n // 2)
         coeffs = coeffs / np.linalg.norm(coeffs)
         psi0 = sum(c * ini for c, ini in zip(coeffs, initials))
@@ -504,7 +469,8 @@ class OddDimReport:
     The lifted pulse still sends V(I) to V(Y) at T/2, but those states
     overlap (|trace(Y)|/3 = 1/3), so the move is not a complete
     transfer; only the single pairwise transfer from
-    (-|11> + |33>)/sqrt(2) is orthogonal.
+    (-|11> + |33>)/sqrt(2) is orthogonal. ``is_cpt`` is measured: V(I)
+    must reach V(Y) and the two must be orthogonal, both to CPT_TOL.
     """
 
     p: int
@@ -518,7 +484,7 @@ class OddDimReport:
 
     @property
     def action_matches(self) -> bool:
-        return self.action_residual <= EQUIV_TOL
+        return self.action_residual <= CPT_TOL
 
 
 def odd_dim_demo(p: int, q: int, k: float = 0.0) -> OddDimReport:
@@ -558,5 +524,5 @@ def odd_dim_demo(p: int, q: int, k: float = 0.0) -> OddDimReport:
         basic=basic,
         vi_vy_overlap=overlap,
         vi_to_vy_residual=vi_to_vy_residual,
-        is_cpt=False,
+        is_cpt=overlap <= CPT_TOL and vi_to_vy_residual <= CPT_TOL,
     )

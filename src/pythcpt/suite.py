@@ -23,8 +23,8 @@ from .dynamics import (
     build_h_tp,
     coupling_graph,
     forbidden_scan,
+    lab_hamiltonian,
     simulate_lab,
-    to_lab,
     verify_cpt,
 )
 from .frames import EntangledFrame, build_w, entanglement_entropy, general_even_frame, validate_frame
@@ -103,7 +103,7 @@ def _check_sixteen_level_tables(rng: np.random.Generator) -> tuple[bool, str]:
         params = CouplingParams(d1, o1, d2, o2, k=0.0, tau=1.0)
         h_tp = build_h_tp(4, params)
         worst = max(worst, float(np.max(np.abs(h_tp - reference_tables.sixteen_level_tp(d1, o1, d2, o2)))))
-        h_lab = to_lab(h_tp, w)
+        h_lab = lab_hamiltonian(SystemSpec(n=4, params=params))
         expected_lab = reference_tables.sixteen_level_lab(*lab_couplings(params))
         worst = max(worst, float(np.max(np.abs(h_lab - expected_lab))))
         got = {(i, j) for i, j, _ in coupling_graph(h_lab).edges}

@@ -12,8 +12,8 @@ from pythcpt.dynamics import (
     build_h_tp,
     coupling_graph,
     forbidden_scan,
+    lab_hamiltonian,
     simulate_lab,
-    to_lab,
     verify_cpt,
 )
 from pythcpt.frames import build_w, entanglement_entropy, general_even_frame
@@ -157,7 +157,7 @@ def test_criterion_4_sixteen_level_tables():
         for (i, j), val in tp_spot_entries(d1, o1, d2, o2).items():
             assert abs(ref_tp[i - 1, j - 1] - val) < 1e-14, f"TP transcription drift at {(i, j)}"
         worst = max(worst, float(np.max(np.abs(h_tp - ref_tp))))
-        h_lab = to_lab(h_tp, w_ref)
+        h_lab = lab_hamiltonian(SystemSpec(n=4, params=params))  # W = build_w(2).W == w_ref
         vs = lab_couplings(params)
         ref_lab = sixteen_level_lab(*vs)
         for (i, j), val in lab_spot_entries(*vs).items():

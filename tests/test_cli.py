@@ -55,6 +55,13 @@ def test_verify_invalid_input(capsys):
     assert "odd" in err
 
 
+def test_simulate_six_levels_large_couplings(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--p", "99", "--q", "1", "--n", "6", "--steps", "2")
+    assert code == 0, err
+    rows = out.strip().splitlines()
+    assert float(rows[2].split(",")[31]) >= 1.0 - 1e-9  # pop_31 at t/tau = 1
+
+
 def test_simulate_csv(tmp_path, capsys):
     out_path = tmp_path / "trace.csv"
     code, _, _ = run_cli(

@@ -7,14 +7,13 @@ from pythcpt.dynamics import (
     build_h_tp,
     coupling_graph,
     forbidden_scan,
-    propagator_tp,
+    lab_hamiltonian,
     simulate,
     simulate_lab,
-    to_lab,
     verify_cpt,
 )
 from pythcpt.frames import build_w
-from pythcpt.linalg import matexp_unitary
+from pythcpt.linalg import kron, matexp_unitary
 from pythcpt.reference_tables import sixteen_level_lab, sixteen_level_tp
 from pythcpt.triples import CouplingParams, lab_couplings, params_from_pair
 
@@ -88,31 +87,20 @@ def test_h_tp_sixteen_level_table():
         assert np.max(np.abs(h - sixteen_level_tp(d1, o1, d2, o2))) < 1e-12
 
 
-def test_to_lab_two_level():
+def test_lab_hamiltonian_two_level():
     params = params_from_pair(3, 1, 0.0)
-    h_lab = to_lab(build_h_tp(2, params), build_w(1).W).real
+    h_lab = lab_hamiltonian(SystemSpec(n=2, params=params)).real
     assert np.max(np.abs(h_lab - four_level_lab_closed_form(5.0, 3.0, 4.0, 0.0))) < 1e-12
 
 
-def test_to_lab_sixteen_level_table():
+def test_lab_hamiltonian_sixteen_level_table():
     rng = np.random.default_rng(9)
-    w = build_w(2).W
     for _ in range(3):
         d1, o1, d2, o2 = rng.normal(size=4)
         params = CouplingParams(d1, o1, d2, o2, k=0.0, tau=1.0)
-        h_lab = to_lab(build_h_tp(4, params), w).real
+        h_lab = lab_hamiltonian(SystemSpec(n=4, params=params)).real
         expected = sixteen_level_lab(*lab_couplings(params))
         assert np.max(np.abs(h_lab - expected)) < 1e-12
-
-
-def test_to_lab_identity_frame():
-    h = build_h_tp(2, params_from_pair(3, 1, 0.0))
-    assert np.max(np.abs(to_lab(h, np.eye(4)) - h)) == 0.0
-
-
-def test_to_lab_rejects_non_orthogonal():
-    with pytest.raises(ValueError, match="not orthogonal"):
-        to_lab(np.eye(4), np.ones((4, 4)))
 
 
 def test_propagator_factorizes():
@@ -121,7 +109,8 @@ def test_propagator_factorizes():
     h2 = build_h_single(3, params.delta2, params.omega2)
     h = build_h_tp(3, params)
     for t in (0.0, 0.31, 1.7):
-        assert np.max(np.abs(matexp_unitary(h, t) - propagator_tp(h1, h2, t))) < 1e-10
+        factored = kron(matexp_unitary(h1, t), matexp_unitary(h2, t))
+        assert np.max(np.abs(matexp_unitary(h, t) - factored)) < 1e-10
     assert np.max(np.abs(matexp_unitary(h, 0.0) - np.eye(9))) < 1e-14
 
 
@@ -199,7 +188,7 @@ def test_frame_equivalence_of_propagators():
     params = params_from_pair(5, 1, 0.3)
     w = build_w(2).W
     h_tp = build_h_tp(4, params)
-    h_lab = to_lab(h_tp, w)
+    h_lab = lab_hamiltonian(SystemSpec(n=4, params=params))
     for t in (0.2, 0.9, 2.3):
         u_lab = matexp_unitary(h_lab, t)
         assert np.max(np.abs(u_lab - w @ matexp_unitary(h_tp, t) @ w)) < 1e-10
@@ -223,7 +212,7 @@ def test_spectrum_is_kron_sum():
 
 
 def test_forbidden_scan_examples():
-    for p, q in ((3, 1), (5, 1)):
+    for p, q in ((3, 1), (5, 1), (1001, 1)):
         spec = SystemSpec(n=2, params=params_from_pair(p, q, 0.0))
         report = forbidden_scan(spec)
         assert report.n_points == 10_000
@@ -246,7 +235,7 @@ def test_forbidden_scan_rejects_other_dims():
 
 def test_coupling_graph_sixteen_level_pattern():
     params = params_from_pair(3, 1, 0.7)  # generic k keeps every V nonzero
-    h_lab = to_lab(build_h_tp(4, params), build_w(2).W).real
+    h_lab = lab_hamiltonian(SystemSpec(n=4, params=params)).real
     graph = coupling_graph(h_lab)
     expected = sixteen_level_lab(*lab_couplings(params))
     want = {
@@ -270,5 +259,20 @@ def test_coupling_graph_zero_matrix():
 
 
 def test_system_spec_validation():
-    with pytest.raises(ValueError, match="frame dimension"):
-        SystemSpec(n=4, params=params_from_pair(3, 1, 0.0), frame=np.eye(4))
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        SystemSpec(n=1, params=params_from_pair(3, 1, 0.0))
+
+
+@pytest.mark.parametrize("p", [99, 1001])
+def test_simulate_six_levels_large_couplings(p):
+    # W h W^T is symmetric only to ~eps * max|h|, which the relative Hermiticity gate accepts
+    result, _ = simulate_lab(p, 1, 0.5, n=6, t_max_tau=1.0, steps=1)
+    assert result.populations[1, 30] >= 1.0 - 1e-9
+
+
+def test_hermiticity_gate_rejects_order_one_asymmetry():
+    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        simulate(bad, np.array([1.0, 0.0]), np.array([0.0]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        coupling_graph(bad)

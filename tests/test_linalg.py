@@ -5,6 +5,7 @@ from pythcpt.linalg import (
     complete_orthogonal,
     kron,
     matexp_unitary,
+    require_hermitian,
     unvectorize,
     vectorize,
 )
@@ -125,6 +126,15 @@ def test_matexp_rejects_non_hermitian():
         matexp_unitary(bad, 1.0)
 
 
+def test_hermiticity_gate_is_relative_to_the_largest_entry():
+    h = 1e6 * SX
+    require_hermitian(h + 1e-8 * SIG2, "h")  # deviation 2e-8 <= 1e-12 * 1e6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        require_hermitian(h + 1e-5 * SIG2, "h")
+    with pytest.raises(ValueError, match="not Hermitian"):
+        require_hermitian(1e-3 * SIG2, "h")  # small matrices keep the absolute 1e-12 floor
+
+
 def test_matexp_group_property_and_unitarity():
     rng = np.random.default_rng(3)
     for dim in (2, 5, 16):
@@ -146,7 +156,7 @@ def test_complete_orthogonal_standard_basis():
 def test_complete_orthogonal_hand_case():
     row = np.array([1.0, 1.0]) / np.sqrt(2)
     q = complete_orthogonal([row])
-    # Gram-Schmidt on e1 gives (1, -1)/sqrt(2); first nonzero entry positive
+    # the completion of (1, 1)/sqrt(2) is (1, -1)/sqrt(2), first nonzero entry positive
     assert np.max(np.abs(q[1] - np.array([1.0, -1.0]) / np.sqrt(2))) < 1e-12
 
 

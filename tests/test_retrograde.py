@@ -29,6 +29,32 @@ def random_schedule(rng, dim=2, n_segments=3):
     return PulseSchedule(segments=tuple(segs))
 
 
+def generator_at(base, t):
+    """Segment generator of ``base`` active at time t (right-continuous)."""
+    idx = int(np.searchsorted(base.boundaries()[1:-1], t, side="right"))
+    return base.segments[idx][0]
+
+
+def doubled_schedule(base, variant):
+    """Explicit piecewise-constant doubled schedule, the oracle for the factorized propagator.
+
+    Its boundaries are the union of the base boundaries and their time
+    reversal; each segment is -H(T-t) (x) I + I (x) H(t) (retrograde)
+    or H*(T-t) (x) I + I (x) H(t) (semi) at the segment midpoint.
+    """
+    T = base.T
+    bounds = np.unique(np.concatenate([base.boundaries(), T - base.boundaries()]))
+    eye = np.eye(base.dim)
+    segs = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        mid = 0.5 * (lo + hi)
+        h_fwd = generator_at(base, mid)
+        h_rev = generator_at(base, T - mid)
+        first = -h_rev if variant == "retrograde" else h_rev.conj()
+        segs.append((kron(first, eye) + kron(eye, h_fwd), float(hi - lo)))
+    return PulseSchedule(segments=tuple(segs))
+
+
 def ket(n, *indices):
     """Product basis vector |i j ...> with 1-based indices."""
     vecs = []
@@ -121,7 +147,7 @@ def test_doubled_schedule_matches_factorized():
         sched = random_schedule(rng, dim=2, n_segments=3)
         system = variant_builder(sched)
         for t in (0.0, 0.4, sched.T / 2, sched.T):
-            direct = ordered_propagator(system.doubled, 0.0, t)
+            direct = ordered_propagator(doubled_schedule(sched, system.variant), 0.0, t)
             assert np.max(np.abs(direct - system.propagator(t))) < 1e-10
 
 
@@ -129,12 +155,12 @@ def test_time_reversal_symmetric_base_structure():
     # H(t) = -H(T-t) by construction makes the doubled generator a plain sum
     h = np.array([[0.3, 0.5], [0.5, -0.3]], dtype=complex)
     base = PulseSchedule(segments=((h, 1.0), (-h, 1.0)))
-    system = retrograde_hamiltonian(base)
+    doubled = doubled_schedule(base, "retrograde")
     eye = np.eye(2)
-    assert len(system.doubled.segments) == 2
-    seg0 = system.doubled.segments[0][0]
+    assert len(doubled.segments) == 2
+    seg0 = doubled.segments[0][0]
     assert np.max(np.abs(seg0 - (kron(h, eye) + kron(eye, h)))) < 1e-14
-    seg1 = system.doubled.segments[1][0]
+    seg1 = doubled.segments[1][0]
     assert np.max(np.abs(seg1 - (kron(-h, eye) + kron(eye, -h)))) < 1e-14
 
 
@@ -144,12 +170,14 @@ def test_semi_equals_retro_up_to_first_factor_sign_for_real_base():
     retro = retrograde_hamiltonian(base)
     semi = semi_retrograde_hamiltonian(base)
     eye = np.eye(2)
-    bounds = semi.doubled.boundaries()
-    for idx, ((a, da), (b, db)) in enumerate(zip(retro.doubled.segments, semi.doubled.segments)):
+    retro_doubled = doubled_schedule(base, "retrograde")
+    semi_doubled = doubled_schedule(base, "semi")
+    bounds = semi_doubled.boundaries()
+    for idx, ((a, da), (b, db)) in enumerate(zip(retro_doubled.segments, semi_doubled.segments)):
         assert da == db
         # retro: -H_rev (x) I + I (x) H; semi with real H: +H_rev (x) I + I (x) H
         mid = 0.5 * (bounds[idx] + bounds[idx + 1])
-        h_rev = base.hamiltonian_at(base.T - mid)
+        h_rev = generator_at(base, base.T - mid)
         assert np.max(np.abs(b - a - 2.0 * kron(h_rev, eye))) < 1e-12
     # the propagators differ exactly by conjugating the first factor
     for t in (0.3, 0.65, base.T):
