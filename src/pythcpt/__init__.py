@@ -67,8 +67,6 @@ from .retrograde import (
     odd_dim_demo,
     ordered_propagator,
     pythagorean_pulse,
-    retrograde_hamiltonian,
-    semi_retrograde_hamiltonian,
     time_independent_conditions,
 )
 from .suite import CheckResult, SuiteReport, run_suite
@@ -121,9 +119,7 @@ __all__ = [
     "ordered_propagator",
     "params_from_pair",
     "pythagorean_pulse",
-    "retrograde_hamiltonian",
     "run_suite",
-    "semi_retrograde_hamiltonian",
     "sigma_set",
     "simulate",
     "simulate_lab",

@@ -9,7 +9,8 @@ graph as DOT or JSON), ``retro`` (doubled-space reports), ``suite``
 Every subcommand accepts ``--config FILE`` with a JSON object mirroring
 its flags; explicit flags win over file values and unknown keys are
 rejected. The environment variable ``PYTHCPT_TOL`` overrides the
-default certification tolerance (1e-9). Exit codes: 0 success, 1
+default certification tolerance (1e-9); a tolerance from any source
+must be a finite positive number. Exit codes: 0 success, 1
 verification failure, 2 invalid input.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -43,14 +45,20 @@ _REQUIRED = object()
 _MAX_LEVELS = 2 ** MAX_N  # largest n that build_w serves
 
 
+def _positive_tol(value, source: str) -> float:
+    """A certification tolerance: a finite positive number, else a ConfigError naming its source."""
+    try:
+        tol = float(value)
+    except (TypeError, ValueError):
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"{source} must be a finite positive number, got {value!r}")
+    return tol
+
+
 def _default_tol() -> float:
     raw = os.environ.get("PYTHCPT_TOL")
-    if raw is None:
-        return CPT_TOL
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"PYTHCPT_TOL is not a number: {raw!r}") from exc
+    return CPT_TOL if raw is None else _positive_tol(raw, "PYTHCPT_TOL")
 
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
@@ -68,11 +76,13 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     for key, default in defaults.items():
         cli_value = getattr(args, key, None)
         if cli_value is not None:
-            merged[key] = cli_value
+            merged[key], source = cli_value, f"--{key}"
         elif key in file_values:
-            merged[key] = file_values[key]
+            merged[key], source = file_values[key], f"config field {key!r}"
         else:
-            merged[key] = default
+            merged[key], source = default, None
+        if key == "tol" and source is not None:
+            merged[key] = _positive_tol(merged[key], source)
     missing = [k for k, v in merged.items() if v is _REQUIRED]
     if missing:
         raise ConfigError(f"missing required field: {missing[0]}")
@@ -276,6 +286,8 @@ def _cmd_retro(args: argparse.Namespace) -> int:
         "backward": equiv.doubled_state_matches,
         "propagator_phase": [equiv.propagator_phase.real, equiv.propagator_phase.imag],
         "doubled_phase": [equiv.doubled_phase.real, equiv.doubled_phase.imag],
+        "propagator_residual": equiv.propagator_residual,
+        "doubled_state_residual": equiv.doubled_state_residual,
         "is_cpt": equiv.is_cpt,
     }
     ok = equiv.propagator_matches and equiv.doubled_state_matches

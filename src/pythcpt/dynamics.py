@@ -40,14 +40,11 @@ class SystemSpec:
 class SimulationResult:
     """Population traces on a time grid.
 
-    ``times`` is in units of tau or absolute time depending on
-    ``time_unit``; ``populations[t, i]`` is |<e_{i+1}|psi(t)>|^2.
+    ``populations[t, i]`` is |<e_{i+1}|psi(t)>|^2 at ``times[t]``.
     """
 
     times: np.ndarray
     populations: np.ndarray
-    labels: tuple[str, ...]
-    time_unit: str = "absolute"
 
 
 @dataclass(frozen=True)
@@ -88,7 +85,6 @@ class CouplingGraph:
 
     edges: tuple[tuple[int, int, float], ...]  # 1-based (i, j, weight), i < j
     diagonal: np.ndarray
-    zero_tol: float
 
 
 def build_h_single(n: int, delta: float, omega: float) -> np.ndarray:
@@ -131,9 +127,7 @@ def simulate(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> SimulationRe
     coeffs = evecs.conj().T @ psi0
     phases = np.exp(-1j * np.outer(times, evals))  # (T, d)
     waves = (phases * coeffs) @ evecs.T  # (T, d), component i of psi(t)
-    pops = np.abs(waves) ** 2
-    labels = tuple(str(i + 1) for i in range(psi0.size))
-    return SimulationResult(times=times, populations=pops, labels=labels)
+    return SimulationResult(times=times, populations=np.abs(waves) ** 2)
 
 
 def simulate_lab(
@@ -156,9 +150,7 @@ def simulate_lab(
     psi0 = np.zeros(n * n)
     psi0[0] = 1.0
     result = simulate(h_lab, psi0, grid_tau * tau)
-    return SimulationResult(
-        times=grid_tau, populations=result.populations, labels=result.labels, time_unit="tau"
-    ), tau
+    return SimulationResult(times=grid_tau, populations=result.populations), tau
 
 
 def verify_cpt(spec: SystemSpec, tol: float = CPT_TOL) -> CptCertificate:
@@ -181,7 +173,7 @@ def verify_cpt(spec: SystemSpec, tol: float = CPT_TOL) -> CptCertificate:
     target = n * n - n  # 0-based
     amp = w[target] @ u_tp @ w[0]  # (W U W^T)[target, 0] without forming W U W^T
     vi = vectorize(np.eye(n)) / np.sqrt(n)
-    vy = vectorize(y_matrix(spin_generators(n))) / np.sqrt(n)
+    vy = vectorize(y_matrix(n)) / np.sqrt(n)
     tp_overlap = abs(np.vdot(vy, u_tp @ vi))
     return CptCertificate(
         n=n,
@@ -220,20 +212,19 @@ def forbidden_scan(spec: SystemSpec, times: np.ndarray | None = None) -> Forbidd
     )
 
 
-def coupling_graph(h_lab: np.ndarray, zero_tol: float | None = None) -> CouplingGraph:
+def coupling_graph(h_lab: np.ndarray) -> CouplingGraph:
     """Undirected edge list of a Hermitian Hamiltonian's couplings.
 
-    ``zero_tol`` defaults to 1e-10 relative to the largest entry
-    magnitude. Indices are 1-based to match the usual state labelling.
+    Entries up to 1e-10 times the largest entry magnitude count as
+    zero. Indices are 1-based to match the usual state labelling.
     """
     h_lab = np.asarray(h_lab)
     require_hermitian(h_lab, "Hamiltonian")
-    scale = float(np.max(np.abs(h_lab))) if h_lab.size else 0.0
-    tol = zero_tol if zero_tol is not None else 1e-10 * scale
+    tol = 1e-10 * float(np.max(np.abs(h_lab))) if h_lab.size else 0.0
     d = h_lab.shape[0]
     edges = []
     for i in range(d):
         for j in range(i + 1, d):
             if abs(h_lab[i, j]) > tol:
                 edges.append((i + 1, j + 1, float(np.real(h_lab[i, j]))))
-    return CouplingGraph(edges=tuple(edges), diagonal=np.real(np.diag(h_lab)).copy(), zero_tol=tol)
+    return CouplingGraph(edges=tuple(edges), diagonal=np.real(np.diag(h_lab)).copy())

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import complete_orthogonal, vectorize, unvectorize, kron
-from .su2 import sigma_set, spin_generators, y_matrix
+from .su2 import sigma_set, y_matrix
 
 SYMMETRY_TOL = 1e-13
 ORTHOGONALITY_TOL = 1e-12
@@ -200,12 +200,8 @@ def general_even_frame(n: int) -> np.ndarray:
             f"n={n} is odd: V(I) and V(Y) are not orthogonal (trace(Y) != 0), "
             "so no such frame exists"
         )
-    rep = spin_generators(n)
-    y = y_matrix(rep)
-    if np.max(np.abs(y.imag)) > 1e-10:
-        raise ValueError("Y_n unexpectedly non-real for even n")
     v1 = vectorize(np.eye(n)) / np.sqrt(n)
-    vy = vectorize(y.real) / np.sqrt(n)
+    vy = vectorize(y_matrix(n)) / np.sqrt(n)
     q = complete_orthogonal([v1, vy])
     target = n * n - n  # 0-based row index for V(Y)
     return np.vstack([q[:1], q[2:target + 1], q[1:2], q[target + 1:]])

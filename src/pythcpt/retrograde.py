@@ -2,11 +2,23 @@
 backward on the other.
 
 For a base schedule H(t) on [0, T] the doubled Hamiltonian is
-``-H(T-t) (x) I + I (x) H(t)`` and its propagator factorizes as
-``U(T-t, T-t0) (x) U(t, t0)``. The semi variant conjugates the reversed
-copy instead of negating it. Both turn statements about U(T, 0) into
-statements about how the doubled dynamics moves vectorized operators,
-which is what yields complete transfers between entangled states.
+``-H(T-t) (x) I + I (x) H(t)``; its propagator is kron(rev, fwd) with
+rev = U(T-t, T) and fwd = U(t, 0). The semi variant conjugates the
+reversed copy instead of negating it, and so conjugates rev. A doubled
+state is the n x n operator X of V(X); since
+``kron(A, B) @ V(X) = V(B X A^T)`` the doubled step maps X to
+``fwd X rev^T``, and only ``RetrogradeSystem.propagator``, the dense
+form kept as the test oracle, builds an n^2 x n^2 matrix. Product
+states are outer products, |a b> = V(b a^T); reports carry V(X).
+
+Each quantity has one home. ``RetrogradeSystem.factors`` gives
+(rev, fwd). ``check_equivalence`` computes U(T, 0) once and the image
+fwd rev^T of V(I) at T/2, each with its phase and residual against y,
+plus trace(y); ``basic_cpts`` takes its sign and "proportional to Y"
+gate from it, ``odd_dim_demo`` its V(I)/V(Y) overlap |trace(y)|/n and
+V(I) -> V(Y) residual. ``general_recipe`` is the two-state transfer;
+``odd_dim_demo``'s pairwise transfer and each sampled family member of
+``time_independent_conditions`` are calls to it.
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ import numpy as np
 
 from .dynamics import CPT_TOL, build_h_single
 from .linalg import kron, matexp_unitary, require_hermitian, vectorize
-from .su2 import spin_generators, y_matrix
+from .su2 import y_matrix
 from .triples import OddPair, params_from_pair
 
 
@@ -96,9 +108,9 @@ def pythagorean_pulse(p: int, q: int, k: float = 0.0, n: int = 2) -> PulseSchedu
 class RetrogradeSystem:
     """Doubled-space system for a base schedule.
 
-    The doubled Hamiltonian is never formed: ``propagator`` uses the
-    exact factorized form U(T-t, T-t0) (x) U(t, t0) of the base
-    schedule's propagators.
+    The doubled Hamiltonian is never formed: ``factors`` returns the two
+    base-schedule propagators whose Kronecker product is the doubled
+    propagator.
     """
 
     base: PulseSchedule
@@ -108,34 +120,32 @@ class RetrogradeSystem:
         if self.variant not in ("retrograde", "semi"):
             raise ValueError(f"unknown variant {self.variant!r}")
 
-    def propagator(self, t: float, t0: float = 0.0) -> np.ndarray:
-        """Factorized doubled propagator U(T-t, T-t0) (x) U(t, t0)."""
+    def factors(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(rev, fwd) = (U(T-t, T), U(t, 0)), rev conjugated for "semi".
+
+        The doubled step at t maps the operator X of V(X) to fwd X rev^T.
+        """
         T = self.base.T
-        rev = ordered_propagator(self.base, T - t0, T - t)
-        fwd = ordered_propagator(self.base, t0, t)
-        if self.variant == "semi":
-            rev = rev.conj()
-        return kron(rev, fwd)
+        rev = ordered_propagator(self.base, T, T - t)
+        fwd = ordered_propagator(self.base, 0.0, t)
+        return (rev.conj() if self.variant == "semi" else rev), fwd
+
+    def propagator(self, t: float) -> np.ndarray:
+        """Dense doubled propagator kron(rev, fwd) at time t."""
+        return kron(*self.factors(t))
 
 
-def retrograde_hamiltonian(base: PulseSchedule) -> RetrogradeSystem:
-    """Doubled system -H(T-t) (x) I + I (x) H(t)."""
-    return RetrogradeSystem(base=base, variant="retrograde")
+def _phase_match(u: np.ndarray, target: np.ndarray, tol: float) -> tuple[bool, complex, float]:
+    """Does u equal target up to a global unit phase? Returns (ok, phase, residual).
 
-
-def semi_retrograde_hamiltonian(base: PulseSchedule) -> RetrogradeSystem:
-    """Doubled system H*(T-t) (x) I + I (x) H(t) (no transfer by itself)."""
-    return RetrogradeSystem(base=base, variant="semi")
-
-
-def _phase_match(u: np.ndarray, target: np.ndarray, tol: float) -> tuple[bool, complex]:
-    """Does u equal target up to a global unit phase? Returns (ok, phase)."""
+    residual = max|u - phase * target|; without a measurable overlap the
+    raw overlap stands in for the phase and the match fails.
+    """
     inner = np.vdot(target, u) / (np.linalg.norm(target) ** 2)
-    if abs(inner) < 1e-6:
-        return False, complex(inner)
-    phase = inner / abs(inner)
-    ok = bool(np.max(np.abs(u - phase * target)) <= tol)
-    return ok, complex(phase)
+    measurable = bool(abs(inner) >= 1e-6)
+    phase = inner / abs(inner) if measurable else inner
+    residual = float(np.max(np.abs(u - phase * target)))
+    return measurable and residual <= tol, complex(phase), residual
 
 
 @dataclass(frozen=True)
@@ -145,13 +155,16 @@ class EquivalenceReport:
     ``propagator_matches`` is the direct statement U(T,0) = phase * y;
     ``doubled_state_matches`` is the doubled-space statement that
     V(I)/sqrt(n) flows to V(y)/sqrt(n) at T/2. Each side is measured on
-    its own, so the equivalence shows as the two agreeing.
+    its own, so the equivalence shows as the two agreeing; each
+    residual is its side's max-entry distance from the phased target.
     """
 
     propagator_matches: bool
     doubled_state_matches: bool
     propagator_phase: complex
     doubled_phase: complex
+    propagator_residual: float
+    doubled_state_residual: float
     is_cpt: bool
     trace_y: complex
 
@@ -182,30 +195,27 @@ def check_equivalence(
     if un_err > 1e-9:
         raise ValueError(f"y is not unitary: max |y^dagger y - I| = {un_err:.3e}")
     T = base.T
-    generated = [matexp_unitary(h, d) for h, d in base.segments]
-    generated.append(ordered_propagator(base, 0.0, T))
+    u_full = ordered_propagator(base, 0.0, T)
+    generated = [matexp_unitary(h, d) for h, d in base.segments] + [u_full]
     for u in generated:
-        if variant == "retrograde":
-            resid = np.max(np.abs(u @ y @ u.T - y))
-        else:
-            resid = np.max(np.abs(u @ y @ u.conj().T - y))
+        resid = np.max(np.abs(u @ y @ (u.T if variant == "retrograde" else u.conj().T) - y))
         if resid > 1e-9:
             raise ValueError(
                 f"y does not intertwine the schedule's unitaries (residual {resid:.3e})"
             )
-    u_full = ordered_propagator(base, 0.0, T)
-    prop_ok, prop_phase = _phase_match(u_full, y, tol)
-    system = RetrogradeSystem(base=base, variant=variant)
-    vi = vectorize(np.eye(dim)) / np.sqrt(dim)
-    vy = vectorize(y) / np.sqrt(dim)
-    moved = system.propagator(T / 2.0) @ vi
-    state_ok, state_phase = _phase_match(moved, vy, tol)
+    prop_ok, prop_phase, prop_resid = _phase_match(u_full, y, tol)
+    rev, fwd = RetrogradeSystem(base=base, variant=variant).factors(T / 2.0)
+    root = np.sqrt(dim)
+    # V(I)/sqrt(n) moved to T/2 is V(fwd rev^T)/sqrt(n)
+    state_ok, state_phase, state_resid = _phase_match(fwd @ rev.T / root, y / root, tol)
     trace_y = complex(np.trace(y))
     return EquivalenceReport(
         propagator_matches=prop_ok,
         doubled_state_matches=state_ok,
         propagator_phase=prop_phase,
         doubled_phase=state_phase,
+        propagator_residual=prop_resid,
+        doubled_state_residual=state_resid,
         is_cpt=abs(trace_y) <= 1e-9,
         trace_y=trace_y,
     )
@@ -215,9 +225,11 @@ def check_equivalence(
 class RecipeResult:
     """Outcome of the general two-state transfer recipe.
 
-    When ``ok`` the normalized initial and final doubled states are
-    populated and certified orthogonal; otherwise ``violated`` names
-    the failed preconditions and the states are None.
+    When the preconditions hold the normalized initial and final
+    doubled states are populated, and ``ok`` certifies that the doubled
+    half step carries initial to final (``transfer_residual``) and that
+    this image is orthogonal to initial (``overlap``); otherwise
+    ``violated`` names the failed preconditions and the states are None.
     """
 
     ok: bool
@@ -260,21 +272,23 @@ def general_recipe(
         return RecipeResult(ok=False, violated=tuple(violated))
     g = u_half @ i_state
     h = u_half @ f_state
-    initial = -np.exp(1j * phi) * kron(i_state, i_state) + kron(f_state, f_state)
+    # operators of the doubled states, |a b> = V(b a^T)
+    initial = -np.exp(1j * phi) * np.outer(i_state, i_state) + np.outer(f_state, f_state)
     initial = initial / np.linalg.norm(initial)
-    final = -kron(h, g) + kron(g, h)
+    final = -np.outer(g, h) + np.outer(h, g)
     final = final / np.linalg.norm(final)
     # U(T/2, T) = (U(T, T/2))^dagger with U(T, T/2) = U(T,0) U(T/2,0)^dagger
     u_rev = (u_full @ u_half.conj().T).conj().T
-    doubled_half = kron(u_rev, u_half)
-    residual = float(np.max(np.abs(doubled_half @ initial - final)))
-    overlap = float(abs(np.vdot(initial, final)))
+    image = u_half @ initial @ u_rev.T
+    residual = float(np.max(np.abs(image - final)))
+    # measured on the image: <initial|final> vanishes by symmetry alone
+    overlap = float(abs(np.vdot(initial, image)))
     ok = residual <= tol and overlap <= tol
     return RecipeResult(
         ok=ok,
         violated=(),
-        initial=initial,
-        final=final,
+        initial=vectorize(initial),
+        final=vectorize(final),
         transfer_residual=residual,
         overlap=overlap,
     )
@@ -309,7 +323,11 @@ def time_independent_conditions(
     T: float,
     tol: float = CPT_TOL,
 ) -> TimeIndependentReport:
-    """Check the constant-Hamiltonian transfer conditions and sample 8 family members."""
+    """Check the constant-Hamiltonian transfer conditions and sample 8 family members.
+
+    The U(t) (x) U(t)-translate of the recipe state for (i, U(T)i) is the
+    recipe state for (U(t)i, U(t)U(T)i): each sample is one recipe call.
+    """
     i_state = np.asarray(i_state, dtype=complex).reshape(-1)
     norm = np.linalg.norm(i_state)
     if abs(norm - 1.0) > 1e-10:
@@ -333,15 +351,12 @@ def time_independent_conditions(
     samples = []
     if cond1 and cond2:
         f_state = u_t @ i_state
-        initial0 = -np.exp(1j * phi) * kron(i_state, i_state) + kron(f_state, f_state)
-        initial0 = initial0 / np.linalg.norm(initial0)
-        u_fwd_half = matexp_unitary(h, T / 2.0)
-        doubled_half = kron(u_fwd_half.conj().T, u_fwd_half)
+        u_half = matexp_unitary(h, T / 2.0)
         for t in np.linspace(0.0, T, 8):
             shift = matexp_unitary(h, t)
-            psi_t = kron(shift, shift) @ initial0
-            final_t = doubled_half @ psi_t
-            samples.append((float(t), float(abs(np.vdot(psi_t, final_t)))))
+            member = general_recipe(u_t, u_half, shift @ i_state, shift @ f_state, phi, tol)
+            # a translate rejected only by rounding at the tolerance edge counts as failed
+            samples.append((float(t), float("inf") if member.overlap is None else member.overlap))
     return TimeIndependentReport(
         condition_phase_cycle=cond1,
         condition_partial_overlap=cond2,
@@ -397,66 +412,61 @@ class BasicCptReport:
         )
 
 
-def _basis_ket(n: int, a: int, b: int) -> np.ndarray:
-    """Product state |a b> (1-based labels) in the n*n doubled space."""
-    va = np.zeros(n)
-    va[a - 1] = 1.0
-    vb = np.zeros(n)
-    vb[b - 1] = 1.0
-    return kron(va, vb)
-
-
 def basic_cpts(n: int, p: int, q: int, k: float = 0.0) -> BasicCptReport:
     """Pairwise transfers of the lifted pulse in even dimension n.
 
     Each of the n/2 initial states (|ii> + |n+1-i,n+1-i>)/sqrt(2) is
     propagated to T/2 in the doubled space and certified orthogonal to
     its image; 20 random unit combinations of the initial states
-    (seeded, so reports repeat) are sampled as well. The uniform combination is compared against the
-    universal target V(Y)/sqrt(n).
+    (seeded, so reports repeat) are sampled as well. The uniform
+    combination is compared against the universal target V(Y)/sqrt(n).
+    Every such state is V(diag(d)), moved to V(fwd diag(d) rev^T).
     """
     if n % 2 != 0:
         raise ValueError(f"pairwise transfers need even n, got {n}")
     base = pythagorean_pulse(p, q, k, n=n)
-    T = base.T
-    u_full = ordered_propagator(base, 0.0, T)
-    y = y_matrix(spin_generators(n))
-    matches, sign = _phase_match(u_full, y, 1e-8)
-    if not matches:
+    y = y_matrix(n)
+    equiv = check_equivalence(base, y)
+    if equiv.propagator_residual > 1e-8:
         raise ValueError(f"pulse propagator for (p, q, k)=({p}, {q}, {k}) is not proportional to Y")
-    system = retrograde_hamiltonian(base)
-    doubled_half = system.propagator(T / 2.0)
+    sign = equiv.propagator_phase
+    rev, fwd = RetrogradeSystem(base=base, variant="retrograde").factors(base.T / 2.0)
+
+    def moved(d: np.ndarray) -> np.ndarray:
+        return (fwd * d) @ rev.T
+
     records = []
-    initials = []
+    diagonals = []
     for i in range(1, n // 2 + 1):
-        initial = (_basis_ket(n, i, i) + _basis_ket(n, n + 1 - i, n + 1 - i)) / np.sqrt(2.0)
-        final = np.conj(sign) * (doubled_half @ initial)
+        d = np.zeros(n)
+        d[[i - 1, n - i]] = 1.0 / np.sqrt(2.0)
+        initial = vectorize(np.diag(d))
+        final = np.conj(sign) * vectorize(moved(d))
         resid = float(abs(np.vdot(initial, final)))
         records.append(
             BasicCptRecord(index=i, initial=initial, final=final, orthogonality_residual=resid)
         )
-        initials.append(initial)
+        diagonals.append(d)
     rng = np.random.default_rng(7)
     family = []
     for _ in range(20):
         coeffs = rng.normal(size=n // 2) + 1j * rng.normal(size=n // 2)
         coeffs = coeffs / np.linalg.norm(coeffs)
-        psi0 = sum(c * ini for c, ini in zip(coeffs, initials))
-        final = doubled_half @ psi0
-        family.append((tuple(complex(c) for c in coeffs), float(abs(np.vdot(psi0, final)))))
-    uniform = sum(initials) / np.sqrt(n // 2)
-    uniform_final = np.conj(sign) * (doubled_half @ uniform)
-    vy = vectorize(y) / np.sqrt(n)
-    uniform_resid = float(np.max(np.abs(uniform_final - vy)))
+        d0 = sum(c * d for c, d in zip(coeffs, diagonals))
+        overlap = float(abs(np.vdot(d0, np.diag(moved(d0)))))  # <V(diag d0)| V(moved)>
+        family.append((tuple(complex(c) for c in coeffs), overlap))
+    uniform = sum(diagonals) / np.sqrt(n // 2)
+    uniform_final = np.conj(sign) * vectorize(moved(uniform))
+    uniform_resid = float(np.max(np.abs(uniform_final - vectorize(y) / np.sqrt(n))))
     return BasicCptReport(
         n=n,
         p=p,
         q=q,
         k=k,
-        sign=complex(sign),
+        sign=sign,
         records=tuple(records),
         family_samples=tuple(family),
-        uniform_initial=uniform,
+        uniform_initial=vectorize(np.diag(uniform)),
         uniform_final=uniform_final,
         uniform_target_residual=uniform_resid,
     )
@@ -491,16 +501,12 @@ def odd_dim_demo(p: int, q: int, k: float = 0.0) -> OddDimReport:
     """Run the spin-1 lift and report the non-transfer diagnosis."""
     n = 3
     base = pythagorean_pulse(p, q, k, n=n)
-    T = base.T
-    u_full = ordered_propagator(base, 0.0, T)
-    y = y_matrix(spin_generators(n))
-    action_residual = float(np.max(np.abs(u_full - y)))
-    u_half = ordered_propagator(base, 0.0, T / 2.0)
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    e3 = np.zeros(n)
-    e3[2] = 1.0
-    recipe = general_recipe(u_full, u_half, e1, e3, phi=0.0)
+    y = y_matrix(n)
+    equiv = check_equivalence(base, y)
+    u_full = ordered_propagator(base, 0.0, base.T)
+    u_half = ordered_propagator(base, 0.0, base.T / 2.0)
+    e = np.eye(n)
+    recipe = general_recipe(u_full, u_half, e[0], e[2], phi=0.0)
     if recipe.initial is None:
         raise ValueError(f"spin-1 lift violated recipe preconditions: {recipe.violated}")
     basic = BasicCptRecord(
@@ -509,20 +515,15 @@ def odd_dim_demo(p: int, q: int, k: float = 0.0) -> OddDimReport:
         final=recipe.final,
         orthogonality_residual=float(recipe.overlap),
     )
-    system = retrograde_hamiltonian(base)
-    vi = vectorize(np.eye(n)) / np.sqrt(n)
-    vy = vectorize(y) / np.sqrt(n)
-    moved = system.propagator(T / 2.0) @ vi
-    ok, phase = _phase_match(moved, vy, 1e-8)
-    vi_to_vy_residual = float(np.max(np.abs(moved - phase * vy))) if ok else float("inf")
-    overlap = float(abs(np.vdot(vi, vy)))
+    overlap = abs(equiv.trace_y) / n
+    residual = equiv.doubled_state_residual
     return OddDimReport(
         p=p,
         q=q,
         k=k,
-        action_residual=action_residual,
+        action_residual=float(np.max(np.abs(u_full - y))),
         basic=basic,
         vi_vy_overlap=overlap,
-        vi_to_vy_residual=vi_to_vy_residual,
-        is_cpt=overlap <= CPT_TOL and vi_to_vy_residual <= CPT_TOL,
+        vi_to_vy_residual=residual,
+        is_cpt=overlap <= CPT_TOL and residual <= CPT_TOL,
     )

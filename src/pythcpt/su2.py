@@ -7,8 +7,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import matexp_unitary
-
 
 @dataclass(frozen=True)
 class SigmaSet:
@@ -74,14 +72,16 @@ def spin_generators(n: int) -> SpinRep:
     return SpinRep(n=n, j=j, J1=j1.astype(complex), J2=j2, J3=j3)
 
 
-def y_matrix(rep: SpinRep | int) -> np.ndarray:
-    """Return exp(i pi J2) for the given representation (or its dimension).
+def y_matrix(n: int) -> np.ndarray:
+    """Return Y_n = exp(i pi J2) in the descending J3 basis, exactly.
 
-    For even n the result is real with alternating +1/-1 down the
-    anti-diagonal; for odd n the central entry sits on the diagonal.
-    The tiny numerical residue from the eigendecomposition is kept
-    as-is (display code may round, this function never does).
+    The rotation sends the J3 state m to (-1)^(j+m) times the state -m,
+    so Y[k, n-1-k] = (-1)^k and Y is zero elsewhere; for odd n the
+    central entry sits on the diagonal.
     """
-    if isinstance(rep, int):
-        rep = spin_generators(rep)
-    return matexp_unitary(rep.J2, -np.pi)
+    if n < 2:
+        raise ValueError(f"representation dimension must be >= 2, got {n}")
+    y = np.zeros((n, n))
+    k = np.arange(n)
+    y[k, n - 1 - k] = (-1.0) ** k
+    return y

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from pythcpt import cli
 from pythcpt.cli import main
 from pythcpt.frames import EntangledFrame
 from pythcpt.suite import run_suite
@@ -43,10 +45,50 @@ def test_verify_json(capsys):
     assert abs(payload["tau"] - np.pi / np.sqrt(10)) < 1e-12
 
 
-def test_verify_failure_exit_code(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--p", "3", "--q", "1", "--n", "2", "--tol", "-1")
+def test_verify_failure_exit_code(capsys, monkeypatch):
+    # a certificate below 1 - tol is a verification failure, not invalid input
+    real = cli.verify_cpt
+    monkeypatch.setattr(
+        cli, "verify_cpt", lambda spec, tol: dataclasses.replace(real(spec, tol), fidelity=0.5)
+    )
+    code, out, _ = run_cli(capsys, "verify", "--p", "3", "--q", "1", "--n", "2")
     assert code == 1
     assert json.loads(out)["pass"] is False
+
+
+BAD_TOLERANCES = ["nan", "inf", "-inf", "0", "-1"]
+
+
+@pytest.mark.parametrize("value", BAD_TOLERANCES)
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "--p", "3", "--q", "1", "--n", "2"], ["retro", "--p", "3", "--q", "1"], ["suite"]],
+    ids=["verify", "retro", "suite"],
+)
+def test_bad_tolerance_flag_rejected(capsys, command, value):
+    code, out, err = run_cli(capsys, *command, f"--tol={value}")
+    assert code == 2
+    assert out == ""
+    assert "--tol must be a finite positive number" in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+def test_bad_tolerance_config_rejected(capsys, tmp_path, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 3, "q": 1, "n": 2, "tol": value}))
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "config field 'tol' must be a finite positive number" in err
+
+
+@pytest.mark.parametrize("value", BAD_TOLERANCES + ["abc"])
+def test_bad_tolerance_env_rejected(capsys, monkeypatch, value):
+    monkeypatch.setenv("PYTHCPT_TOL", value)
+    code, out, err = run_cli(capsys, "suite")
+    assert code == 2
+    assert out == ""
+    assert "PYTHCPT_TOL" in err
 
 
 def test_verify_invalid_input(capsys):
@@ -124,6 +166,8 @@ def test_retro_even(capsys):
     assert payload["forward"] is True and payload["backward"] is True
     assert payload["is_cpt"] is True
     assert abs(payload["propagator_phase"][0] + 1.0) < 1e-8
+    assert 0.0 <= payload["propagator_residual"] < 1e-9
+    assert 0.0 <= payload["doubled_state_residual"] < 1e-9
     assert len(payload["pairwise_transfers"]) == 2
     assert payload["pass"] is True
 
@@ -133,6 +177,7 @@ def test_retro_semi(capsys):
     payload = json.loads(out)
     # the pulse propagator is Y, not the identity, so the semi check fails both ways
     assert payload["forward"] is False and payload["backward"] is False
+    assert payload["propagator_residual"] > 0.1 and payload["doubled_state_residual"] > 0.1
     assert code == 1
 
 
@@ -246,10 +291,21 @@ def test_suite_json_is_deterministic(capsys, tmp_path):
 
 
 def test_env_var_tolerance(capsys, monkeypatch):
-    monkeypatch.setenv("PYTHCPT_TOL", "-1")
+    seen = []
+    real = cli.verify_cpt
+
+    def spy(spec, tol):
+        seen.append(tol)
+        return real(spec, tol)
+
+    monkeypatch.setattr(cli, "verify_cpt", spy)
+    monkeypatch.setenv("PYTHCPT_TOL", "0.25")
     code, out, _ = run_cli(capsys, "verify", "--p", "3", "--q", "1", "--n", "2")
-    assert code == 1
-    assert json.loads(out)["pass"] is False
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+    code, _, _ = run_cli(capsys, "verify", "--p", "3", "--q", "1", "--n", "2", "--tol", "1e-6")
+    assert code == 0
+    assert seen == [0.25, 1e-6]  # the environment sets the default, an explicit flag wins
 
 
 def test_suite_cli_table(capsys):
@@ -270,9 +326,11 @@ def test_suite_odd_mode(capsys, tmp_path):
 
 
 def test_suite_rejects_unsupported_n(capsys):
-    code, _, err = run_cli(capsys, "suite", "--n", "5")
-    assert code == 2
-    assert "n" in err
+    for n in ("2", "4", "5", "8"):
+        code, out, err = run_cli(capsys, "suite", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert "n=3" in err
 
 
 def test_suite_frame_hook_detects_corruption():

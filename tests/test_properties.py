@@ -1,12 +1,25 @@
-"""Property tests: the lab frame and the certificate against dense oracles."""
+"""Property tests: the lab frame, the certificate and the doubled-space
+reports against dense oracles."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pythcpt import retrograde
 from pythcpt.dynamics import SystemSpec, build_h_tp, verify_cpt
 from pythcpt.frames import lab_frame
-from pythcpt.linalg import matexp_unitary, vectorize
+from pythcpt.linalg import kron, matexp_unitary, vectorize
+from pythcpt.retrograde import (
+    RetrogradeSystem,
+    basic_cpts,
+    check_equivalence,
+    general_recipe,
+    odd_dim_demo,
+    ordered_propagator,
+    pythagorean_pulse,
+    time_independent_conditions,
+)
 from pythcpt.su2 import y_matrix
 from pythcpt.triples import params_from_pair
 
@@ -43,3 +56,72 @@ def test_verify_cpt_amplitude_matches_dense_oracle(pq, k, n):
     assert abs(cert.phase - dense) <= 1e-12
     assert abs(cert.fidelity - abs(dense) ** 2) <= 1e-12
     assert cert.passed
+
+
+def _pulse_case(pq, k, n):
+    pulse = pythagorean_pulse(*pq, k, n=n)
+    return pulse, pulse.T
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    pq=odd_pairs,
+    k=st.floats(-3.0, 3.0, allow_nan=False),
+    n=st.sampled_from([2, 4, 6, 8]),
+    variant=st.sampled_from(["retrograde", "semi"]),
+)
+def test_equivalence_doubled_side_matches_dense_oracle(pq, k, n, variant):
+    pulse, T = _pulse_case(pq, k, n)
+    y = y_matrix(n) if variant == "retrograde" else np.eye(n)
+    rep = check_equivalence(pulse, y, variant=variant)
+    dense = RetrogradeSystem(pulse, variant).propagator(T / 2.0) @ vectorize(np.eye(n)) / np.sqrt(n)
+    oracle = np.max(np.abs(dense - rep.doubled_phase * vectorize(y) / np.sqrt(n)))
+    assert abs(rep.doubled_state_residual - oracle) <= 1e-12
+    assert rep.doubled_state_matches == (variant == "retrograde")
+
+
+@settings(max_examples=30, deadline=None)
+@given(pq=odd_pairs, k=st.floats(-3.0, 3.0, allow_nan=False), n=st.sampled_from([2, 4, 6, 8]))
+def test_basic_cpts_and_recipe_match_dense_oracle(pq, k, n):
+    pulse, T = _pulse_case(pq, k, n)
+    half = RetrogradeSystem(pulse, "retrograde").propagator(T / 2.0)
+    report = basic_cpts(n, *pq, k)
+    unsign = np.conj(report.sign)
+    for r in report.records:
+        assert np.max(np.abs(r.final - unsign * (half @ r.initial))) <= 1e-12
+    for coeffs, overlap in report.family_samples:
+        psi0 = sum(c * r.initial for c, r in zip(coeffs, report.records))
+        assert abs(overlap - abs(np.vdot(psi0, half @ psi0))) <= 1e-12
+    assert np.max(np.abs(report.uniform_final - unsign * (half @ report.uniform_initial))) <= 1e-12
+
+    u_full = ordered_propagator(pulse, 0.0, T)
+    u_half = ordered_propagator(pulse, 0.0, T / 2.0)
+    i_state = np.eye(n)[0]
+    f_state = u_full @ i_state
+    phi = float(np.angle(np.vdot(i_state, u_full @ f_state)))
+    result = general_recipe(u_full, u_half, i_state, f_state, phi)
+    u_rev = (u_full @ u_half.conj().T).conj().T
+    image = kron(u_rev, u_half) @ result.initial
+    assert result.ok
+    assert np.max(np.abs(result.final - image)) <= 1e-12
+    assert abs(result.overlap - abs(np.vdot(result.initial, image))) <= 1e-12
+
+
+def test_doubled_space_reports_never_form_the_dense_propagator(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("an n^2 x n^2 doubled matrix was formed")
+
+    monkeypatch.setattr(retrograde, "kron", refuse)
+    pulse = pythagorean_pulse(3, 1, 0.4, n=4)
+    assert check_equivalence(pulse, y_matrix(4)).as_pair() == (True, True)
+    assert basic_cpts(4, 3, 1, 0.4).all_ok
+    assert odd_dim_demo(3, 1, 0.4).action_matches
+    u_full = ordered_propagator(pulse, 0.0, pulse.T)
+    u_half = ordered_propagator(pulse, 0.0, pulse.T / 2.0)
+    i_state = np.eye(4)[0]
+    assert general_recipe(u_full, u_half, i_state, u_full @ i_state, np.pi).ok
+    h = np.diag([0.0, 1.0, 2.0, 4.0]).astype(complex)
+    i_state = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2)
+    assert time_independent_conditions(h, i_state, np.pi).both_hold
+    with pytest.raises(AssertionError, match="doubled matrix"):
+        RetrogradeSystem(pulse, "retrograde").propagator(pulse.T / 2.0)

@@ -4,14 +4,13 @@ import pytest
 from pythcpt.linalg import kron, matexp_unitary, vectorize
 from pythcpt.retrograde import (
     PulseSchedule,
+    RetrogradeSystem,
     basic_cpts,
     check_equivalence,
     general_recipe,
     odd_dim_demo,
     ordered_propagator,
     pythagorean_pulse,
-    retrograde_hamiltonian,
-    semi_retrograde_hamiltonian,
     time_independent_conditions,
 )
 from pythcpt.su2 import y_matrix
@@ -136,16 +135,16 @@ def test_pulse_propagator_sign():
 
 def test_retrograde_moves_scalar_to_target():
     pulse = pythagorean_pulse(3, 1, 0.0)
-    system = retrograde_hamiltonian(pulse)
+    system = RetrogradeSystem(pulse, "retrograde")
     moved = system.propagator(pulse.T / 2.0) @ vectorize(np.eye(2))
     assert np.max(np.abs(moved - vectorize(Y2))) < 1e-10
 
 
 def test_doubled_schedule_matches_factorized():
     rng = np.random.default_rng(6)
-    for variant_builder in (retrograde_hamiltonian, semi_retrograde_hamiltonian):
+    for variant in ("retrograde", "semi"):
         sched = random_schedule(rng, dim=2, n_segments=3)
-        system = variant_builder(sched)
+        system = RetrogradeSystem(sched, variant)
         for t in (0.0, 0.4, sched.T / 2, sched.T):
             direct = ordered_propagator(doubled_schedule(sched, system.variant), 0.0, t)
             assert np.max(np.abs(direct - system.propagator(t))) < 1e-10
@@ -167,8 +166,8 @@ def test_time_reversal_symmetric_base_structure():
 def test_semi_equals_retro_up_to_first_factor_sign_for_real_base():
     h = np.array([[0.2, 1.1], [1.1, -0.2]], dtype=complex)
     base = PulseSchedule(segments=((h, 0.8), (2 * h, 0.5)))
-    retro = retrograde_hamiltonian(base)
-    semi = semi_retrograde_hamiltonian(base)
+    retro = RetrogradeSystem(base, "retrograde")
+    semi = RetrogradeSystem(base, "semi")
     eye = np.eye(2)
     retro_doubled = doubled_schedule(base, "retrograde")
     semi_doubled = doubled_schedule(base, "semi")
@@ -194,6 +193,7 @@ def test_check_equivalence_pythagorean():
         sign = (-1.0) ** ((p + q) // 2)
         assert abs(rep.propagator_phase - sign) < 1e-8
         assert abs(rep.doubled_phase - sign) < 1e-8
+        assert rep.propagator_residual < 1e-9 and rep.doubled_state_residual < 1e-9
         assert rep.is_cpt
 
 
@@ -203,6 +203,7 @@ def test_check_equivalence_negative_control():
     assert rep.as_pair() == (False, False)
     assert not rep.propagator_matches
     assert not rep.doubled_state_matches
+    assert rep.propagator_residual > 0.1 and rep.doubled_state_residual > 0.1
 
 
 def test_check_equivalence_spin_one_lift():

@@ -81,6 +81,14 @@ def test_y_matrix_antidiagonal_general():
         assert np.max(np.abs(y - expected)) < 1e-10
 
 
+def test_y_matrix_is_the_exponential():
+    # the closed form is exact: entries in {0, +1, -1}, and exp(i pi J2) to eigh accuracy
+    for n in range(2, 33):
+        y = y_matrix(n)
+        assert set(np.unique(y)) <= {-1.0, 0.0, 1.0}
+        assert np.max(np.abs(y - matexp_unitary(spin_generators(n).J2, -np.pi))) < 1e-13
+
+
 def test_y_trace_parity():
     for n in range(2, 13):
         tr = np.trace(y_matrix(n))
@@ -101,7 +109,7 @@ def test_y_invariance_under_generated_unitaries():
     rng = np.random.default_rng(17)
     for n in range(2, 17):
         rep = spin_generators(n)
-        y = y_matrix(rep)
+        y = y_matrix(n)
         for _ in range(3):
             d, o, t = rng.normal(size=3)
             u = matexp_unitary(2 * d * rep.J3 + 2 * o * rep.J1, t)
