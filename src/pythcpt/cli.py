@@ -6,12 +6,20 @@ CSV), ``verify`` (transfer certificate as JSON), ``graph`` (coupling
 graph as DOT or JSON), ``retro`` (doubled-space reports), ``suite``
 (the full verification battery).
 
-Every subcommand accepts ``--config FILE`` with a JSON object mirroring
-its flags; explicit flags win over file values and unknown keys are
-rejected. The environment variable ``PYTHCPT_TOL`` overrides the
-default certification tolerance (1e-9); a tolerance from any source
-must be a finite positive number. Exit codes: 0 success, 1
-verification failure, 2 invalid input.
+Each subcommand's fields are declared once, in ``_FIELDS``: field
+``x`` is the flag ``--x`` (underscores written as dashes) and the
+config key ``x``. Every subcommand accepts ``--config FILE`` with a
+JSON object of those keys; explicit flags win over file values, file
+values over defaults, and unknown keys are rejected. One converter per
+field reads a flag string and a config value alike, so config values
+take the field's JSON type: integers (or integer strings) for integer
+fields, numbers for real fields, ``true``/``false`` for switches, and
+one of the listed strings for ``format`` and ``variant``; JSON null
+counts as an absent key. NaN and infinite numbers are rejected. The
+environment variable ``PYTHCPT_TOL`` overrides the default
+certification tolerance (1e-9); a tolerance from any source must be a
+finite positive number. Exit codes: 0 success, 1 verification failure,
+2 invalid input, with a message naming the flag or config field.
 """
 
 from __future__ import annotations
@@ -45,15 +53,62 @@ _REQUIRED = object()
 _MAX_LEVELS = 2 ** MAX_N  # largest n that build_w serves
 
 
+def _flag(field: str) -> str:
+    return "--" + field.replace("_", "-")
+
+
+def _real(value, source: str, positive: bool = False) -> float:
+    """A finite number (positive if asked) from a string or a JSON number, else a ConfigError."""
+    try:
+        number = float(value) if type(value) in (str, int, float) else math.nan
+    except (ValueError, OverflowError):
+        number = math.nan
+    if not (math.isfinite(number) and (number > 0.0 or not positive)):
+        kind = "finite positive" if positive else "finite"
+        raise ConfigError(f"{source} must be a {kind} number, got {value!r}")
+    return number
+
+
 def _positive_tol(value, source: str) -> float:
     """A certification tolerance: a finite positive number, else a ConfigError naming its source."""
-    try:
-        tol = float(value)
-    except (TypeError, ValueError):
-        tol = math.nan
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ConfigError(f"{source} must be a finite positive number, got {value!r}")
-    return tol
+    return _real(value, source, positive=True)
+
+
+def _integer(value, source: str) -> int:
+    """A JSON integer or an integer string (a flag); 4.9, true and [3] are rejected."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{source} must be an integer, got {value!r}")
+
+
+def _exactly(kind: type, description: str):
+    """A converter that takes only values of this JSON type; a given flag switch is True."""
+
+    def convert(value, source: str):
+        if type(value) is not kind:
+            raise ConfigError(f"{source} must be {description}, got {value!r}")
+        return value
+
+    return convert
+
+
+_switch = _exactly(bool, "true or false")
+_text = _exactly(str, "a string")
+
+
+def _one_of(*choices: str):
+    def convert(value, source: str) -> str:
+        if value not in choices:
+            raise ConfigError(f"{source} must be one of {', '.join(choices)}, got {value!r}")
+        return value
+
+    convert.metavar = "{" + ",".join(choices) + "}"  # shown in --help, as argparse choices are
+    return convert
 
 
 def _default_tol() -> float:
@@ -61,31 +116,56 @@ def _default_tol() -> float:
     return CPT_TOL if raw is None else _positive_tol(raw, "PYTHCPT_TOL")
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Layer config-file values under explicit flags, then fill defaults."""
-    merged = {}
+# {subcommand: (help, {field: (converter, default)})}; a callable default is evaluated per run.
+_PQKN = {"p": (_integer, _REQUIRED), "q": (_integer, _REQUIRED), "k": (_real, 0.0), "n": (_integer, 4)}
+_TOL = {"tol": (_positive_tol, _default_tol)}
+_FIELDS = {
+    "triples": (
+        "enumerate primitive generating pairs",
+        {"max_c": (_real, _REQUIRED), "signs": (_switch, False)},
+    ),
+    "frame": (
+        "entangled frame labels and matrix",
+        {"N": (_integer, _REQUIRED), "matrix": (_switch, False)},
+    ),
+    "simulate": (
+        "lab-frame population traces as CSV",
+        {**_PQKN, "t_max": (_real, 2.0), "steps": (_integer, 400), "out": (_text, "-"),
+         "absolute_time": (_switch, False)},
+    ),
+    "verify": ("transfer certificate as JSON", {**_PQKN, **_TOL}),
+    "graph": ("coupling graph as DOT or JSON", {**_PQKN, "format": (_one_of("dot", "json"), "dot")}),
+    "retro": (
+        "doubled-space transfer report as JSON",
+        {**_PQKN, "n": (_integer, 2), "variant": (_one_of("retrograde", "semi"), "retrograde"), **_TOL},
+    ),
+    "suite": ("run the verification battery", {"n": (_integer, None), "json": (_text, None), **_TOL}),
+}
+
+
+def _merge_config(args: argparse.Namespace) -> dict:
+    """Each field from its flag, else the config file, else its default; given values converted."""
+    fields = _FIELDS[args.command][1]
     file_values = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
             file_values = json.load(fh)
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(file_values) - set(defaults)
+        unknown = set(file_values) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config field: {sorted(unknown)[0]}")
-    for key, default in defaults.items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            merged[key], source = cli_value, f"--{key}"
-        elif key in file_values:
-            merged[key], source = file_values[key], f"config field {key!r}"
+    merged = {}
+    for key, (convert, default) in fields.items():
+        default = default() if callable(default) else default
+        if getattr(args, key) is not None:
+            merged[key] = convert(getattr(args, key), _flag(key))
+        elif file_values.get(key) is not None:  # JSON null counts as absent
+            merged[key] = convert(file_values[key], f"config field {key!r}")
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required field: {key}")
         else:
-            merged[key], source = default, None
-        if key == "tol" and source is not None:
-            merged[key] = _positive_tol(merged[key], source)
-    missing = [k for k, v in merged.items() if v is _REQUIRED]
-    if missing:
-        raise ConfigError(f"missing required field: {missing[0]}")
+            merged[key] = default
     return merged
 
 
@@ -93,9 +173,8 @@ def _print_json(payload: dict, stream=None) -> None:
     print(json.dumps(payload, indent=2), file=stream or sys.stdout)
 
 
-def _cmd_triples(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, {"max_c": _REQUIRED, "signs": False})
-    pairs = enumerate_primitive_pairs(float(cfg["max_c"]))
+def _cmd_triples(cfg: dict) -> int:
+    pairs = enumerate_primitive_pairs(cfg["max_c"])
     sign_combos = [(1, 1)]
     if cfg["signs"]:
         sign_combos = [(1, 1), (-1, 1), (1, -1), (-1, -1)]
@@ -108,9 +187,8 @@ def _cmd_triples(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_frame(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, {"N": _REQUIRED, "matrix": False})
-    N = int(cfg["N"])
+def _cmd_frame(cfg: dict) -> int:
+    N = cfg["N"]
     frame = build_w(N)
     payload: dict = {"N": N, "n": frame.n, "labels": list(frame.labels)}
     if cfg["matrix"]:
@@ -121,26 +199,11 @@ def _cmd_frame(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _merge_config(
-        args,
-        {
-            "p": _REQUIRED,
-            "q": _REQUIRED,
-            "k": 0.0,
-            "n": 4,
-            "t_max": 2.0,
-            "steps": 400,
-            "out": "-",
-            "absolute_time": False,
-        },
-    )
-    n = int(cfg["n"])
+def _cmd_simulate(cfg: dict) -> int:
+    n = cfg["n"]
     if n % 2 or not 2 <= n <= _MAX_LEVELS:
         raise ConfigError(f"n must be even with 2 <= n <= {_MAX_LEVELS}, got {n}")
-    result, tau = simulate_lab(
-        int(cfg["p"]), int(cfg["q"]), float(cfg["k"]), n, float(cfg["t_max"]), int(cfg["steps"])
-    )
+    result, tau = simulate_lab(cfg["p"], cfg["q"], cfg["k"], n, cfg["t_max"], cfg["steps"])
     times = result.times * tau if cfg["absolute_time"] else result.times
     unit = "absolute" if cfg["absolute_time"] else "tau"
     header = ("t" if unit == "absolute" else "t_over_tau") + "," + ",".join(
@@ -158,12 +221,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _merge_config(
-        args, {"p": _REQUIRED, "q": _REQUIRED, "k": 0.0, "n": 4, "tol": _default_tol()}
-    )
-    spec = SystemSpec(n=int(cfg["n"]), params=params_from_pair(int(cfg["p"]), int(cfg["q"]), float(cfg["k"])))
-    cert = verify_cpt(spec, tol=float(cfg["tol"]))
+def _cmd_verify(cfg: dict) -> int:
+    spec = SystemSpec(n=cfg["n"], params=params_from_pair(cfg["p"], cfg["q"], cfg["k"]))
+    cert = verify_cpt(spec, tol=cfg["tol"])
     _print_json(
         {
             "fidelity": cert.fidelity,
@@ -214,16 +274,11 @@ def _symbolic_label(i: int, j: int, basis: list[np.ndarray]) -> str:
     return "+".join(terms).replace("+-", "-") if terms else "0"
 
 
-def _cmd_graph(args: argparse.Namespace) -> int:
-    cfg = _merge_config(
-        args, {"p": _REQUIRED, "q": _REQUIRED, "k": 0.0, "n": 4, "format": "dot"}
-    )
-    n = int(cfg["n"])
+def _cmd_graph(cfg: dict) -> int:
+    n = cfg["n"]
     if n < 2 or n & (n - 1) or n > _MAX_LEVELS:
         raise ConfigError(f"n must be a power of two with 2 <= n <= {_MAX_LEVELS}, got {n}")
-    if cfg["format"] not in ("dot", "json"):
-        raise ConfigError(f"format must be dot or json, got {cfg['format']!r}")
-    params = params_from_pair(int(cfg["p"]), int(cfg["q"]), float(cfg["k"]))
+    params = params_from_pair(cfg["p"], cfg["q"], cfg["k"])
     graph = coupling_graph(lab_hamiltonian(SystemSpec(n=n, params=params)).real)
     symbolic = _symbolic_basis(n) if n in (2, 4) else None
     edges = []
@@ -249,17 +304,10 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_retro(args: argparse.Namespace) -> int:
-    cfg = _merge_config(
-        args,
-        {"p": _REQUIRED, "q": _REQUIRED, "k": 0.0, "n": 2, "variant": "retrograde", "tol": _default_tol()},
-    )
-    p, q, k, n = int(cfg["p"]), int(cfg["q"]), float(cfg["k"]), int(cfg["n"])
-    tol = float(cfg["tol"])
+def _cmd_retro(cfg: dict) -> int:
+    p, q, k, n, tol = cfg["p"], cfg["q"], cfg["k"], cfg["n"], cfg["tol"]
     if n not in (2, 3, 4):
         raise ConfigError(f"n must be one of 2, 3, 4, got {n}")
-    if cfg["variant"] not in ("retrograde", "semi"):
-        raise ConfigError(f"variant must be retrograde or semi, got {cfg['variant']!r}")
     if n == 3:
         rep = odd_dim_demo(p, q, k)
         ok = rep.action_matches and rep.basic.orthogonality_residual <= tol
@@ -305,10 +353,8 @@ def _cmd_retro(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_suite(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, {"n": None, "json": None, "tol": _default_tol()})
-    n = int(cfg["n"]) if cfg["n"] is not None else None
-    report = run_suite(n=n, tol=float(cfg["tol"]))
+def _cmd_suite(cfg: dict) -> int:
+    report = run_suite(n=cfg["n"], tol=cfg["tol"])
     width = max(len(r.name) for r in report.results)
     for r in report.results:
         status = "PASS" if r.passed else "FAIL"
@@ -340,69 +386,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pythagorean-coupled multi-level systems and entangled-state transfer",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_config(p: argparse.ArgumentParser) -> None:
+    for name, (help_text, fields) in _FIELDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key, (convert, _) in fields.items():
+            if convert is _switch:
+                p.add_argument(_flag(key), dest=key, action="store_true", default=None)
+            else:
+                p.add_argument(_flag(key), dest=key, metavar=getattr(convert, "metavar", None))
         p.add_argument("--config", help="JSON file mirroring this subcommand's flags")
-
-    p = sub.add_parser("triples", help="enumerate primitive generating pairs")
-    p.add_argument("--max-c", dest="max_c", type=float)
-    p.add_argument("--signs", action="store_true", default=None)
-    add_config(p)
-    p.set_defaults(func=_cmd_triples)
-
-    p = sub.add_parser("frame", help="entangled frame labels and matrix")
-    p.add_argument("--N", dest="N", type=int)
-    p.add_argument("--matrix", action="store_true", default=None)
-    add_config(p)
-    p.set_defaults(func=_cmd_frame)
-
-    p = sub.add_parser("simulate", help="lab-frame population traces as CSV")
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--k", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--out")
-    p.add_argument("--absolute-time", dest="absolute_time", action="store_true", default=None)
-    add_config(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("verify", help="transfer certificate as JSON")
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--k", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--tol", type=float)
-    add_config(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("graph", help="coupling graph as DOT or JSON")
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--k", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--format", choices=["dot", "json"])
-    add_config(p)
-    p.set_defaults(func=_cmd_graph)
-
-    p = sub.add_parser("retro", help="doubled-space transfer report as JSON")
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--k", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--variant", choices=["retrograde", "semi"])
-    p.add_argument("--tol", type=float)
-    add_config(p)
-    p.set_defaults(func=_cmd_retro)
-
-    p = sub.add_parser("suite", help="run the verification battery")
-    p.add_argument("--n", type=int)
-    p.add_argument("--json", help="also write a JSON summary to this path")
-    p.add_argument("--tol", type=float)
-    add_config(p)
-    p.set_defaults(func=_cmd_suite)
-
+        # looked up per call, so a wrapper installed on the module after import is used
+        p.set_defaults(func=globals()[f"_cmd_{name}"])
     return parser
 
 
@@ -413,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(_merge_config(args))
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -143,6 +143,8 @@ def simulate_lab(
     Returns the result (times in units of tau, inclusive endpoints)
     together with tau itself.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
     params = params_from_pair(p, q, k)
     h_lab = lab_hamiltonian(SystemSpec(n=n, params=params))
     tau = params.tau
@@ -186,28 +188,27 @@ def verify_cpt(spec: SystemSpec, tol: float = CPT_TOL) -> CptCertificate:
     )
 
 
-def forbidden_scan(spec: SystemSpec, times: np.ndarray | None = None) -> ForbiddenScanReport:
+def forbidden_scan(spec: SystemSpec) -> ForbiddenScanReport:
     """Scan for population of lab states 2 and 4 in the two-level system.
 
     Starting from state 1 those populations stay strictly below one;
-    the report holds their sampled maxima over the grid (default 10^4
-    points on [0, 20*tau]).
+    the report holds their sampled maxima over 10^4 grid points on
+    [0, 20*tau].
     """
     if spec.n != 2:
         raise ValueError(f"forbidden state scan applies to n=2 only, got n={spec.n}")
     tau = spec.params.tau
-    if times is None:
-        if tau is None:
-            raise ValueError("params carry no tau; pass an explicit grid")
-        times = np.linspace(0.0, 20.0 * tau, 10_000)
+    if tau is None:
+        raise ValueError("params carry no tau")
+    times = np.linspace(0.0, 20.0 * tau, 10_000)
     psi0 = np.zeros(4)
     psi0[0] = 1.0
     result = simulate(lab_hamiltonian(spec), psi0, times)
     return ForbiddenScanReport(
         max_pop_2=float(np.max(result.populations[:, 1])),
         max_pop_4=float(np.max(result.populations[:, 3])),
-        n_points=len(np.atleast_1d(times)),
-        t_max=float(np.max(times)),
+        n_points=len(times),
+        t_max=float(times[-1]),
         threshold=FORBIDDEN_MAX_POP,
     )
 

@@ -12,11 +12,13 @@ form kept as the test oracle, builds an n^2 x n^2 matrix. Product
 states are outer products, |a b> = V(b a^T); reports carry V(X).
 
 Each quantity has one home. ``RetrogradeSystem.factors`` gives
-(rev, fwd). ``check_equivalence`` computes U(T, 0) once and the image
-fwd rev^T of V(I) at T/2, each with its phase and residual against y,
-plus trace(y); ``basic_cpts`` takes its sign and "proportional to Y"
-gate from it, ``odd_dim_demo`` its V(I)/V(Y) overlap |trace(y)|/n and
-V(I) -> V(Y) residual. ``general_recipe`` is the two-state transfer;
+(rev, fwd). ``check_equivalence`` exponentiates each segment once,
+forms U(T, 0) as their product and the image fwd rev^T of V(I) at T/2,
+each with its phase and residual against y, plus trace(y);
+``basic_cpts`` takes its sign, "proportional to Y" gate and (rev, fwd)
+from that one computation, ``odd_dim_demo`` its U(T, 0), U(T/2, 0) =
+fwd, V(I)/V(Y) overlap |trace(y)|/n and V(I) -> V(Y) residual.
+``general_recipe`` is the two-state transfer;
 ``odd_dim_demo``'s pairwise transfer and each sampled family member of
 ``time_independent_conditions`` are calls to it.
 """
@@ -187,6 +189,16 @@ def check_equivalence(
     there. Also reports whether trace(y) = 0, i.e. whether the
     doubled-space transfer is between orthogonal states.
     """
+    return _equivalence(base, y, variant, tol)[0]
+
+
+def _equivalence(
+    base: PulseSchedule, y: np.ndarray, variant: str, tol: float
+) -> tuple[EquivalenceReport, np.ndarray, np.ndarray, np.ndarray]:
+    """check_equivalence's report with the U(T, 0) and T/2 factors (rev, fwd) it measured.
+
+    Each segment is exponentiated once; U(T, 0) is their ordered product.
+    """
     y = np.asarray(y, dtype=complex)
     dim = base.dim
     if y.shape != (dim, dim):
@@ -195,9 +207,11 @@ def check_equivalence(
     if un_err > 1e-9:
         raise ValueError(f"y is not unitary: max |y^dagger y - I| = {un_err:.3e}")
     T = base.T
-    u_full = ordered_propagator(base, 0.0, T)
-    generated = [matexp_unitary(h, d) for h, d in base.segments] + [u_full]
-    for u in generated:
+    generated = [matexp_unitary(h, d) for h, d in base.segments]
+    u_full = generated[0]
+    for u in generated[1:]:
+        u_full = u @ u_full
+    for u in generated + [u_full]:
         resid = np.max(np.abs(u @ y @ (u.T if variant == "retrograde" else u.conj().T) - y))
         if resid > 1e-9:
             raise ValueError(
@@ -209,7 +223,7 @@ def check_equivalence(
     # V(I)/sqrt(n) moved to T/2 is V(fwd rev^T)/sqrt(n)
     state_ok, state_phase, state_resid = _phase_match(fwd @ rev.T / root, y / root, tol)
     trace_y = complex(np.trace(y))
-    return EquivalenceReport(
+    report = EquivalenceReport(
         propagator_matches=prop_ok,
         doubled_state_matches=state_ok,
         propagator_phase=prop_phase,
@@ -219,6 +233,7 @@ def check_equivalence(
         is_cpt=abs(trace_y) <= 1e-9,
         trace_y=trace_y,
     )
+    return report, u_full, rev, fwd
 
 
 @dataclass(frozen=True)
@@ -426,11 +441,10 @@ def basic_cpts(n: int, p: int, q: int, k: float = 0.0) -> BasicCptReport:
         raise ValueError(f"pairwise transfers need even n, got {n}")
     base = pythagorean_pulse(p, q, k, n=n)
     y = y_matrix(n)
-    equiv = check_equivalence(base, y)
+    equiv, _, rev, fwd = _equivalence(base, y, "retrograde", CPT_TOL)
     if equiv.propagator_residual > 1e-8:
         raise ValueError(f"pulse propagator for (p, q, k)=({p}, {q}, {k}) is not proportional to Y")
     sign = equiv.propagator_phase
-    rev, fwd = RetrogradeSystem(base=base, variant="retrograde").factors(base.T / 2.0)
 
     def moved(d: np.ndarray) -> np.ndarray:
         return (fwd * d) @ rev.T
@@ -502,9 +516,7 @@ def odd_dim_demo(p: int, q: int, k: float = 0.0) -> OddDimReport:
     n = 3
     base = pythagorean_pulse(p, q, k, n=n)
     y = y_matrix(n)
-    equiv = check_equivalence(base, y)
-    u_full = ordered_propagator(base, 0.0, base.T)
-    u_half = ordered_propagator(base, 0.0, base.T / 2.0)
+    equiv, u_full, _, u_half = _equivalence(base, y, "retrograde", CPT_TOL)  # fwd = U(T/2, 0)
     e = np.eye(n)
     recipe = general_recipe(u_full, u_half, e[0], e[2], phi=0.0)
     if recipe.initial is None:

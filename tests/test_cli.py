@@ -1,5 +1,7 @@
+import argparse
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -346,3 +348,127 @@ def test_suite_frame_hook_detects_corruption():
 
 def test_unknown_subcommand_exit_code(capsys):
     assert main(["nonsense"]) == 2
+
+
+# Per subcommand field: a valid value that differs from the default (a switch
+# given is true) and a config value of the wrong JSON type.
+FIELD_VALUES = {
+    "triples": {"max_c": (13, True), "signs": (True, "no")},
+    "frame": {"N": (2, 2.5), "matrix": (True, 1)},
+    "simulate": {
+        "p": (3, 3.7), "q": (1, [1]), "k": (0.5, [0.5]), "n": (2, 4.9), "t_max": (1.5, True),
+        "steps": (3, 2.5), "out": ("trace.csv", ["trace.csv"]), "absolute_time": (True, "false"),
+    },
+    "verify": {"p": (3, [3]), "q": (1, True), "k": (0.5, {"re": 0.5}), "n": (2, 4.9), "tol": (1e-6, [1e-6])},
+    "graph": {"p": (3, 3.0), "q": (1, False), "k": (0.5, [1]), "n": (2, True), "format": ("json", 1)},
+    "retro": {
+        "p": (3, False), "q": (1, 1.5), "k": (0.5, [0]), "n": (4, 2.0), "variant": ("semi", True),
+        "tol": (1e-6, False),
+    },
+    "suite": {"n": (3, 3.0), "json": ("summary.json", {"path": "summary.json"}), "tol": (1e-6, [1])},
+}
+FIELDS = [(command, field) for command, fields in FIELD_VALUES.items() for field in fields]
+
+
+def _flag(field):
+    return "--" + field.replace("_", "-")
+
+
+def _run_in(path, capsys, argv, config=None):
+    """Exit code, stdout with timings masked, and the files written, for one run in ``path``."""
+    for old in path.iterdir():
+        old.unlink()
+    if config is not None:
+        (path / "cfg.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", "cfg.json"]
+    code, out, _ = run_cli(capsys, *argv)
+    files = {p.name: p.read_bytes() for p in path.iterdir() if p.name != "cfg.json"}
+    return code, re.sub(r"\d+\.\d{3}s", "<elapsed>", out), files
+
+
+@pytest.mark.parametrize("command, field", FIELDS)
+def test_config_value_matches_flag(capsys, tmp_path, monkeypatch, command, field):
+    monkeypatch.chdir(tmp_path)
+    argv = [command]
+    for name, (value, _) in FIELD_VALUES[command].items():
+        if name != field:
+            argv += [_flag(name)] if value is True else [_flag(name), str(value)]
+    value = FIELD_VALUES[command][field][0]
+    flag = [_flag(field)] if value is True else [_flag(field), str(value)]
+    by_flag = _run_in(tmp_path, capsys, argv + flag)
+    by_config = _run_in(tmp_path, capsys, argv, {field: value})
+    assert by_flag[0] in (0, 1)
+    assert by_config == by_flag
+
+
+@pytest.mark.parametrize("command, field", FIELDS)
+def test_config_value_of_wrong_type_rejected(capsys, tmp_path, command, field):
+    config = {name: value for name, (value, _) in FIELD_VALUES[command].items()}
+    config[field] = FIELD_VALUES[command][field][1]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert f"config field {field!r}" in err
+
+
+def test_flag_destinations_are_config_keys():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(FIELD_VALUES)
+    for command, sub in subparsers.choices.items():
+        options = [a for a in sub._actions if a.dest not in ("help", "config")]
+        assert {a.dest for a in options} == set(cli._FIELDS[command][1]) == set(FIELD_VALUES[command])
+        for action in options:
+            assert action.option_strings == [_flag(action.dest)]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["triples", "--max-c", "inf"], "--max-c"),
+        (["simulate", "--p", "3", "--q", "1", "--t-max", "nan"], "--t-max"),
+        (["graph", "--p", "3", "--q", "1", "--k", "nan", "--format", "json"], "--k"),
+        (["retro", "--p", "3", "--q", "1", "--k", "nan"], "--k"),
+        (["simulate", "--p", "3", "--q", "1", "--steps", "-1"], "steps"),
+    ],
+    ids=["triples-max-c-inf", "simulate-t-max-nan", "graph-k-nan", "retro-k-nan", "simulate-steps-neg"],
+)
+def test_bad_numeric_flag_rejected(capsys, argv, name):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert name in err
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [
+        ("verify", {"p": 3, "q": 1, "n": 4.9}, "n"),
+        ("simulate", {"p": 3.7, "q": 1}, "p"),
+        ("simulate", {"p": 3, "q": 1, "steps": 2.5}, "steps"),
+        ("simulate", {"p": 3, "q": 1, "absolute_time": "false"}, "absolute_time"),
+        ("triples", {"max_c": 13, "signs": "no"}, "signs"),
+        ("verify", {"p": [3], "q": 1}, "p"),
+    ],
+)
+def test_config_values_are_not_coerced(capsys, tmp_path, command, config, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert f"config field {field!r}" in err
+
+
+def test_config_null_counts_as_absent(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 3, "q": 1, "n": None}))
+    assert run_cli(capsys, "verify", "--config", str(cfg)) == run_cli(capsys, "verify", "--p", "3", "--q", "1")
+    # a null required field is a missing one
+    cfg.write_text(json.dumps({"N": None}))
+    code, out, err = run_cli(capsys, "frame", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "missing required field: N" in err

@@ -221,11 +221,10 @@ def test_forbidden_scan_examples():
         assert report.passed
 
 
-def test_forbidden_scan_single_point():
-    spec = SystemSpec(n=2, params=params_from_pair(3, 1, 0.0))
-    report = forbidden_scan(spec, times=np.array([0.0]))
-    assert report.max_pop_2 < 1e-30
-    assert report.max_pop_4 < 1e-30
+def test_forbidden_scan_needs_tau():
+    spec = SystemSpec(n=2, params=CouplingParams(1.0, 1.0, 1.0, 1.0, k=0.0))
+    with pytest.raises(ValueError, match="no tau"):
+        forbidden_scan(spec)
 
 
 def test_forbidden_scan_rejects_other_dims():
