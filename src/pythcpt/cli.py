@@ -38,6 +38,7 @@ from .retrograde import basic_cpts, check_equivalence, odd_dim_demo, pythagorean
 from .su2 import y_matrix
 from .suite import run_suite
 from .triples import (
+    MIN_C,
     CouplingParams,
     enumerate_primitive_pairs,
     params_from_pair,
@@ -67,6 +68,14 @@ def _real(value, source: str, positive: bool = False) -> float:
         kind = "finite positive" if positive else "finite"
         raise ConfigError(f"{source} must be a {kind} number, got {value!r}")
     return number
+
+
+def _max_c(value, source: str) -> float:
+    """A hypotenuse bound: a finite number >= MIN_C, else a ConfigError naming its source."""
+    bound = _real(value, source)
+    if bound < MIN_C:
+        raise ConfigError(f"{source} must be >= {MIN_C}, got {value!r}")
+    return bound
 
 
 def _positive_tol(value, source: str) -> float:
@@ -122,7 +131,7 @@ _TOL = {"tol": (_positive_tol, _default_tol)}
 _FIELDS = {
     "triples": (
         "enumerate primitive generating pairs",
-        {"max_c": (_real, _REQUIRED), "signs": (_switch, False)},
+        {"max_c": (_max_c, _REQUIRED), "signs": (_switch, False)},
     ),
     "frame": (
         "entangled frame labels and matrix",

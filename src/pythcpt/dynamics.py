@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import lab_frame
-from .linalg import kron, matexp_unitary, require_hermitian, vectorize
+from .linalg import kron, matexp_unitary, require_hermitian, require_normalized, vectorize
 from .su2 import spin_generators, y_matrix
 from .triples import CouplingParams, params_from_pair
 
@@ -117,10 +117,7 @@ def simulate(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> SimulationRe
     evaluated from the spectral form, so the cost is one
     eigendecomposition plus two small matrix products.
     """
-    psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(psi0)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"psi0 must be normalized, got |psi0| = {norm}")
+    psi0 = require_normalized(psi0, "psi0")
     require_hermitian(h, "Hamiltonian")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     evals, evecs = np.linalg.eigh(np.asarray(h, dtype=complex))
@@ -145,6 +142,8 @@ def simulate_lab(
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
+    if t_max_tau < 0:
+        raise ValueError(f"t_max must be non-negative, got {t_max_tau}")
     params = params_from_pair(p, q, k)
     h_lab = lab_hamiltonian(SystemSpec(n=n, params=params))
     tau = params.tau
@@ -163,10 +162,6 @@ def verify_cpt(spec: SystemSpec, tol: float = CPT_TOL) -> CptCertificate:
     global phase of the transfer amplitude.
     """
     n = spec.n
-    if n % 2 != 0:
-        raise ValueError(
-            f"n={n} is odd: V(I) and V(Y) are not orthogonal, no complete transfer"
-        )
     if spec.params.tau is None:
         raise ValueError("params carry no transfer time tau")
     tau = spec.params.tau

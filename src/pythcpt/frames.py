@@ -2,8 +2,8 @@
 
 :func:`lab_frame` is the one place that picks the lab frame for an
 n-level pair: the symmetric W of :func:`build_w` when n is a power of
-two, :func:`general_even_frame` for any other even n, and an error for
-odd n. Its rows are the lab basis vectors.
+two, :func:`general_even_frame` for any other n, which rejects odd n.
+Its rows are the lab basis vectors.
 
 For n = 2^N the lab frame comes from a real orthogonal *symmetric*
 matrix W whose columns are (normalized) vectorizations of N-fold tensor
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import complete_orthogonal, vectorize, unvectorize, kron
+from .linalg import complete_orthogonal, kron, require_normalized, unvectorize, vectorize
 from .su2 import sigma_set, y_matrix
 
 SYMMETRY_TOL = 1e-13
@@ -193,12 +193,12 @@ def general_even_frame(n: int) -> np.ndarray:
     transfer runs between lab states 1 and n^2-n+1 as in the 2^N
     frames; the rest is a deterministic QR completion. Odd n
     is rejected because there V(I) and V(Y) are not orthogonal
-    (trace(Y_n) = +-1).
+    (trace(Y_n) = +-1); this is the one odd-n check of the frame path.
     """
     if n % 2 != 0:
         raise ValueError(
-            f"n={n} is odd: V(I) and V(Y) are not orthogonal (trace(Y) != 0), "
-            "so no such frame exists"
+            f"n={n} is odd: V(I) and V(Y) are not orthogonal (trace(Y) = +-1), "
+            "so there is no lab frame and no complete transfer"
         )
     v1 = vectorize(np.eye(n)) / np.sqrt(n)
     vy = vectorize(y_matrix(n)) / np.sqrt(n)
@@ -211,13 +211,11 @@ def lab_frame(n: int) -> np.ndarray:
     """Lab frame for an n-level pair, as rows (see the module docstring).
 
     ``build_w(N).W`` for n = 2^N, :func:`general_even_frame` for any
-    other even n; odd n has no such frame.
+    other n, which rejects odd n.
     """
     if n & (n - 1) == 0:
         return build_w(n.bit_length() - 1).W
-    if n % 2 == 0:
-        return general_even_frame(n)
-    raise ValueError(f"no lab frame for odd n={n}: transfer states are not orthogonal")
+    return general_even_frame(n)
 
 
 def entanglement_entropy(column: np.ndarray, n: int) -> float:
@@ -227,12 +225,9 @@ def entanglement_entropy(column: np.ndarray, n: int) -> float:
     entropy -sum(lam * ln lam) of the eigenvalues of M M^dagger is
     returned, with 0 ln 0 = 0. Maximally entangled columns give ln n.
     """
-    column = np.asarray(column, dtype=complex).reshape(-1)
+    column = require_normalized(column, "column")
     if column.size != n * n:
         raise ValueError(f"expected a length-{n * n} vector, got {column.size}")
-    norm = np.linalg.norm(column)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"column must be normalized, got |column| = {norm}")
     m = unvectorize(column, n, n)
     lam = np.linalg.eigvalsh(m @ m.conj().T)
     lam = np.clip(lam.real, 0.0, None)

@@ -1,6 +1,9 @@
 """Dense complex matrix utilities: Kronecker products, vectorization,
-the Hermiticity gate, exact unitary propagators for Hermitian
-generators, and orthogonal completion of partial real frames.
+exact unitary propagators for Hermitian generators, orthogonal
+completion of partial real frames, and one gate per invariant:
+``require_hermitian`` (HERMITICITY_TOL = 1e-12, relative to
+max(1, max|h|)), ``require_normalized`` (NORMALIZATION_TOL = 1e-10)
+and ``require_unitary`` (UNITARITY_TOL = 1e-10).
 
 All functions are pure and operate on plain numpy arrays. Matrices are
 2-d ``ndarray``s, vectors 1-d. Everything here is exact up to
@@ -14,6 +17,7 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-12  # relative to max(1, max|h|), see require_hermitian
 UNITARITY_TOL = 1e-10
+NORMALIZATION_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-10
 
 
@@ -67,21 +71,37 @@ def require_hermitian(h: np.ndarray, what: str) -> None:
         )
 
 
+def require_normalized(v: np.ndarray, what: str) -> np.ndarray:
+    """Return ``v`` as a flat complex vector; raise unless ||v| - 1| <= NORMALIZATION_TOL."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    norm = np.linalg.norm(v)
+    if abs(norm - 1.0) > NORMALIZATION_TOL:
+        raise ValueError(f"{what} must be normalized, got |{what}| = {norm}")
+    return v
+
+
+def require_unitary(u: np.ndarray, what: str) -> None:
+    """Raise unless max|u u^dagger - I| <= UNITARITY_TOL."""
+    err = np.max(np.abs(u @ u.conj().T - np.eye(len(u))))
+    if err > UNITARITY_TOL:
+        raise ValueError(
+            f"{what} is not unitary: max |u u^dagger - I| = {err:.3e} exceeds {UNITARITY_TOL:.0e}"
+        )
+
+
 def matexp_unitary(h: np.ndarray, t: float) -> np.ndarray:
     """Return ``exp(-i h t)`` for Hermitian ``h`` (hbar = 1).
 
     Computed by diagonalizing ``h`` and exponentiating its (real)
     eigenvalues, so the result is unitary to eigendecomposition
     accuracy; ``h`` must pass :func:`require_hermitian` and the result
-    must satisfy ``U U^dagger = I`` within UNITARITY_TOL.
+    :func:`require_unitary`.
     """
     h = np.asarray(h, dtype=complex)
     require_hermitian(h, "generator")
     evals, evecs = np.linalg.eigh(h)
     u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-    err = np.max(np.abs(u @ u.conj().T - np.eye(h.shape[0])))
-    if err > UNITARITY_TOL:
-        raise ValueError(f"propagator unitarity error {err:.3e} exceeds {UNITARITY_TOL:.3e}")
+    require_unitary(u, "propagator")
     return u
 
 

@@ -30,9 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import CPT_TOL, build_h_single
-from .linalg import kron, matexp_unitary, require_hermitian, vectorize
+from .linalg import kron, matexp_unitary, require_hermitian, require_normalized, require_unitary, vectorize
 from .su2 import y_matrix
 from .triples import OddPair, params_from_pair
+
+PARTIAL_OVERLAP_MAX = 1.0 - 1e-12  # |<i|f>| below this: the recipe's two states are distinct
 
 
 @dataclass(frozen=True)
@@ -203,9 +205,7 @@ def _equivalence(
     dim = base.dim
     if y.shape != (dim, dim):
         raise ValueError(f"y has shape {y.shape}, expected {(dim, dim)}")
-    un_err = np.max(np.abs(y.conj().T @ y - np.eye(dim)))
-    if un_err > 1e-9:
-        raise ValueError(f"y is not unitary: max |y^dagger y - I| = {un_err:.3e}")
+    require_unitary(y, "y")
     T = base.T
     generated = [matexp_unitary(h, d) for h, d in base.segments]
     u_full = generated[0]
@@ -230,7 +230,7 @@ def _equivalence(
         doubled_phase=state_phase,
         propagator_residual=prop_resid,
         doubled_state_residual=state_resid,
-        is_cpt=abs(trace_y) <= 1e-9,
+        is_cpt=abs(trace_y) <= CPT_TOL,
         trace_y=trace_y,
     )
     return report, u_full, rev, fwd
@@ -261,7 +261,6 @@ def general_recipe(
     i_state: np.ndarray,
     f_state: np.ndarray,
     phi: float,
-    tol: float = CPT_TOL,
 ) -> RecipeResult:
     """Complete-transfer recipe for any system with a two-state cycle.
 
@@ -277,11 +276,11 @@ def general_recipe(
     f_state = np.asarray(f_state, dtype=complex).reshape(-1)
     violated = []
     overlap_if = abs(np.vdot(i_state, f_state))
-    if not overlap_if < 1.0 - 1e-12:
+    if not overlap_if < PARTIAL_OVERLAP_MAX:
         violated.append("overlap_not_below_one")
-    if np.max(np.abs(u_full @ i_state - f_state)) > tol:
+    if np.max(np.abs(u_full @ i_state - f_state)) > CPT_TOL:
         violated.append("u_full_does_not_map_i_to_f")
-    if np.max(np.abs(u_full @ f_state - np.exp(1j * phi) * i_state)) > tol:
+    if np.max(np.abs(u_full @ f_state - np.exp(1j * phi) * i_state)) > CPT_TOL:
         violated.append("u_full_does_not_map_f_back_to_i")
     if violated:
         return RecipeResult(ok=False, violated=tuple(violated))
@@ -298,7 +297,7 @@ def general_recipe(
     residual = float(np.max(np.abs(image - final)))
     # measured on the image: <initial|final> vanishes by symmetry alone
     overlap = float(abs(np.vdot(initial, image)))
-    ok = residual <= tol and overlap <= tol
+    ok = residual <= CPT_TOL and overlap <= CPT_TOL
     return RecipeResult(
         ok=ok,
         violated=(),
@@ -336,40 +335,26 @@ def time_independent_conditions(
     h: np.ndarray,
     i_state: np.ndarray,
     T: float,
-    tol: float = CPT_TOL,
 ) -> TimeIndependentReport:
     """Check the constant-Hamiltonian transfer conditions and sample 8 family members.
 
     The U(t) (x) U(t)-translate of the recipe state for (i, U(T)i) is the
     recipe state for (U(t)i, U(t)U(T)i): each sample is one recipe call.
     """
-    i_state = np.asarray(i_state, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(i_state)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"state must be normalized, got norm {norm}")
+    i_state = require_normalized(i_state, "state")
     u_2t = matexp_unitary(h, 2.0 * T)
-    v = u_2t @ i_state
-    inner = np.vdot(i_state, v)
-    phi = None
-    if abs(inner) > 1e-6:
-        phase = inner / abs(inner)
-        return_residual = float(np.max(np.abs(v - phase * i_state)))
-        cond1 = return_residual <= tol
-        if cond1:
-            phi = float(np.angle(phase))
-    else:
-        return_residual = float(np.max(np.abs(v - i_state)))
-        cond1 = False
+    cond1, phase, return_residual = _phase_match(u_2t @ i_state, i_state, CPT_TOL)
+    phi = float(np.angle(phase)) if cond1 else None
     u_t = matexp_unitary(h, T)
     half_overlap = float(abs(np.vdot(i_state, u_t @ i_state)))
-    cond2 = half_overlap < 1.0 - 1e-12
+    cond2 = half_overlap < PARTIAL_OVERLAP_MAX
     samples = []
     if cond1 and cond2:
         f_state = u_t @ i_state
         u_half = matexp_unitary(h, T / 2.0)
         for t in np.linspace(0.0, T, 8):
             shift = matexp_unitary(h, t)
-            member = general_recipe(u_t, u_half, shift @ i_state, shift @ f_state, phi, tol)
+            member = general_recipe(u_t, u_half, shift @ i_state, shift @ f_state, phi)
             # a translate rejected only by rounding at the tolerance edge counts as failed
             samples.append((float(t), float("inf") if member.overlap is None else member.overlap))
     return TimeIndependentReport(

@@ -19,6 +19,7 @@ import numpy as np
 from . import reference_tables
 from .dynamics import (
     CPT_TOL,
+    FORBIDDEN_MAX_POP,
     SystemSpec,
     build_h_tp,
     coupling_graph,
@@ -81,7 +82,7 @@ def _check_two_level_family(tol: float) -> tuple[bool, str]:
             worst_f = min(worst_f, verify_cpt(spec, tol).fidelity)
             scan = forbidden_scan(spec)
             worst_leak = max(worst_leak, scan.max_pop_2, scan.max_pop_4)
-    ok = worst_f >= 1.0 - tol and worst_leak < 1.0 - 1e-6
+    ok = worst_f >= 1.0 - tol and worst_leak < FORBIDDEN_MAX_POP
     return ok, f"min fidelity {worst_f:.12f}, max forbidden population {worst_leak:.8f}"
 
 

@@ -7,6 +7,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+MIN_C = 5  # hypotenuse of the smallest triple, (3, 4, 5)
+
 
 @dataclass(frozen=True)
 class OddPair:
@@ -69,8 +71,8 @@ def triple_from_pair(pair: OddPair, sign_a: int = 1, sign_b: int = 1) -> PythTri
 
 def enumerate_primitive_pairs(limit_c: float) -> list[OddPair]:
     """All coprime odd pairs with (p²+q²)/2 <= limit_c, ordered by c then p."""
-    if limit_c < 5:
-        raise ValueError(f"limit_c must be >= 5, got {limit_c}")
+    if limit_c < MIN_C:
+        raise ValueError(f"limit_c must be >= {MIN_C}, got {limit_c}")
     pairs = []
     p_max = int(math.isqrt(int(2 * limit_c)))
     for p in range(3, p_max + 2, 2):
@@ -87,16 +89,19 @@ def coupling_params(triple: PythTriple, k: float = 0.0) -> CouplingParams:
 
     The four outputs are generically nonzero; special values of k can
     zero one of them, which is reported as a warning because the
-    formulas remain well defined there.
+    formulas remain well defined there. With s = hypot(1, k) the weights
+    k/s and 1/s stay finite for every finite k; as k -> +-inf the axes
+    (delta1, omega1) and (delta2, omega2) tend to +-(q, -p) and +-(p, q).
     """
     a, b, c = triple.a, triple.b, triple.c
     if c <= 0:
         raise ValueError(f"triple must have c > 0, got c={c}")
-    s = math.sqrt(1.0 + k * k)
-    d1 = 0.5 * (k * (c - a) + b) / s
-    o1 = 0.5 * (c - a - k * b) / s
-    d2 = 0.5 * (k * (c + a) - b) / s
-    o2 = 0.5 * (c + a + k * b) / s
+    s = math.hypot(1.0, k)
+    wk, w1 = k / s, 1.0 / s
+    d1 = 0.5 * (wk * (c - a) + w1 * b)
+    o1 = 0.5 * (w1 * (c - a) - wk * b)
+    d2 = 0.5 * (wk * (c + a) - w1 * b)
+    o2 = 0.5 * (w1 * (c + a) + wk * b)
     tau = math.pi / math.sqrt(2.0 * c)
     params = CouplingParams(delta1=d1, omega1=o1, delta2=d2, omega2=o2, k=k, tau=tau)
     scale = max(abs(v) for v in params.as_tuple())

@@ -432,8 +432,13 @@ def test_flag_destinations_are_config_keys():
         (["graph", "--p", "3", "--q", "1", "--k", "nan", "--format", "json"], "--k"),
         (["retro", "--p", "3", "--q", "1", "--k", "nan"], "--k"),
         (["simulate", "--p", "3", "--q", "1", "--steps", "-1"], "steps"),
+        (["simulate", "--p", "3", "--q", "1", "--n", "2", "--steps", "2", "--t-max", "-1"], "t_max"),
+        (["triples", "--max-c", "4"], "--max-c"),
     ],
-    ids=["triples-max-c-inf", "simulate-t-max-nan", "graph-k-nan", "retro-k-nan", "simulate-steps-neg"],
+    ids=[
+        "triples-max-c-inf", "simulate-t-max-nan", "graph-k-nan", "retro-k-nan", "simulate-steps-neg",
+        "simulate-t-max-neg", "triples-max-c-below-5",
+    ],
 )
 def test_bad_numeric_flag_rejected(capsys, argv, name):
     code, out, err = run_cli(capsys, *argv)
@@ -451,6 +456,7 @@ def test_bad_numeric_flag_rejected(capsys, argv, name):
         ("simulate", {"p": 3, "q": 1, "absolute_time": "false"}, "absolute_time"),
         ("triples", {"max_c": 13, "signs": "no"}, "signs"),
         ("verify", {"p": [3], "q": 1}, "p"),
+        ("triples", {"max_c": 4}, "max_c"),
     ],
 )
 def test_config_values_are_not_coerced(capsys, tmp_path, command, config, field):
@@ -460,6 +466,13 @@ def test_config_values_are_not_coerced(capsys, tmp_path, command, config, field)
     assert code == 2
     assert out == ""
     assert f"config field {field!r}" in err
+
+
+def test_verify_huge_k_certifies(capsys, recwarn):
+    code, out, err = run_cli(capsys, "verify", "--p", "3", "--q", "1", "--n", "2", "--k", "1e300")
+    assert code == 0, err
+    assert json.loads(out)["pass"] is True
+    assert not [w for w in recwarn if "zeroes" in str(w.message)]
 
 
 def test_config_null_counts_as_absent(capsys, tmp_path):

@@ -146,11 +146,6 @@ def test_simulate_constant_under_zero_hamiltonian():
     assert np.max(np.abs(result.populations - np.array([0.36, 0.64]))) < 1e-12
 
 
-def test_simulate_rejects_unnormalized():
-    with pytest.raises(ValueError, match="normalized"):
-        simulate(np.zeros((2, 2)), np.array([1.0, 1.0]), np.array([0.0]))
-
-
 def test_verify_cpt_lifts():
     params = params_from_pair(3, 1, 0.0)
     for n, target in ((2, 3), (4, 13), (8, 57)):

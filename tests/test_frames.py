@@ -7,6 +7,7 @@ from pythcpt.frames import (
     build_w,
     entanglement_entropy,
     general_even_frame,
+    lab_frame,
     label_to_column,
     validate_frame,
 )
@@ -167,6 +168,13 @@ def test_general_even_frame_rejects_odd():
         general_even_frame(3)
 
 
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_lab_frame_rejects_odd_once(n):
+    # odd n reaches general_even_frame, the frame path's one odd-n check
+    with pytest.raises(ValueError, match=rf"n={n} is odd: V\(I\) and V\(Y\) are not orthogonal"):
+        lab_frame(n)
+
+
 def test_entropy_product_state():
     psi = np.zeros(4)
     psi[0] = 1.0
@@ -179,11 +187,6 @@ def test_entropy_of_frame_columns():
         for j in range(frame.dim):
             s = entanglement_entropy(frame.W[:, j], frame.n)
             assert abs(s - np.log(frame.n)) < 1e-10
-
-
-def test_entropy_rejects_unnormalized():
-    with pytest.raises(ValueError, match="normalized"):
-        entanglement_entropy(np.ones(4), 2)
 
 
 def test_entropy_rejects_bad_length():

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
+from pythcpt.dynamics import simulate
+from pythcpt.frames import entanglement_entropy
 from pythcpt.linalg import (
     complete_orthogonal,
     kron,
     matexp_unitary,
     require_hermitian,
+    require_normalized,
+    require_unitary,
     unvectorize,
     vectorize,
 )
+from pythcpt.retrograde import time_independent_conditions
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -133,6 +138,33 @@ def test_hermiticity_gate_is_relative_to_the_largest_entry():
         require_hermitian(h + 1e-5 * SIG2, "h")
     with pytest.raises(ValueError, match="not Hermitian"):
         require_hermitian(1e-3 * SIG2, "h")  # small matrices keep the absolute 1e-12 floor
+
+
+def test_normalization_gate_threshold():
+    v = require_normalized([[1.0 + 5e-11], [0.0]], "v")  # NORMALIZATION_TOL = 1e-10
+    assert v.dtype == complex and v.shape == (2,)
+    with pytest.raises(ValueError, match=r"v must be normalized, got \|v\| = 1.0000000002"):
+        require_normalized(np.array([1.0 + 2e-10, 0.0]), "v")
+
+
+def test_unitarity_gate_threshold():
+    require_unitary(np.diag([np.sqrt(1.0 + 5e-11), 1.0j]), "u")  # UNITARITY_TOL = 1e-10
+    with pytest.raises(ValueError, match="u is not unitary"):
+        require_unitary(np.diag([np.sqrt(1.0 + 2e-10), 1.0j]), "u")
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda v: simulate(np.zeros((4, 4)), v, np.array([0.0])), "psi0"),
+        (lambda v: entanglement_entropy(v, 2), "column"),
+        (lambda v: time_independent_conditions(np.zeros((4, 4)), v, 1.0), "state"),
+    ],
+    ids=["simulate", "entanglement_entropy", "time_independent_conditions"],
+)
+def test_callers_reject_unnormalized(call, what):
+    with pytest.raises(ValueError, match=f"{what} must be normalized"):
+        call(np.ones(4))
 
 
 def test_matexp_group_property_and_unitarity():

@@ -135,6 +135,17 @@ def test_zero_parameter_warns():
     assert abs(params.omega1) < 1e-12
 
 
+@pytest.mark.parametrize("k", [1e300, -1e300, 1.7e308])
+def test_huge_k_keeps_couplings_finite(recwarn, k):
+    # k -> +-inf: (delta1, omega1) -> sign(k) q (q, -p)/2, (delta2, omega2) -> sign(k) p (p, q)/2
+    p, q = 7, 3
+    params = params_from_pair(p, q, k)
+    sign = math.copysign(1.0, k)
+    expected = (sign * q * q / 2, -sign * p * q / 2, sign * p * p / 2, sign * p * q / 2)
+    assert params.as_tuple() == pytest.approx(expected, rel=1e-15)
+    assert not [w for w in recwarn if "zeroes" in str(w.message)]
+
+
 def test_sign_flip_gives_inequivalent_parameters():
     plus = np.array(params_from_pair(3, 1, 0.0).as_tuple())
     minus = np.array(coupling_params(triple_from_pair(OddPair(3, 1), sign_a=-1), 0.0).as_tuple())
