@@ -125,7 +125,7 @@ def _default_tol() -> float:
     return CPT_TOL if raw is None else _positive_tol(raw, "PYTHCPT_TOL")
 
 
-# {subcommand: (help, {field: (converter, default)})}; a callable default is evaluated per run.
+# {subcommand: (help, {field: (converter, default[, help])})}; a callable default is evaluated per run.
 _PQKN = {"p": (_integer, _REQUIRED), "q": (_integer, _REQUIRED), "k": (_real, 0.0), "n": (_integer, 4)}
 _TOL = {"tol": (_positive_tol, _default_tol)}
 _FIELDS = {
@@ -148,7 +148,15 @@ _FIELDS = {
         "doubled-space transfer report as JSON",
         {**_PQKN, "n": (_integer, 2), "variant": (_one_of("retrograde", "semi"), "retrograde"), **_TOL},
     ),
-    "suite": ("run the verification battery", {"n": (_integer, None), "json": (_text, None), **_TOL}),
+    "suite": (
+        "run the verification battery",
+        {
+            "n": (_integer, None),
+            "json": (_text, None, "also write the checks as JSON to this path; the file holds no "
+                                  "timings, so it is byte-identical across runs"),
+            **_TOL,
+        },
+    ),
 }
 
 
@@ -165,7 +173,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if unknown:
             raise ConfigError(f"unknown config field: {sorted(unknown)[0]}")
     merged = {}
-    for key, (convert, default) in fields.items():
+    for key, (convert, default, *_) in fields.items():
         default = default() if callable(default) else default
         if getattr(args, key) is not None:
             merged[key] = convert(getattr(args, key), _flag(key))
@@ -212,8 +220,9 @@ def _cmd_simulate(cfg: dict) -> int:
     n = cfg["n"]
     if n % 2 or not 2 <= n <= _MAX_LEVELS:
         raise ConfigError(f"n must be even with 2 <= n <= {_MAX_LEVELS}, got {n}")
-    result, tau = simulate_lab(cfg["p"], cfg["q"], cfg["k"], n, cfg["t_max"], cfg["steps"])
-    times = result.times * tau if cfg["absolute_time"] else result.times
+    spec = SystemSpec(n=n, params=params_from_pair(cfg["p"], cfg["q"], cfg["k"]))
+    result = simulate_lab(spec, cfg["t_max"], cfg["steps"])
+    times = result.times * spec.params.tau if cfg["absolute_time"] else result.times
     unit = "absolute" if cfg["absolute_time"] else "tau"
     header = ("t" if unit == "absolute" else "t_over_tau") + "," + ",".join(
         f"pop_{i + 1}" for i in range(result.populations.shape[1])
@@ -256,7 +265,7 @@ def _symbolic_basis(n: int) -> list[np.ndarray]:
         d2 = (v["V14"] - v["V23"]) / 2.0
         o1 = (v["V12"] - v["V34"]) / 2.0
         o2 = (v["V12"] + v["V34"]) / 2.0
-        params = CouplingParams(d1, o1, d2, o2, k=0.0, tau=1.0)
+        params = CouplingParams(d1, o1, d2, o2, tau=1.0)
         mats.append(lab_hamiltonian(SystemSpec(n=n, params=params)).real)
     return mats
 
@@ -397,11 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, fields) in _FIELDS.items():
         p = sub.add_parser(name, help=help_text)
-        for key, (convert, _) in fields.items():
+        for key, (convert, _, *doc) in fields.items():
             if convert is _switch:
                 p.add_argument(_flag(key), dest=key, action="store_true", default=None)
             else:
-                p.add_argument(_flag(key), dest=key, metavar=getattr(convert, "metavar", None))
+                metavar = getattr(convert, "metavar", None)
+                p.add_argument(_flag(key), dest=key, metavar=metavar, help=doc[0] if doc else None)
         p.add_argument("--config", help="JSON file mirroring this subcommand's flags")
         # looked up per call, so a wrapper installed on the module after import is used
         p.set_defaults(func=globals()[f"_cmd_{name}"])

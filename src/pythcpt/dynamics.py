@@ -6,6 +6,9 @@ The two-factor Hamiltonian is h1 (x) I + I (x) h2 with each factor
 :func:`lab_hamiltonian` conjugates it with the lab frame W of
 :func:`pythcpt.frames.lab_frame`, giving the sparse lab-frame form whose
 nearest-neighbour couplings are the V's of :func:`pythcpt.triples.lab_couplings`.
+:func:`simulate_lab` is the one evolution of lab state 1: the CLI
+``simulate`` traces, the suite's 16-level check and
+:func:`forbidden_scan` all read its populations.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from .frames import lab_frame
 from .linalg import kron, matexp_unitary, require_hermitian, require_normalized, vectorize
 from .su2 import spin_generators, y_matrix
-from .triples import CouplingParams, params_from_pair
+from .triples import CouplingParams
 
 CPT_TOL = 1e-9
 # sampled populations of lab states 2 and 4 must stay below this
@@ -127,31 +130,21 @@ def simulate(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> SimulationRe
     return SimulationResult(times=times, populations=np.abs(waves) ** 2)
 
 
-def simulate_lab(
-    p: int,
-    q: int,
-    k: float,
-    n: int,
-    t_max_tau: float,
-    steps: int,
-) -> tuple[SimulationResult, float]:
-    """Lab-frame simulation from state 1 on a uniform grid in tau units.
+def simulate_lab(spec: SystemSpec, t_max_tau: float, steps: int) -> SimulationResult:
+    """Lab-frame populations from state 1 on a uniform grid of [0, t_max_tau * tau].
 
-    Returns the result (times in units of tau, inclusive endpoints)
-    together with tau itself.
+    The grid has ``steps + 1`` points, endpoints included; the result's
+    times are in units of tau = ``spec.params.tau``.
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
     if t_max_tau < 0:
         raise ValueError(f"t_max must be non-negative, got {t_max_tau}")
-    params = params_from_pair(p, q, k)
-    h_lab = lab_hamiltonian(SystemSpec(n=n, params=params))
-    tau = params.tau
     grid_tau = np.linspace(0.0, t_max_tau, steps + 1)
-    psi0 = np.zeros(n * n)
+    psi0 = np.zeros(spec.n * spec.n)
     psi0[0] = 1.0
-    result = simulate(h_lab, psi0, grid_tau * tau)
-    return SimulationResult(times=grid_tau, populations=result.populations), tau
+    result = simulate(lab_hamiltonian(spec), psi0, grid_tau * spec.params.tau)
+    return SimulationResult(times=grid_tau, populations=result.populations)
 
 
 def verify_cpt(spec: SystemSpec, tol: float = CPT_TOL) -> CptCertificate:
@@ -162,8 +155,6 @@ def verify_cpt(spec: SystemSpec, tol: float = CPT_TOL) -> CptCertificate:
     global phase of the transfer amplitude.
     """
     n = spec.n
-    if spec.params.tau is None:
-        raise ValueError("params carry no transfer time tau")
     tau = spec.params.tau
     w = lab_frame(n)
     u_tp = matexp_unitary(build_h_tp(n, spec.params), tau)
@@ -192,18 +183,12 @@ def forbidden_scan(spec: SystemSpec) -> ForbiddenScanReport:
     """
     if spec.n != 2:
         raise ValueError(f"forbidden state scan applies to n=2 only, got n={spec.n}")
-    tau = spec.params.tau
-    if tau is None:
-        raise ValueError("params carry no tau")
-    times = np.linspace(0.0, 20.0 * tau, 10_000)
-    psi0 = np.zeros(4)
-    psi0[0] = 1.0
-    result = simulate(lab_hamiltonian(spec), psi0, times)
+    result = simulate_lab(spec, 20.0, 9_999)
     return ForbiddenScanReport(
         max_pop_2=float(np.max(result.populations[:, 1])),
         max_pop_4=float(np.max(result.populations[:, 3])),
-        n_points=len(times),
-        t_max=float(times[-1]),
+        n_points=len(result.times),
+        t_max=20.0 * spec.params.tau,
         threshold=FORBIDDEN_MAX_POP,
     )
 
@@ -217,10 +202,7 @@ def coupling_graph(h_lab: np.ndarray) -> CouplingGraph:
     h_lab = np.asarray(h_lab)
     require_hermitian(h_lab, "Hamiltonian")
     tol = 1e-10 * float(np.max(np.abs(h_lab))) if h_lab.size else 0.0
-    d = h_lab.shape[0]
-    edges = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            if abs(h_lab[i, j]) > tol:
-                edges.append((i + 1, j + 1, float(np.real(h_lab[i, j]))))
-    return CouplingGraph(edges=tuple(edges), diagonal=np.real(np.diag(h_lab)).copy())
+    rows, cols = np.nonzero(np.triu(np.abs(h_lab) > tol, k=1))  # row-major order
+    weights = np.real(h_lab[rows, cols]).astype(float)
+    edges = tuple(zip((rows + 1).tolist(), (cols + 1).tolist(), weights.tolist()))
+    return CouplingGraph(edges=edges, diagonal=np.real(np.diag(h_lab)).copy())

@@ -268,12 +268,13 @@ def general_recipe(
     |<i|f>| < 1, U(T,0)|i> = |f> and U(T,0)|f> = e^{i phi}|i>, the
     doubled dynamics carries the normalization of
     -e^{i phi}|ii> + |ff> into -|hg> + |gh> (g, h the half-time images
-    of i, f), and the two are orthogonal. Precondition failures are
-    reported by name instead of raised, since callers typically scan
-    candidate (i, f, phi) tuples.
+    of i, f), and the two are orthogonal. An unnormalized state raises
+    ValueError; the three cycle preconditions are reported by name
+    instead of raised, since callers typically scan candidate
+    (i, f, phi) tuples.
     """
-    i_state = np.asarray(i_state, dtype=complex).reshape(-1)
-    f_state = np.asarray(f_state, dtype=complex).reshape(-1)
+    i_state = require_normalized(i_state, "i_state")
+    f_state = require_normalized(f_state, "f_state")
     violated = []
     overlap_if = abs(np.vdot(i_state, f_state))
     if not overlap_if < PARTIAL_OVERLAP_MAX:

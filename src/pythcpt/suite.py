@@ -66,7 +66,7 @@ def _timed(fn: Callable[[], tuple[bool, str]], name: str) -> CheckResult:
 def _check_sixteen_level_transfer(tol: float) -> tuple[bool, str]:
     worst = 1.0
     for p, q in ((3, 1), (5, 1)):
-        result, _ = simulate_lab(p, q, 0.0, n=4, t_max_tau=2.0, steps=400)
+        result = simulate_lab(SystemSpec(n=4, params=params_from_pair(p, q, 0.0)), t_max_tau=2.0, steps=400)
         at_tau = result.populations[200, 12]
         back = result.populations[400, 0]
         worst = min(worst, at_tau, back)
@@ -101,7 +101,7 @@ def _check_sixteen_level_tables(rng: np.random.Generator) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(3):
         d1, o1, d2, o2 = rng.uniform(0.5, 2.0, size=4) * rng.choice([-1.0, 1.0], size=4)
-        params = CouplingParams(d1, o1, d2, o2, k=0.0, tau=1.0)
+        params = CouplingParams(d1, o1, d2, o2, tau=1.0)
         h_tp = build_h_tp(4, params)
         worst = max(worst, float(np.max(np.abs(h_tp - reference_tables.sixteen_level_tp(d1, o1, d2, o2)))))
         h_lab = lab_hamiltonian(SystemSpec(n=4, params=params))

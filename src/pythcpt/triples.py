@@ -38,17 +38,14 @@ class PythTriple:
 class CouplingParams:
     """Detunings, Rabi frequencies and transfer time for one triple.
 
-    ``tau`` is the time at which the population transfer completes; it
-    is present whenever the parameters came from a triple. ``k`` is
-    the free real parameter of the family.
+    ``tau`` is the time at which the population transfer completes.
     """
 
     delta1: float
     omega1: float
     delta2: float
     omega2: float
-    k: float
-    tau: float | None = None
+    tau: float
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.delta1, self.omega1, self.delta2, self.omega2)
@@ -103,7 +100,7 @@ def coupling_params(triple: PythTriple, k: float = 0.0) -> CouplingParams:
     d2 = 0.5 * (wk * (c + a) - w1 * b)
     o2 = 0.5 * (w1 * (c + a) + wk * b)
     tau = math.pi / math.sqrt(2.0 * c)
-    params = CouplingParams(delta1=d1, omega1=o1, delta2=d2, omega2=o2, k=k, tau=tau)
+    params = CouplingParams(delta1=d1, omega1=o1, delta2=d2, omega2=o2, tau=tau)
     scale = max(abs(v) for v in params.as_tuple())
     zeros = [
         name

@@ -53,7 +53,7 @@ def test_criterion_1_sixteen_level_transfer():
     ok = True
     for p, q in ((3, 1), (5, 1)):
         t0 = time.perf_counter()
-        result, _ = simulate_lab(p, q, 0.0, n=4, t_max_tau=2.0, steps=400)
+        result = simulate_lab(SystemSpec(n=4, params=params_from_pair(p, q, 0.0)), t_max_tau=2.0, steps=400)
         elapsed = time.perf_counter() - t0
         peak = result.populations[200, 12]
         revival = result.populations[400, 0]
@@ -151,7 +151,7 @@ def test_criterion_4_sixteen_level_tables():
     pattern_ok = True
     for _ in range(3):
         d1, o1, d2, o2 = rng.uniform(0.5, 2.5, size=4) * rng.choice([-1.0, 1.0], size=4)
-        params = CouplingParams(d1, o1, d2, o2, k=0.0, tau=1.0)
+        params = CouplingParams(d1, o1, d2, o2, tau=1.0)
         h_tp = build_h_tp(4, params).real
         ref_tp = sixteen_level_tp(d1, o1, d2, o2)
         for (i, j), val in tp_spot_entries(d1, o1, d2, o2).items():

@@ -422,6 +422,8 @@ def test_flag_destinations_are_config_keys():
         assert {a.dest for a in options} == set(cli._FIELDS[command][1]) == set(FIELD_VALUES[command])
         for action in options:
             assert action.option_strings == [_flag(action.dest)]
+    suite_help = " ".join(subparsers.choices["suite"].format_help().split())
+    assert "the file holds no timings, so it is byte-identical across runs" in suite_help
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pythcpt import dynamics
 from pythcpt.dynamics import (
     SystemSpec,
     build_h_single,
@@ -68,13 +69,13 @@ def test_h_tp_two_level_closed_form():
     rng = np.random.default_rng(1)
     for _ in range(5):
         d1, o1, d2, o2 = rng.normal(size=4)
-        params = CouplingParams(d1, o1, d2, o2, k=0.0, tau=1.0)
+        params = CouplingParams(d1, o1, d2, o2, tau=1.0)
         h = build_h_tp(2, params).real
         assert np.max(np.abs(h - four_level_tp_closed_form(d1, o1, d2, o2))) < 1e-12
 
 
 def test_h_tp_zero_params():
-    params = CouplingParams(0.0, 0.0, 0.0, 0.0, k=0.0, tau=1.0)
+    params = CouplingParams(0.0, 0.0, 0.0, 0.0, tau=1.0)
     assert np.max(np.abs(build_h_tp(3, params))) == 0.0
 
 
@@ -82,7 +83,7 @@ def test_h_tp_sixteen_level_table():
     rng = np.random.default_rng(4)
     for _ in range(3):
         d1, o1, d2, o2 = rng.normal(size=4)
-        params = CouplingParams(d1, o1, d2, o2, k=0.0, tau=1.0)
+        params = CouplingParams(d1, o1, d2, o2, tau=1.0)
         h = build_h_tp(4, params).real
         assert np.max(np.abs(h - sixteen_level_tp(d1, o1, d2, o2))) < 1e-12
 
@@ -97,7 +98,7 @@ def test_lab_hamiltonian_sixteen_level_table():
     rng = np.random.default_rng(9)
     for _ in range(3):
         d1, o1, d2, o2 = rng.normal(size=4)
-        params = CouplingParams(d1, o1, d2, o2, k=0.0, tau=1.0)
+        params = CouplingParams(d1, o1, d2, o2, tau=1.0)
         h_lab = lab_hamiltonian(SystemSpec(n=4, params=params)).real
         expected = sixteen_level_lab(*lab_couplings(params))
         assert np.max(np.abs(h_lab - expected)) < 1e-12
@@ -125,7 +126,7 @@ def test_lab_propagator_full_transfer_column():
 
 def test_simulate_sixteen_level_peaks():
     for p, q in ((3, 1), (5, 1)):
-        result, _ = simulate_lab(p, q, 0.0, n=4, t_max_tau=2.0, steps=400)
+        result = simulate_lab(SystemSpec(n=4, params=params_from_pair(p, q, 0.0)), t_max_tau=2.0, steps=400)
         assert result.populations[200, 12] >= 1.0 - 1e-9  # state 13 at tau
         assert result.populations[400, 0] >= 1.0 - 1e-9  # back to state 1 at 2 tau
         sums = result.populations.sum(axis=1)
@@ -136,7 +137,7 @@ def test_simulate_sixteen_level_peaks():
 
 def test_periodicity_two_and_four():
     for n in (2, 4):
-        result, _ = simulate_lab(3, 1, 0.0, n=n, t_max_tau=2.0, steps=2)
+        result = simulate_lab(SystemSpec(n=n, params=params_from_pair(3, 1, 0.0)), t_max_tau=2.0, steps=2)
         assert result.populations[2, 0] >= 1.0 - 1e-9
 
 
@@ -211,15 +212,24 @@ def test_forbidden_scan_examples():
         spec = SystemSpec(n=2, params=params_from_pair(p, q, 0.0))
         report = forbidden_scan(spec)
         assert report.n_points == 10_000
+        assert report.t_max == 20 * spec.params.tau
         assert report.max_pop_2 < 1.0 - 1e-6
         assert report.max_pop_4 < 1.0 - 1e-6
         assert report.passed
 
 
-def test_forbidden_scan_needs_tau():
-    spec = SystemSpec(n=2, params=CouplingParams(1.0, 1.0, 1.0, 1.0, k=0.0))
-    with pytest.raises(ValueError, match="no tau"):
-        forbidden_scan(spec)
+def test_forbidden_scan_reads_simulate_lab(monkeypatch):
+    calls = []
+    real = dynamics.simulate_lab
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "simulate_lab", spy)
+    spec = SystemSpec(n=2, params=params_from_pair(3, 1, 0.0))
+    forbidden_scan(spec)
+    assert calls == [(spec, 20.0, 9_999)]
 
 
 def test_forbidden_scan_rejects_other_dims():
@@ -260,7 +270,7 @@ def test_system_spec_validation():
 @pytest.mark.parametrize("p", [99, 1001])
 def test_simulate_six_levels_large_couplings(p):
     # W h W^T is symmetric only to ~eps * max|h|, which the relative Hermiticity gate accepts
-    result, _ = simulate_lab(p, 1, 0.5, n=6, t_max_tau=1.0, steps=1)
+    result = simulate_lab(SystemSpec(n=6, params=params_from_pair(p, 1, 0.5)), t_max_tau=1.0, steps=1)
     assert result.populations[1, 30] >= 1.0 - 1e-9
 
 

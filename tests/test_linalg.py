@@ -13,7 +13,7 @@ from pythcpt.linalg import (
     unvectorize,
     vectorize,
 )
-from pythcpt.retrograde import time_independent_conditions
+from pythcpt.retrograde import general_recipe, time_independent_conditions
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -159,8 +159,12 @@ def test_unitarity_gate_threshold():
         (lambda v: simulate(np.zeros((4, 4)), v, np.array([0.0])), "psi0"),
         (lambda v: entanglement_entropy(v, 2), "column"),
         (lambda v: time_independent_conditions(np.zeros((4, 4)), v, 1.0), "state"),
+        (lambda v: general_recipe(np.eye(4), np.eye(4), v, np.eye(4)[1], 0.0), "i_state"),
+        (lambda v: general_recipe(np.eye(4), np.eye(4), np.eye(4)[1], v, 0.0), "f_state"),
     ],
-    ids=["simulate", "entanglement_entropy", "time_independent_conditions"],
+    ids=[
+        "simulate", "entanglement_entropy", "time_independent_conditions", "general_recipe_i", "general_recipe_f",
+    ],
 )
 def test_callers_reject_unnormalized(call, what):
     with pytest.raises(ValueError, match=f"{what} must be normalized"):

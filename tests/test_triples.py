@@ -100,7 +100,7 @@ def test_lab_couplings_examples():
 
 
 def test_lab_couplings_cancellation():
-    params = CouplingParams(1.0, 2.0, 1.0, 2.0, k=0.0, tau=1.0)
+    params = CouplingParams(1.0, 2.0, 1.0, 2.0, tau=1.0)
     v12, v23, v34, v14 = lab_couplings(params)
     assert v23 == 0.0 and v34 == 0.0
 
