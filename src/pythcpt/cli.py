@@ -227,10 +227,9 @@ def _cmd_simulate(cfg: dict) -> int:
     header = ("t" if unit == "absolute" else "t_over_tau") + "," + ",".join(
         f"pop_{i + 1}" for i in range(result.populations.shape[1])
     )
-    lines = [header]
-    for t, row in zip(times, result.populations):
-        lines.append(",".join([repr(float(t))] + [repr(float(x)) for x in row]))
-    text = "\n".join(lines) + "\n"
+    # repr of Python floats round-trips; converting one row at a time keeps the peak memory low
+    rows = (",".join(map(repr, [t, *pops.tolist()])) for t, pops in zip(times.tolist(), result.populations))
+    text = "\n".join([header, *rows]) + "\n"
     if cfg["out"] == "-":
         sys.stdout.write(text)
     else:

@@ -8,7 +8,11 @@ The two-factor Hamiltonian is h1 (x) I + I (x) h2 with each factor
 nearest-neighbour couplings are the V's of :func:`pythcpt.triples.lab_couplings`.
 :func:`simulate_lab` is the one evolution of lab state 1: the CLI
 ``simulate`` traces, the suite's 16-level check and
-:func:`forbidden_scan` all read its populations.
+:func:`forbidden_scan` all read its populations. It evolves through
+:func:`simulate`, which never forms the n^2 x n^2 Hamiltonian: the
+propagator is u1(t) (x) u2(t), so two n x n ``eigh`` calls and 2n real
+sin/cos per time point replace one n^2 x n^2 ``eigh`` and n^2 complex
+exponentials per point.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import lab_frame
-from .linalg import kron, matexp_unitary, require_hermitian, require_normalized, vectorize
+from .linalg import kron, matexp_unitary, require_hermitian, vectorize
 from .su2 import spin_generators, y_matrix
 from .triples import CouplingParams
 
@@ -113,21 +117,64 @@ def lab_hamiltonian(spec: SystemSpec) -> np.ndarray:
     return w @ build_h_tp(spec.n, spec.params) @ w.T
 
 
-def simulate(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> SimulationResult:
-    """Populations |<e_i|exp(-i h t)|psi0>|^2 on a time grid.
+def _rows_times_kron(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ kron(a, b)`` without forming the Kronecker product.
 
-    The Hamiltonian is diagonalized once and all grid points are
-    evaluated from the spectral form, so the cost is one
-    eigendecomposition plus two small matrix products.
+    Row r of the result is the row-major vec of a^T X_r b, where X_r is
+    row r of x reshaped to n x n, so the cost is O(n^5), not O(n^6).
     """
-    psi0 = require_normalized(psi0, "psi0")
-    require_hermitian(h, "Hamiltonian")
+    n = len(a)
+    return (a.T @ x.reshape(-1, n, n) @ b).reshape(len(x), -1)
+
+
+def _phase_map(n: int) -> np.ndarray:
+    """K with exp(-i mu_k theta) = (K f(theta))_k for the ascending spin ladder.
+
+    mu_k = 2k - n + 1 (even n), and f(theta) = (cos(h theta), sin(h theta))
+    over the harmonics h = 1, 3, ..., n - 1; each row of K holds a 1 on
+    the cosine and -i sign(mu_k) on the sine of harmonic |mu_k|.
+    """
+    mu = 2 * np.arange(n) - n + 1
+    harmonic = np.abs(mu) // 2
+    k = np.zeros((n, n), dtype=complex)
+    k[np.arange(n), harmonic] = 1.0
+    k[np.arange(n), n // 2 + harmonic] = -1j * np.sign(mu)
+    return k
+
+
+def _features(n: int, omega: float, times: np.ndarray) -> np.ndarray:
+    """(cos, sin) of the harmonics h * omega * t, h = 1, 3, ..., n - 1, as (n, T)."""
+    angles = np.outer(np.arange(1, n, 2), omega * times)
+    return np.concatenate((np.cos(angles), np.sin(angles)))
+
+
+def simulate(spec: SystemSpec, times: np.ndarray) -> SimulationResult:
+    """Lab-frame populations from lab state 1 at the absolute ``times``.
+
+    The propagator is u1(t) (x) u2(t), and each real factor
+    h_i = 2 Delta_i J3 + 2 Omega_i J1 has the spin ladder
+    omega_i (2k - n + 1), omega_i = hypot(Delta_i, Omega_i), as its
+    spectrum. So each factor is diagonalized once (two n x n ``eigh``
+    calls), E = W kron(V1, V2) is real orthogonal with lab state 1 at
+    coefficients E[0], and psi(t) = M phi(t) with the constant
+    M = E diag(E[0]) kron(K, K) (K from :func:`_phase_map`) and the real
+    features phi(t) = f1(t) (x) f2(t) of :func:`_features`. Per time
+    point that is 2n real sin/cos, n^2 products and two real
+    matrix-vector products; no n^2 x n^2 Hamiltonian is formed.
+    """
+    n, p = spec.n, spec.params
+    w = lab_frame(n)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    evals, evecs = np.linalg.eigh(np.asarray(h, dtype=complex))
-    coeffs = evecs.conj().T @ psi0
-    phases = np.exp(-1j * np.outer(times, evals))  # (T, d)
-    waves = (phases * coeffs) @ evecs.T  # (T, d), component i of psi(t)
-    return SimulationResult(times=times, populations=np.abs(waves) ** 2)
+    drives = ((p.delta1, p.omega1), (p.delta2, p.omega2))
+    v1, v2 = (np.linalg.eigh(build_h_single(n, delta, omega).real)[1] for delta, omega in drives)
+    f1, f2 = (_features(n, np.hypot(delta, omega), times) for delta, omega in drives)
+    e = _rows_times_kron(w, v1, v2)
+    k = _phase_map(n)
+    m = _rows_times_kron(e * e[0], k, k)
+    phi = (f1[:, None, :] * f2[None, :, :]).reshape(n * n, len(times))
+    waves = np.concatenate((m.real, m.imag)) @ phi  # (2 n^2, T): Re psi(t) over Im psi(t)
+    waves *= waves
+    return SimulationResult(times=times, populations=(waves[: n * n] + waves[n * n :]).T)
 
 
 def simulate_lab(spec: SystemSpec, t_max_tau: float, steps: int) -> SimulationResult:
@@ -141,9 +188,7 @@ def simulate_lab(spec: SystemSpec, t_max_tau: float, steps: int) -> SimulationRe
     if t_max_tau < 0:
         raise ValueError(f"t_max must be non-negative, got {t_max_tau}")
     grid_tau = np.linspace(0.0, t_max_tau, steps + 1)
-    psi0 = np.zeros(spec.n * spec.n)
-    psi0[0] = 1.0
-    result = simulate(lab_hamiltonian(spec), psi0, grid_tau * spec.params.tau)
+    result = simulate(spec, grid_tau * spec.params.tau)
     return SimulationResult(times=grid_tau, populations=result.populations)
 
 
@@ -180,6 +225,14 @@ def forbidden_scan(spec: SystemSpec) -> ForbiddenScanReport:
     Starting from state 1 those populations stay strictly below one;
     the report holds their sampled maxima over 10^4 grid points on
     [0, 20*tau].
+
+    The maxima are samples, not bounds. The factor angles advance by
+    pi*q/2 and pi*p/2 per tau, so one grid step spans about (p + q)/1000
+    periods of the fastest population oscillation. For large c (p ~ 1e8
+    to 1e9, c ~ 5e15 to 5e17) that is 10^5 to 10^6 periods: the maxima
+    there are aliased samples, and rounding the grid differently moves
+    them by up to 2e-7 at p = 10^8 + 1. See ROADMAP item 3 (exact triple
+    angles, which take c out of the phases).
     """
     if spec.n != 2:
         raise ValueError(f"forbidden state scan applies to n=2 only, got n={spec.n}")

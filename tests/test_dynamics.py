@@ -18,6 +18,8 @@ from pythcpt.linalg import kron, matexp_unitary
 from pythcpt.reference_tables import sixteen_level_lab, sixteen_level_tp
 from pythcpt.triples import CouplingParams, lab_couplings, params_from_pair
 
+from dense_oracle import dense_simulate
+
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 
@@ -143,8 +145,67 @@ def test_periodicity_two_and_four():
 
 def test_simulate_constant_under_zero_hamiltonian():
     psi0 = np.array([0.6, 0.8], dtype=complex)
-    result = simulate(np.zeros((2, 2)), psi0, np.linspace(0, 5, 7))
+    result = dense_simulate(np.zeros((2, 2)), psi0, np.linspace(0, 5, 7))
     assert np.max(np.abs(result.populations - np.array([0.36, 0.64]))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 16])
+@pytest.mark.parametrize("pqk", [(3, 1, 0.0), (7, 3, -1.2), (101, 7, 0.5), (101, 1, 0.3)])
+def test_simulate_matches_dense_oracle(n, pqk):
+    spec = SystemSpec(n=n, params=params_from_pair(*pqk))
+    times = np.linspace(0.0, 3.0, 61) * spec.params.tau
+    psi0 = np.eye(n * n)[0]
+    dense = dense_simulate(lab_hamiltonian(spec), psi0, times)
+    result = simulate(spec, times)
+    assert np.array_equal(result.times, times)
+    assert result.populations.shape == (61, n * n)
+    assert np.max(np.abs(result.populations - dense.populations)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_simulate_zero_couplings_keep_state_1(n):
+    spec = SystemSpec(n=n, params=CouplingParams(0.0, 0.0, 0.0, 0.0, tau=1.0))
+    result = simulate(spec, np.linspace(0, 5, 7))
+    expected = np.zeros(n * n)
+    expected[0] = 1.0
+    assert np.max(np.abs(result.populations - expected)) < 1e-12
+
+
+def test_simulate_lab_reads_simulate_once(monkeypatch):
+    calls = []
+    real = dynamics.simulate
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "simulate", spy)
+    spec = SystemSpec(n=4, params=params_from_pair(5, 1, 0.3))
+    result = simulate_lab(spec, 2.0, 8)
+    assert len(calls) == 1
+    called_spec, times = calls[0]
+    assert called_spec is spec
+    assert np.array_equal(times, np.linspace(0.0, 2.0, 9) * spec.params.tau)
+    assert np.array_equal(result.times, np.linspace(0.0, 2.0, 9))
+
+
+def test_simulate_lab_forms_no_dense_hamiltonian(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an n^2 x n^2 Hamiltonian was formed")
+
+    dims = []
+    real_eigh = np.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        dims.append((len(a), np.iscomplexobj(a)))
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "lab_hamiltonian", refuse)
+    monkeypatch.setattr(dynamics, "build_h_tp", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    result = simulate_lab(SystemSpec(n=4, params=params_from_pair(3, 1, 0.0)), t_max_tau=2.0, steps=2)
+    assert result.populations[1, 12] >= 1.0 - 1e-9
+    assert dims == [(4, False), (4, False)]
 
 
 def test_verify_cpt_lifts():
@@ -277,6 +338,6 @@ def test_simulate_six_levels_large_couplings(p):
 def test_hermiticity_gate_rejects_order_one_asymmetry():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="not Hermitian"):
-        simulate(bad, np.array([1.0, 0.0]), np.array([0.0]))
+        dense_simulate(bad, np.array([1.0, 0.0]), np.array([0.0]))
     with pytest.raises(ValueError, match="not Hermitian"):
         coupling_graph(bad)

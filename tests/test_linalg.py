@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from pythcpt.dynamics import simulate
 from pythcpt.frames import entanglement_entropy
 from pythcpt.linalg import (
     complete_orthogonal,
@@ -14,6 +13,8 @@ from pythcpt.linalg import (
     vectorize,
 )
 from pythcpt.retrograde import general_recipe, time_independent_conditions
+
+from dense_oracle import dense_simulate
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -156,7 +157,7 @@ def test_unitarity_gate_threshold():
 @pytest.mark.parametrize(
     "call, what",
     [
-        (lambda v: simulate(np.zeros((4, 4)), v, np.array([0.0])), "psi0"),
+        (lambda v: dense_simulate(np.zeros((4, 4)), v, np.array([0.0])), "psi0"),
         (lambda v: entanglement_entropy(v, 2), "column"),
         (lambda v: time_independent_conditions(np.zeros((4, 4)), v, 1.0), "state"),
         (lambda v: general_recipe(np.eye(4), np.eye(4), v, np.eye(4)[1], 0.0), "i_state"),

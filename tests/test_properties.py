@@ -1,5 +1,7 @@
-"""Property tests: the lab frame, the certificate and the doubled-space
-reports against dense oracles."""
+"""Property tests: the lab frame, the certificate, the factorized
+evolution and the doubled-space reports against dense oracles."""
+
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pythcpt import retrograde
-from pythcpt.dynamics import SystemSpec, build_h_tp, verify_cpt
+from pythcpt.dynamics import SystemSpec, build_h_single, build_h_tp, lab_hamiltonian, simulate, verify_cpt
 from pythcpt.frames import lab_frame
 from pythcpt.linalg import kron, matexp_unitary, vectorize
 from pythcpt.retrograde import (
@@ -23,8 +25,16 @@ from pythcpt.retrograde import (
 from pythcpt.su2 import y_matrix
 from pythcpt.triples import params_from_pair
 
+from dense_oracle import dense_simulate
+
 odd_pairs = st.tuples(st.integers(1, 60), st.integers(0, 59)).filter(lambda t: t[0] > t[1]).map(
     lambda t: (2 * t[0] + 1, 2 * t[1] + 1)
+)
+
+coprime_pairs_c_1e4 = (
+    st.tuples(st.integers(0, 70), st.integers(0, 70))
+    .map(lambda t: (2 * max(t) + 1, 2 * min(t) + 1))
+    .filter(lambda pq: pq[0] > pq[1] and math.gcd(*pq) == 1 and (pq[0] ** 2 + pq[1] ** 2) // 2 <= 10_000)
 )
 
 
@@ -125,3 +135,27 @@ def test_doubled_space_reports_never_form_the_dense_propagator(monkeypatch):
     assert time_independent_conditions(h, i_state, np.pi).both_hold
     with pytest.raises(AssertionError, match="doubled matrix"):
         RetrogradeSystem(pulse, "retrograde").propagator(pulse.T / 2.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pq=coprime_pairs_c_1e4,
+    k=st.floats(-3.0, 3.0, allow_nan=False),
+    n=st.sampled_from([2, 4, 6, 8]),
+    t_tau=st.lists(st.floats(0.0, 3.0, allow_nan=False), min_size=1, max_size=12),
+)
+def test_simulate_matches_dense_oracle(pq, k, n, t_tau):
+    spec = SystemSpec(n=n, params=params_from_pair(*pq, k))
+    times = np.array(t_tau) * spec.params.tau
+    pops = simulate(spec, times).populations
+    dense = dense_simulate(lab_hamiltonian(spec), np.eye(n * n)[0], times).populations
+    p = spec.params
+    omegas = [np.hypot(p.delta1, p.omega1), np.hypot(p.delta2, p.omega2)]
+    # the oracle's n^2 x n^2 eigenvalues err by ~eps * |h|, so its phases by ~eps * |h| * t
+    oracle_phase_error = 2 * np.finfo(float).eps * (n - 1) * sum(omegas) * times.max()
+    assert np.max(np.abs(pops - dense)) <= 1e-12 + oracle_phase_error
+    assert np.max(np.abs(pops.sum(axis=1) - 1.0)) <= 1e-12
+    ladder = 2 * np.arange(n) - n + 1
+    for (delta, omega), w in zip(((p.delta1, p.omega1), (p.delta2, p.omega2)), omegas):
+        evals = np.linalg.eigh(build_h_single(n, delta, omega).real)[0]
+        assert np.max(np.abs(evals - w * ladder)) <= 1e-13 * n * w
