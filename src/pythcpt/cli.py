@@ -239,6 +239,8 @@ def _cmd_simulate(cfg: dict) -> int:
 
 
 def _cmd_verify(cfg: dict) -> int:
+    if cfg["n"] > _MAX_LEVELS:  # odd n and n < 2 keep the library's messages
+        raise ConfigError(f"n must be <= {_MAX_LEVELS}, got {cfg['n']}")
     spec = SystemSpec(n=cfg["n"], params=params_from_pair(cfg["p"], cfg["q"], cfg["k"]))
     cert = verify_cpt(spec, tol=cfg["tol"])
     _print_json(
@@ -265,7 +267,7 @@ def _symbolic_basis(n: int) -> list[np.ndarray]:
         o1 = (v["V12"] - v["V34"]) / 2.0
         o2 = (v["V12"] + v["V34"]) / 2.0
         params = CouplingParams(d1, o1, d2, o2, tau=1.0)
-        mats.append(lab_hamiltonian(SystemSpec(n=n, params=params)).real)
+        mats.append(lab_hamiltonian(SystemSpec(n=n, params=params)))
     return mats
 
 
@@ -296,7 +298,7 @@ def _cmd_graph(cfg: dict) -> int:
     if n < 2 or n & (n - 1) or n > _MAX_LEVELS:
         raise ConfigError(f"n must be a power of two with 2 <= n <= {_MAX_LEVELS}, got {n}")
     params = params_from_pair(cfg["p"], cfg["q"], cfg["k"])
-    graph = coupling_graph(lab_hamiltonian(SystemSpec(n=n, params=params)).real)
+    graph = coupling_graph(lab_hamiltonian(SystemSpec(n=n, params=params)))
     symbolic = _symbolic_basis(n) if n in (2, 4) else None
     edges = []
     for i, j, weight in graph.edges:

@@ -166,7 +166,7 @@ def simulate(spec: SystemSpec, times: np.ndarray) -> SimulationResult:
     w = lab_frame(n)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     drives = ((p.delta1, p.omega1), (p.delta2, p.omega2))
-    v1, v2 = (np.linalg.eigh(build_h_single(n, delta, omega).real)[1] for delta, omega in drives)
+    v1, v2 = (np.linalg.eigh(build_h_single(n, delta, omega))[1] for delta, omega in drives)
     f1, f2 = (_features(n, np.hypot(delta, omega), times) for delta, omega in drives)
     e = _rows_times_kron(w, v1, v2)
     k = _phase_map(n)

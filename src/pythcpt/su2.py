@@ -39,7 +39,9 @@ class SpinRep:
 
     J3 is diagonal with eigenvalues j, j-1, ..., -j (descending), J1 is
     real symmetric, J2 purely imaginary, and the three satisfy
-    [J_i, J_j] = i eps_{ijk} J_k.
+    [J_i, J_j] = i eps_{ijk} J_k. J1 and J3 are float64 arrays, so
+    every drive 2 Delta J3 + 2 Omega J1 built from them is real
+    symmetric; J2 is complex128.
     """
 
     n: int
@@ -68,8 +70,7 @@ def spin_generators(n: int) -> SpinRep:
     jminus = jplus.T
     j1 = (jplus + jminus) / 2.0
     j2 = (jplus - jminus) / 2j
-    j3 = np.diag(m).astype(complex)
-    return SpinRep(n=n, j=j, J1=j1.astype(complex), J2=j2, J3=j3)
+    return SpinRep(n=n, j=j, J1=j1, J2=j2, J3=np.diag(m))
 
 
 def y_matrix(n: int) -> np.ndarray:

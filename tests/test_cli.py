@@ -253,12 +253,31 @@ def test_simulate_sixteen_levels_per_factor(capsys):
 
 
 @pytest.mark.parametrize(
-    "command, n", [("simulate", "3"), ("simulate", "34"), ("graph", "6"), ("graph", "64")]
+    "command, n",
+    [("simulate", "3"), ("simulate", "34"), ("graph", "6"), ("graph", "64"), ("verify", "64"), ("verify", "4094")],
 )
 def test_unsupported_n_rejected(capsys, command, n):
-    code, _, err = run_cli(capsys, command, "--p", "3", "--q", "1", "--n", n)
+    code, out, err = run_cli(capsys, command, "--p", "3", "--q", "1", "--n", n)
     assert code == 2
-    assert "<= 32" in err
+    assert out == ""
+    assert "n must be" in err and "<= 32" in err
+
+
+def test_verify_n_bound_from_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 3, "q": 1, "n": 64}))
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "n must be <= 32, got 64" in err
+
+
+def test_verify_largest_n(capsys):
+    code, out, err = run_cli(capsys, "verify", "--p", "3", "--q", "1", "--n", "32")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["pass"] is True
+    assert payload["target_index"] == 32 * 32 - 32 + 1
 
 
 def test_config_file_and_override(tmp_path, capsys):

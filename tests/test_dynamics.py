@@ -208,6 +208,19 @@ def test_simulate_lab_forms_no_dense_hamiltonian(monkeypatch):
     assert dims == [(4, False), (4, False)]
 
 
+def test_verify_cpt_takes_the_real_eigensolver(monkeypatch):
+    seen = []
+    real_eigh = np.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        seen.append((np.shape(a), np.asarray(a).dtype))
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert verify_cpt(SystemSpec(n=4, params=params_from_pair(3, 1, 0.3))).passed
+    assert seen == [((16, 16), np.float64)]
+
+
 def test_verify_cpt_lifts():
     params = params_from_pair(3, 1, 0.0)
     for n, target in ((2, 3), (4, 13), (8, 57)):

@@ -25,7 +25,7 @@ from pythcpt.retrograde import (
 from pythcpt.su2 import y_matrix
 from pythcpt.triples import params_from_pair
 
-from dense_oracle import dense_simulate
+from dense_oracle import dense_propagator, dense_simulate
 
 odd_pairs = st.tuples(st.integers(1, 60), st.integers(0, 59)).filter(lambda t: t[0] > t[1]).map(
     lambda t: (2 * t[0] + 1, 2 * t[1] + 1)
@@ -61,11 +61,51 @@ def test_verify_cpt_amplitude_matches_dense_oracle(pq, k, n):
     params = params_from_pair(*pq, k)
     cert = verify_cpt(SystemSpec(n=n, params=params))
     w = lab_frame(n)
-    u = matexp_unitary(build_h_tp(n, params), params.tau)
+    u = dense_propagator(build_h_tp(n, params), params.tau)
     dense = (w @ u @ w.T)[n * n - n, 0]
     assert abs(cert.phase - dense) <= 1e-12
     assert abs(cert.fidelity - abs(dense) ** 2) <= 1e-12
     assert cert.passed
+
+
+EPS = np.finfo(float).eps
+
+
+def _assert_matches_complex_solver(h, t):
+    """matexp_unitary(h, t) against the complex-eigh oracle, to 16 eps d (1 + max|h| t) in dim d."""
+    d = len(h)
+    u = matexp_unitary(h, t)
+    assert np.max(np.abs(u - dense_propagator(h, t))) <= 16 * EPS * d * (1.0 + np.max(np.abs(h)) * t)
+    assert np.max(np.abs(u @ u.conj().T - np.eye(d))) <= 16 * EPS * d
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.0, 1e3),
+    t=st.floats(0.0, 10.0),
+    complex_entries=st.booleans(),
+)
+def test_matexp_unitary_matches_complex_solver_oracle(d, seed, scale, t, complex_entries):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(d, d)) + (1j * rng.normal(size=(d, d)) if complex_entries else 0.0)
+    h = a + a.conj().T
+    h *= scale / np.max(np.abs(h))
+    assert np.iscomplexobj(h) == complex_entries
+    _assert_matches_complex_solver(h, t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    pq=odd_pairs,
+    k=st.floats(-3.0, 3.0, allow_nan=False),
+    n=st.sampled_from([2, 4, 6, 8]),
+    t_tau=st.floats(0.0, 10.0),
+)
+def test_matexp_unitary_of_build_h_tp_matches_complex_solver_oracle(pq, k, n, t_tau):
+    params = params_from_pair(*pq, k)
+    _assert_matches_complex_solver(build_h_tp(n, params), t_tau * params.tau)
 
 
 def _pulse_case(pq, k, n):

@@ -31,6 +31,9 @@ def test_spin_three_half_j1_superdiagonal():
 def test_generator_structure():
     for n in range(2, 17):
         rep = spin_generators(n)
+        # real J1 and J3 keep every drive 2 Delta J3 + 2 Omega J1 on the real eigensolver
+        assert rep.J1.dtype == rep.J3.dtype == np.float64
+        assert rep.J2.dtype == np.complex128
         assert np.max(np.abs(rep.J1.imag)) == 0.0
         assert np.max(np.abs(rep.J1 - rep.J1.T)) == 0.0
         assert np.max(np.abs(rep.J2.real)) == 0.0
