@@ -17,6 +17,7 @@ exponentials per point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,8 +186,8 @@ def simulate_lab(spec: SystemSpec, t_max_tau: float, steps: int) -> SimulationRe
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
-    if t_max_tau < 0:
-        raise ValueError(f"t_max must be non-negative, got {t_max_tau}")
+    if not (math.isfinite(t_max_tau) and t_max_tau >= 0):
+        raise ValueError(f"t_max must be finite and non-negative, got {t_max_tau}")
     grid_tau = np.linspace(0.0, t_max_tau, steps + 1)
     result = simulate(spec, grid_tau * spec.params.tau)
     return SimulationResult(times=grid_tau, populations=result.populations)

@@ -64,7 +64,7 @@ def require_hermitian(h: np.ndarray, what: str) -> None:
     h = np.asarray(h)
     dev = hermiticity_deviation(h)
     scale = max(1.0, float(np.max(np.abs(h)))) if h.size else 1.0
-    if dev > HERMITICITY_TOL * scale:
+    if not dev <= HERMITICITY_TOL * scale:
         raise ValueError(
             f"{what} is not Hermitian: max |h - h^dagger| = {dev:.3e} "
             f"exceeds {HERMITICITY_TOL:.0e} * max(1, max|h|) = {HERMITICITY_TOL * scale:.3e}"
@@ -75,7 +75,7 @@ def require_normalized(v: np.ndarray, what: str) -> np.ndarray:
     """Return ``v`` as a flat complex vector; raise unless ||v| - 1| <= NORMALIZATION_TOL."""
     v = np.asarray(v, dtype=complex).reshape(-1)
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > NORMALIZATION_TOL:
+    if not abs(norm - 1.0) <= NORMALIZATION_TOL:
         raise ValueError(f"{what} must be normalized, got |{what}| = {norm}")
     return v
 
@@ -83,7 +83,7 @@ def require_normalized(v: np.ndarray, what: str) -> np.ndarray:
 def require_unitary(u: np.ndarray, what: str) -> None:
     """Raise unless max|u u^dagger - I| <= UNITARITY_TOL."""
     err = np.max(np.abs(u @ u.conj().T - np.eye(len(u))))
-    if err > UNITARITY_TOL:
+    if not err <= UNITARITY_TOL:
         raise ValueError(
             f"{what} is not unitary: max |u u^dagger - I| = {err:.3e} exceeds {UNITARITY_TOL:.0e}"
         )
@@ -120,12 +120,12 @@ def complete_orthogonal(rows: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.n
     if not rows:
         raise ValueError("at least one seed row is required")
     seed = np.vstack([np.asarray(r).reshape(-1) for r in rows])
-    if np.iscomplexobj(seed) and np.max(np.abs(seed.imag)) > ORTHONORMALITY_TOL:
+    if np.iscomplexobj(seed) and not np.max(np.abs(seed.imag)) <= ORTHONORMALITY_TOL:
         raise ValueError("seed rows must be real")
     seed = seed.real.astype(float)
     k, dim = seed.shape
     gram_err = np.max(np.abs(seed @ seed.T - np.eye(k)))
-    if gram_err > ORTHONORMALITY_TOL:
+    if not gram_err <= ORTHONORMALITY_TOL:
         raise ValueError(
             f"seed rows are not orthonormal within {ORTHONORMALITY_TOL:.1e} "
             f"(max Gram deviation {gram_err:.3e})"

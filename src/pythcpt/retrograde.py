@@ -7,30 +7,32 @@ rev = U(T-t, T) and fwd = U(t, 0). The semi variant conjugates the
 reversed copy instead of negating it, and so conjugates rev. A doubled
 state is the n x n operator X of V(X); since
 ``kron(A, B) @ V(X) = V(B X A^T)`` the doubled step maps X to
-``fwd X rev^T``, and only ``RetrogradeSystem.propagator``, the dense
-form kept as the test oracle, builds an n^2 x n^2 matrix. Product
-states are outer products, |a b> = V(b a^T); reports carry V(X).
+``fwd X rev^T``, and no n^2 x n^2 matrix is formed anywhere in this
+module. Product states are outer products, |a b> = V(b a^T); reports
+carry V(X).
 
 Each quantity has one home. ``RetrogradeSystem.factors`` gives
-(rev, fwd). ``check_equivalence`` exponentiates each segment once,
-forms U(T, 0) as their product and the image fwd rev^T of V(I) at T/2,
-each with its phase and residual against y, plus trace(y);
-``basic_cpts`` takes its sign, "proportional to Y" gate and (rev, fwd)
-from that one computation, ``odd_dim_demo`` its U(T, 0), U(T/2, 0) =
-fwd, V(I)/V(Y) overlap |trace(y)|/n and V(I) -> V(Y) residual.
-``general_recipe`` is the two-state transfer;
+(rev, fwd), and one call of it at T/2 is the only source of every
+doubled-space propagator: ``check_equivalence`` takes U(T/2, 0) = fwd,
+U(T, T/2) from rev and U(T, 0) as their product, measures U(T, 0) and
+the image fwd rev^T of V(I) at T/2, each with its phase and residual
+against y, plus trace(y); ``basic_cpts`` takes its sign, "proportional
+to Y" gate and (rev, fwd) from that one computation, ``odd_dim_demo``
+its U(T, 0), U(T/2, 0) = fwd, V(I)/V(Y) overlap |trace(y)|/n and
+V(I) -> V(Y) residual. ``general_recipe`` is the two-state transfer;
 ``odd_dim_demo``'s pairwise transfer and each sampled family member of
 ``time_independent_conditions`` are calls to it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import CPT_TOL, build_h_single
-from .linalg import kron, matexp_unitary, require_hermitian, require_normalized, require_unitary, vectorize
+from .linalg import matexp_unitary, require_hermitian, require_normalized, require_unitary, vectorize
 from .su2 import y_matrix
 from .triples import OddPair, params_from_pair
 
@@ -50,8 +52,8 @@ class PulseSchedule:
         for h, d in self.segments:
             if h.shape != (dim, dim):
                 raise ValueError("all segments must share one dimension")
-            if d <= 0:
-                raise ValueError(f"segment durations must be positive, got {d}")
+            if not (math.isfinite(d) and d > 0):
+                raise ValueError(f"segment durations must be finite and positive, got {d}")
             require_hermitian(h, "segment generator")
 
     @property
@@ -75,7 +77,7 @@ def ordered_propagator(schedule: PulseSchedule, t0: float, t1: float) -> np.ndar
     """
     T = schedule.T
     for t in (t0, t1):
-        if t < -1e-12 or t > T + 1e-12:
+        if not -1e-12 <= t <= T + 1e-12:  # NaN fails this too
             raise ValueError(f"time {t} outside schedule range [0, {T}]")
     if t1 < t0:
         return ordered_propagator(schedule, t1, t0).conj().T
@@ -134,10 +136,6 @@ class RetrogradeSystem:
         fwd = ordered_propagator(self.base, 0.0, t)
         return (rev.conj() if self.variant == "semi" else rev), fwd
 
-    def propagator(self, t: float) -> np.ndarray:
-        """Dense doubled propagator kron(rev, fwd) at time t."""
-        return kron(*self.factors(t))
-
 
 def _phase_match(u: np.ndarray, target: np.ndarray, tol: float) -> tuple[bool, complex, float]:
     """Does u equal target up to a global unit phase? Returns (ok, phase, residual).
@@ -184,12 +182,13 @@ def check_equivalence(
 ) -> EquivalenceReport:
     """Verify both directions of U(T,0) = y <=> doubled V(I) -> V(y).
 
-    ``y`` must be unitary and must intertwine the dynamics: every
-    unitary the base schedule generates has to satisfy u y u^T = y for
-    the retrograde variant (u y u^dagger = y for the semi variant);
-    anything else is rejected since the equivalence is meaningless
-    there. Also reports whether trace(y) = 0, i.e. whether the
-    doubled-space transfer is between orthogonal states.
+    ``y`` must be unitary and must intertwine the three unitaries the
+    equivalence is built from, U(T/2, 0), U(T, T/2) and U(T, 0): each
+    such u has to satisfy u y u^T = y for the retrograde variant
+    (u y u^dagger = y for the semi variant), to 1e-9 in max-entry
+    distance; anything else is rejected since the equivalence is
+    meaningless there. Also reports whether trace(y) = 0, i.e. whether
+    the doubled-space transfer is between orthogonal states.
     """
     return _equivalence(base, y, variant, tol)[0]
 
@@ -199,26 +198,24 @@ def _equivalence(
 ) -> tuple[EquivalenceReport, np.ndarray, np.ndarray, np.ndarray]:
     """check_equivalence's report with the U(T, 0) and T/2 factors (rev, fwd) it measured.
 
-    Each segment is exponentiated once; U(T, 0) is their ordered product.
+    One ``factors(T/2)`` call gives fwd = U(T/2, 0) and rev, from which
+    U(T, T/2) is rev^dagger (rev^T for "semi") and U(T, 0) = U(T, T/2) fwd.
     """
     y = np.asarray(y, dtype=complex)
     dim = base.dim
     if y.shape != (dim, dim):
         raise ValueError(f"y has shape {y.shape}, expected {(dim, dim)}")
     require_unitary(y, "y")
-    T = base.T
-    generated = [matexp_unitary(h, d) for h, d in base.segments]
-    u_full = generated[0]
-    for u in generated[1:]:
-        u_full = u @ u_full
-    for u in generated + [u_full]:
+    rev, fwd = RetrogradeSystem(base=base, variant=variant).factors(base.T / 2.0)
+    back = rev.T if variant == "semi" else rev.conj().T  # U(T, T/2)
+    u_full = back @ fwd
+    for u in (fwd, back, u_full):
         resid = np.max(np.abs(u @ y @ (u.T if variant == "retrograde" else u.conj().T) - y))
-        if resid > 1e-9:
+        if not resid <= 1e-9:
             raise ValueError(
                 f"y does not intertwine the schedule's unitaries (residual {resid:.3e})"
             )
     prop_ok, prop_phase, prop_resid = _phase_match(u_full, y, tol)
-    rev, fwd = RetrogradeSystem(base=base, variant=variant).factors(T / 2.0)
     root = np.sqrt(dim)
     # V(I)/sqrt(n) moved to T/2 is V(fwd rev^T)/sqrt(n)
     state_ok, state_phase, state_resid = _phase_match(fwd @ rev.T / root, y / root, tol)
@@ -279,9 +276,9 @@ def general_recipe(
     overlap_if = abs(np.vdot(i_state, f_state))
     if not overlap_if < PARTIAL_OVERLAP_MAX:
         violated.append("overlap_not_below_one")
-    if np.max(np.abs(u_full @ i_state - f_state)) > CPT_TOL:
+    if not np.max(np.abs(u_full @ i_state - f_state)) <= CPT_TOL:
         violated.append("u_full_does_not_map_i_to_f")
-    if np.max(np.abs(u_full @ f_state - np.exp(1j * phi) * i_state)) > CPT_TOL:
+    if not np.max(np.abs(u_full @ f_state - np.exp(1j * phi) * i_state)) <= CPT_TOL:
         violated.append("u_full_does_not_map_f_back_to_i")
     if violated:
         return RecipeResult(ok=False, violated=tuple(violated))

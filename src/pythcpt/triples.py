@@ -4,6 +4,7 @@ coupling parameters (detunings, Rabi frequencies, transfer time)."""
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -63,6 +64,8 @@ def triple_from_pair(pair: OddPair, sign_a: int = 1, sign_b: int = 1) -> PythTri
     a = sign_a * (p * p - q * q) // 2
     b = sign_b * p * q
     c = (p * p + q * q) // 2
+    if c > sys.float_info.max:  # |a| and b are below c, so they fit whenever c does
+        raise ValueError(f"c = (p^2 + q^2)/2 for (p, q) = ({p}, {q}) does not fit a finite float")
     return PythTriple(a=float(a), b=float(b), c=float(c), primitive=math.gcd(p, q) == 1)
 
 
@@ -101,6 +104,8 @@ def coupling_params(triple: PythTriple, k: float = 0.0) -> CouplingParams:
     o2 = 0.5 * (w1 * (c + a) + wk * b)
     tau = math.pi / math.sqrt(2.0 * c)
     params = CouplingParams(delta1=d1, omega1=o1, delta2=d2, omega2=o2, tau=tau)
+    if not all(math.isfinite(v) for v in (*params.as_tuple(), tau)) or tau == 0.0:
+        raise ValueError(f"c={c} overflows the couplings or the transfer time: {params}")
     scale = max(abs(v) for v in params.as_tuple())
     zeros = [
         name

@@ -521,3 +521,23 @@ def test_config_null_counts_as_absent(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "missing required field: N" in err
+
+
+HUGE_P = [10**155 + 1, 14 * 10**153 + 1]  # c overflows a float; c fits but c + a and 2c do not
+
+
+@pytest.mark.parametrize("p", HUGE_P, ids=["c_overflows", "couplings_overflow"])
+@pytest.mark.parametrize("command", ["verify", "retro", "simulate", "graph"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_huge_p_is_invalid_input(capsys, tmp_path, command, p, source):
+    if source == "flag":
+        argv = [command, "--p", str(p), "--q", "1", "--n", "2"]
+    else:
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps({"p": p, "q": 1, "n": 2}))
+        argv = [command, "--config", str(config)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "(p, q) = (" in err or "c=9.8e+307" in err

@@ -171,6 +171,13 @@ def test_simulate_zero_couplings_keep_state_1(n):
     assert np.max(np.abs(result.populations - expected)) < 1e-12
 
 
+@pytest.mark.parametrize("t_max", [float("nan"), float("inf"), -1.0])
+def test_simulate_lab_rejects_bad_t_max(t_max):
+    spec = SystemSpec(n=2, params=params_from_pair(3, 1, 0.0))
+    with pytest.raises(ValueError, match="t_max must be finite and non-negative"):
+        simulate_lab(spec, t_max, 10)
+
+
 def test_simulate_lab_reads_simulate_once(monkeypatch):
     calls = []
     real = dynamics.simulate

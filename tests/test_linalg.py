@@ -154,6 +154,26 @@ def test_unitarity_gate_threshold():
         require_unitary(np.diag([np.sqrt(1.0 + 2e-10), 1.0j]), "u")
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "gate, message",
+    [
+        (lambda: require_hermitian(np.array([[NAN, 0.0], [0.0, 1.0]]), "h"), "h is not Hermitian"),
+        (lambda: require_normalized(np.array([NAN, 0.0]), "v"), "v must be normalized"),
+        (lambda: require_unitary(np.diag([NAN, 1.0]), "u"), "u is not unitary"),
+        (lambda: matexp_unitary(SZ, NAN), "propagator is not unitary"),
+        (lambda: complete_orthogonal([np.array([NAN, 0.0])]), "not orthonormal"),
+        (lambda: complete_orthogonal([np.array([1.0 + NAN * 1j, 0.0])]), "must be real"),
+    ],
+    ids=["hermitian", "normalized", "unitary", "matexp", "gram", "real_seeds"],
+)
+def test_gates_reject_nan(gate, message):
+    with pytest.raises(ValueError, match=message):
+        gate()
+
+
 @pytest.mark.parametrize(
     "call, what",
     [

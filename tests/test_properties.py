@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pythcpt import retrograde
-from pythcpt.dynamics import SystemSpec, build_h_single, build_h_tp, lab_hamiltonian, simulate, verify_cpt
+from pythcpt.dynamics import CPT_TOL, SystemSpec, build_h_single, build_h_tp, lab_hamiltonian, simulate, verify_cpt
 from pythcpt.frames import lab_frame
 from pythcpt.linalg import kron, matexp_unitary, vectorize
 from pythcpt.retrograde import (
@@ -124,7 +124,7 @@ def test_equivalence_doubled_side_matches_dense_oracle(pq, k, n, variant):
     pulse, T = _pulse_case(pq, k, n)
     y = y_matrix(n) if variant == "retrograde" else np.eye(n)
     rep = check_equivalence(pulse, y, variant=variant)
-    dense = RetrogradeSystem(pulse, variant).propagator(T / 2.0) @ vectorize(np.eye(n)) / np.sqrt(n)
+    dense = kron(*RetrogradeSystem(pulse, variant).factors(T / 2.0)) @ vectorize(np.eye(n)) / np.sqrt(n)
     oracle = np.max(np.abs(dense - rep.doubled_phase * vectorize(y) / np.sqrt(n)))
     assert abs(rep.doubled_state_residual - oracle) <= 1e-12
     assert rep.doubled_state_matches == (variant == "retrograde")
@@ -134,7 +134,7 @@ def test_equivalence_doubled_side_matches_dense_oracle(pq, k, n, variant):
 @given(pq=odd_pairs, k=st.floats(-3.0, 3.0, allow_nan=False), n=st.sampled_from([2, 4, 6, 8]))
 def test_basic_cpts_and_recipe_match_dense_oracle(pq, k, n):
     pulse, T = _pulse_case(pq, k, n)
-    half = RetrogradeSystem(pulse, "retrograde").propagator(T / 2.0)
+    half = kron(*RetrogradeSystem(pulse, "retrograde").factors(T / 2.0))
     report = basic_cpts(n, *pq, k)
     unsign = np.conj(report.sign)
     for r in report.records:
@@ -161,7 +161,8 @@ def test_doubled_space_reports_never_form_the_dense_propagator(monkeypatch):
     def refuse(a, b):
         raise AssertionError("an n^2 x n^2 doubled matrix was formed")
 
-    monkeypatch.setattr(retrograde, "kron", refuse)
+    assert not hasattr(retrograde, "kron") and not hasattr(RetrogradeSystem, "propagator")
+    monkeypatch.setattr(np, "kron", refuse)  # catches linalg.kron as well
     pulse = pythagorean_pulse(3, 1, 0.4, n=4)
     assert check_equivalence(pulse, y_matrix(4)).as_pair() == (True, True)
     assert basic_cpts(4, 3, 1, 0.4).all_ok
@@ -174,7 +175,33 @@ def test_doubled_space_reports_never_form_the_dense_propagator(monkeypatch):
     i_state = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2)
     assert time_independent_conditions(h, i_state, np.pi).both_hold
     with pytest.raises(AssertionError, match="doubled matrix"):
-        RetrogradeSystem(pulse, "retrograde").propagator(pulse.T / 2.0)
+        kron(*RetrogradeSystem(pulse, "retrograde").factors(pulse.T / 2.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    pq=coprime_pairs_c_1e4,
+    k=st.floats(-3.0, 3.0, allow_nan=False),
+    n=st.integers(2, 8),
+    variant=st.sampled_from(["retrograde", "semi"]),
+)
+def test_equivalence_equals_segment_product_oracle(pq, k, n, variant):
+    # the oracle exponentiates each segment and multiplies them in order;
+    # the report builds U(T, 0) from the two half-period factors instead
+    pulse = pythagorean_pulse(*pq, k, n=n)
+    y = y_matrix(n) if variant == "retrograde" else np.eye(n, dtype=complex)
+    rep = check_equivalence(pulse, y, variant=variant)
+    u_first, u_second = (matexp_unitary(h, d) for h, d in pulse.segments)
+    u_full = u_second @ u_first
+    rev = u_second.conj().T  # U(T/2, T)
+    if variant == "semi":
+        rev = rev.conj()
+    root = np.sqrt(n)
+    _, prop_phase, prop_resid = retrograde._phase_match(u_full, y, CPT_TOL)
+    _, _, state_resid = retrograde._phase_match(u_first @ rev.T / root, y / root, CPT_TOL)
+    assert rep.propagator_phase == prop_phase
+    assert rep.propagator_residual == prop_resid
+    assert rep.doubled_state_residual == state_resid
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pythcpt import retrograde
 from pythcpt.linalg import kron, matexp_unitary, vectorize
 from pythcpt.retrograde import (
     PulseSchedule,
@@ -78,6 +79,12 @@ def test_schedule_validation():
         PulseSchedule(segments=((SZ, 1.0), (np.eye(3, dtype=complex), 1.0)))
 
 
+@pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+def test_schedule_rejects_non_finite_duration(duration):
+    with pytest.raises(ValueError, match="finite and positive"):
+        PulseSchedule(segments=((SZ, duration),))
+
+
 def test_single_segment_propagator():
     sched = PulseSchedule(segments=((SZ, 2.0),))
     for t in (0.5, 1.3, 2.0):
@@ -117,6 +124,15 @@ def test_propagator_equal_times_and_range():
         ordered_propagator(sched, 0.0, sched.T + 1.0)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_propagator_rejects_non_finite_times(t):
+    sched = PulseSchedule(segments=((SZ, 1.0),))
+    with pytest.raises(ValueError, match="outside"):
+        ordered_propagator(sched, 0.0, t)
+    with pytest.raises(ValueError, match="outside"):
+        ordered_propagator(sched, t, 0.0)
+
+
 def test_pulse_durations():
     params = params_from_pair(3, 1, 0.0)
     pulse = pythagorean_pulse(3, 1, 0.0)
@@ -136,7 +152,7 @@ def test_pulse_propagator_sign():
 def test_retrograde_moves_scalar_to_target():
     pulse = pythagorean_pulse(3, 1, 0.0)
     system = RetrogradeSystem(pulse, "retrograde")
-    moved = system.propagator(pulse.T / 2.0) @ vectorize(np.eye(2))
+    moved = kron(*system.factors(pulse.T / 2.0)) @ vectorize(np.eye(2))
     assert np.max(np.abs(moved - vectorize(Y2))) < 1e-10
 
 
@@ -147,7 +163,7 @@ def test_doubled_schedule_matches_factorized():
         system = RetrogradeSystem(sched, variant)
         for t in (0.0, 0.4, sched.T / 2, sched.T):
             direct = ordered_propagator(doubled_schedule(sched, system.variant), 0.0, t)
-            assert np.max(np.abs(direct - system.propagator(t))) < 1e-10
+            assert np.max(np.abs(direct - kron(*system.factors(t)))) < 1e-10
 
 
 def test_time_reversal_symmetric_base_structure():
@@ -182,8 +198,8 @@ def test_semi_equals_retro_up_to_first_factor_sign_for_real_base():
     for t in (0.3, 0.65, base.T):
         rev = ordered_propagator(base, base.T - 0.0, base.T - t)
         fwd = ordered_propagator(base, 0.0, t)
-        assert np.max(np.abs(retro.propagator(t) - kron(rev, fwd))) < 1e-10
-        assert np.max(np.abs(semi.propagator(t) - kron(rev.conj(), fwd))) < 1e-10
+        assert np.max(np.abs(kron(*retro.factors(t)) - kron(rev, fwd))) < 1e-10
+        assert np.max(np.abs(kron(*semi.factors(t)) - kron(rev.conj(), fwd))) < 1e-10
 
 
 def test_check_equivalence_pythagorean():
@@ -276,6 +292,40 @@ def test_check_equivalence_rejects_non_intertwiner():
         check_equivalence(pythagorean_pulse(3, 1, 0.0), SZ)
 
 
+def test_intertwining_is_checked_on_the_half_period_propagators():
+    # the segments do not keep Y_2 (the first two carry a phase), but
+    # U(T/2, 0), U(T, T/2) and U(T, 0) are what the equivalence uses
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    eye = np.eye(2)
+    base = PulseSchedule(segments=((sx + 0.3 * eye, 1.0), (SZ - 0.3 * eye, 1.0), (sy, 2.0)))
+    rep = check_equivalence(base, y_matrix(2))
+    assert rep.propagator_matches == rep.doubled_state_matches
+    assert rep.as_pair() == (False, False)
+    assert rep.propagator_residual > 0.1 and rep.doubled_state_residual > 0.1
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        lambda: check_equivalence(pythagorean_pulse(7, 3, 0.3, n=4), y_matrix(4)),
+        lambda: basic_cpts(4, 7, 3, 0.3),
+        lambda: odd_dim_demo(7, 3, 0.3),
+    ],
+    ids=["check_equivalence", "basic_cpts", "odd_dim_demo"],
+)
+def test_doubled_space_report_exponentiates_each_segment_once(monkeypatch, report):
+    calls = []
+
+    def counting(h, t):
+        calls.append(t)
+        return matexp_unitary(h, t)
+
+    monkeypatch.setattr(retrograde, "matexp_unitary", counting)
+    report()
+    assert len(calls) == 2
+
+
 def test_general_recipe_two_level_reduction():
     pulse = pythagorean_pulse(3, 1, 0.0)
     u_full = ordered_propagator(pulse, 0.0, pulse.T)
@@ -316,6 +366,15 @@ def test_general_recipe_rejects_equal_states():
     result = general_recipe(np.eye(2, dtype=complex), np.eye(2, dtype=complex), i_state, i_state, 0.0)
     assert not result.ok
     assert "overlap_not_below_one" in result.violated
+
+
+def test_general_recipe_reports_nan_phase_as_broken_cycle():
+    pulse = pythagorean_pulse(3, 1, 0.0)
+    u_full = ordered_propagator(pulse, 0.0, pulse.T)
+    u_half = ordered_propagator(pulse, 0.0, pulse.T / 2.0)
+    i_state = np.array([1.0, 0.0], dtype=complex)
+    result = general_recipe(u_full, u_half, i_state, u_full @ i_state, phi=float("nan"))
+    assert result.violated == ("u_full_does_not_map_f_back_to_i",)
 
 
 def test_general_recipe_names_broken_cycle():

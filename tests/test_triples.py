@@ -157,3 +157,23 @@ def test_rejects_nonpositive_c():
     # triple_from_pair cannot produce c <= 0, so construct directly
     with pytest.raises(ValueError):
         coupling_params(PythTriple(a=3.0, b=4.0, c=-5.0, primitive=True), 0.0)
+
+
+def test_huge_pair_whose_c_overflows_a_float_is_rejected():
+    p = 10**155 + 1
+    with pytest.raises(ValueError, match=r"\(p, q\) = \(1000.*, 1\) does not fit a finite float"):
+        triple_from_pair(OddPair(p, 1))
+    with pytest.raises(ValueError, match="does not fit a finite float"):
+        params_from_pair(p, 1, 0.5)
+
+
+def test_couplings_that_overflow_are_rejected():
+    # c fits a float, but c + a and 2c do not
+    with pytest.raises(ValueError, match=r"c=9.8e\+307 overflows"):
+        params_from_pair(14 * 10**153 + 1, 1, 0.0)
+
+
+def test_zero_transfer_time_is_rejected():
+    # 2c overflows, so tau = pi / sqrt(2c) rounds to 0 while the couplings stay finite
+    with pytest.raises(ValueError, match=r"c=1e\+308 overflows"):
+        coupling_params(PythTriple(a=3.0, b=4.0, c=1e308, primitive=True), 0.0)
