@@ -328,6 +328,8 @@ def _cmd_retro(cfg: dict) -> int:
     if n not in (2, 3, 4):
         raise ConfigError(f"n must be one of 2, 3, 4, got {n}")
     if n == 3:
+        if cfg["variant"] == "semi":
+            raise ConfigError("variant semi is not defined at n = 3: the odd-dimension demo is retrograde only")
         rep = odd_dim_demo(p, q, k)
         ok = rep.action_matches and rep.basic.orthogonality_residual <= tol
         _print_json(

@@ -167,8 +167,13 @@ def simulate(spec: SystemSpec, times: np.ndarray) -> SimulationResult:
     w = lab_frame(n)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     drives = ((p.delta1, p.omega1), (p.delta2, p.omega2))
+    omegas = [float(np.hypot(delta, omega)) for delta, omega in drives]
+    t_abs = float(np.max(np.abs(times), initial=0.0))
+    # Python floats overflow to inf without a warning, so this raises before numpy sees the product
+    if not all(math.isfinite((n - 1) * omega * t_abs) for omega in omegas):
+        raise ValueError(f"factor phase (n - 1) * omega * |t| is not finite at |t| = {t_abs!r}")
     v1, v2 = (np.linalg.eigh(build_h_single(n, delta, omega))[1] for delta, omega in drives)
-    f1, f2 = (_features(n, np.hypot(delta, omega), times) for delta, omega in drives)
+    f1, f2 = (_features(n, omega, times) for omega in omegas)
     e = _rows_times_kron(w, v1, v2)
     k = _phase_map(n)
     m = _rows_times_kron(e * e[0], k, k)
@@ -232,8 +237,8 @@ def forbidden_scan(spec: SystemSpec) -> ForbiddenScanReport:
     periods of the fastest population oscillation. For large c (p ~ 1e8
     to 1e9, c ~ 5e15 to 5e17) that is 10^5 to 10^6 periods: the maxima
     there are aliased samples, and rounding the grid differently moves
-    them by up to 2e-7 at p = 10^8 + 1. See ROADMAP item 3 (exact triple
-    angles, which take c out of the phases).
+    them by up to 2e-7 at p = 10^8 + 1. See ROADMAP items 3 (exact triple
+    angles, which take c out of the phases) and 4 (a closed-form bound).
     """
     if spec.n != 2:
         raise ValueError(f"forbidden state scan applies to n=2 only, got n={spec.n}")

@@ -5,17 +5,17 @@ n-level pair: the symmetric W of :func:`build_w` when n is a power of
 two, :func:`general_even_frame` for any other n, which rejects odd n.
 Its rows are the lab basis vectors.
 
-For n = 2^N the lab frame comes from a real orthogonal *symmetric*
-matrix W whose columns are (normalized) vectorizations of N-fold tensor
-products of the four Sigma matrices. A column is labelled by its digit
-string over {0,1,2,3}, e.g. "31" stands for Sigma3 (x) Sigma1.
+Every frame vector is a normalized row-major stacking ``vectorize(m.T)``
+of an n-by-n matrix m; column-major stacking would flip the sign of
+every Sigma2 factor and break the symmetry of W. Rows 0 and n^2 - n,
+the transfer's lab states 1 and n^2 - n + 1, are V(I)/sqrt(n) and
+V(Y_n)/sqrt(n) bit for bit whichever provider serves n.
 
-Columns are stored in row-major stacking of the tensor product, i.e.
-``vectorize(product.T)``; column-major stacking would flip the sign of
-every Sigma2 factor and break the symmetry. The generic even-n frame in
-:func:`general_even_frame` uses plain column stacking, since there no
-symmetry is required. Only its rows 1 and n^2 - n + 1, V(I)/sqrt(n)
-and V(Y)/sqrt(n), are fixed; the other rows are a QR completion
+For n = 2^N the lab frame is a real orthogonal *symmetric* matrix W
+whose columns are the normalized tensor products of the four Sigma
+matrices. A column is labelled by its digit string over {0,1,2,3},
+e.g. "31" stands for Sigma3 (x) Sigma1. For any other even n only the
+two transfer rows are fixed; the other rows complete them
 (:func:`pythcpt.linalg.complete_orthogonal`) and carry no meaning.
 
 :func:`build_w` writes W in closed form for every N. Split the vec
@@ -37,7 +37,7 @@ follows from one property of F:
 - diag F = e_1 => the diagonal is + on the first half, - on the second
   (demand b).
 - F 1 = e_N => the last column alternates (demand c), and the target
-  column n^2 - n is "1...12", which is +-V(Y_n)/sqrt(n).
+  column n^2 - n is "1...12", which is V(Y_n)/sqrt(n).
 - Row r = 0 is X-only => the first n columns are nonnegative
   (demand a).
 """
@@ -189,10 +189,10 @@ def validate_frame(frame: EntangledFrame) -> FrameValidation:
 def general_even_frame(n: int) -> np.ndarray:
     """Orthogonal frame (as rows) for any even n, without the symmetry.
 
-    Row 1 is V(I_n)/sqrt(n) and row n^2-n+1 is V(Y_n)/sqrt(n) so the
-    transfer runs between lab states 1 and n^2-n+1 as in the 2^N
-    frames; the rest is a deterministic QR completion. Odd n
-    is rejected because there V(I) and V(Y) are not orthogonal
+    Rows 0 and n^2 - n are the transfer rows V(I)/sqrt(n) and
+    V(Y_n)/sqrt(n) of :func:`build_w`, row-major stacked; the other
+    rows complete those two (:func:`pythcpt.linalg.complete_orthogonal`).
+    Odd n is rejected because there V(I) and V(Y) are not orthogonal
     (trace(Y_n) = +-1); this is the one odd-n check of the frame path.
     """
     if n % 2 != 0:
@@ -201,7 +201,7 @@ def general_even_frame(n: int) -> np.ndarray:
             "so there is no lab frame and no complete transfer"
         )
     v1 = vectorize(np.eye(n)) / np.sqrt(n)
-    vy = vectorize(y_matrix(n)) / np.sqrt(n)
+    vy = vectorize(y_matrix(n).T) / np.sqrt(n)
     q = complete_orthogonal([v1, vy])
     target = n * n - n  # 0-based row index for V(Y)
     return np.vstack([q[:1], q[2:target + 1], q[1:2], q[target + 1:]])
@@ -210,8 +210,8 @@ def general_even_frame(n: int) -> np.ndarray:
 def lab_frame(n: int) -> np.ndarray:
     """Lab frame for an n-level pair, as rows (see the module docstring).
 
-    ``build_w(N).W`` for n = 2^N, :func:`general_even_frame` for any
-    other n, which rejects odd n.
+    ``build_w(N).W`` for n = 2^N, else :func:`general_even_frame`, which
+    rejects odd n; both give the same transfer rows 0 and n^2 - n.
     """
     if n & (n - 1) == 0:
         return build_w(n.bit_length() - 1).W

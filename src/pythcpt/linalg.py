@@ -111,11 +111,11 @@ def matexp_unitary(h: np.ndarray, t: float) -> np.ndarray:
 def complete_orthogonal(rows: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
     """Complete real orthonormal rows to a full real orthogonal matrix.
 
-    The given rows appear first, unchanged. The remaining rows are the
-    trailing columns of one QR factorization of ``[seeds^T | I]``,
-    i.e. the seeds followed by the standard basis in index order. Each
-    appended row is sign-fixed so its first nonzero entry is positive,
-    which makes the completion deterministic.
+    The given k rows appear first, unchanged. The remaining rows are the
+    trailing columns of the complete QR factorization of the dim-by-k
+    seed block ``seeds^T``, an orthonormal basis of the seeds'
+    complement. Each appended row is sign-fixed so its first nonzero
+    entry is positive, which makes the completion deterministic.
     """
     if not rows:
         raise ValueError("at least one seed row is required")
@@ -130,7 +130,7 @@ def complete_orthogonal(rows: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.n
             f"seed rows are not orthonormal within {ORTHONORMALITY_TOL:.1e} "
             f"(max Gram deviation {gram_err:.3e})"
         )
-    q, _ = np.linalg.qr(np.hstack([seed.T, np.eye(dim)]))
+    q, _ = np.linalg.qr(seed.T, mode="complete")
     rest = q[:, k:].T
     first = np.argmax(np.abs(rest) > 1e-12, axis=1)
     rest = rest * np.sign(rest[np.arange(dim - k), first])[:, None]

@@ -208,6 +208,29 @@ def test_retro_odd_expected_non_cpt(capsys):
     assert payload["pass"] is True
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_retro_odd_rejects_semi(capsys, tmp_path, source):
+    # the odd-dimension demo has only the retrograde variant
+    if source == "flag":
+        argv = ["retro", "--p", "3", "--q", "1", "--n", "3", "--variant", "semi"]
+    else:
+        config = tmp_path / "semi.json"
+        config.write_text(json.dumps({"p": 3, "q": 1, "n": 3, "variant": "semi"}))
+        argv = ["retro", "--config", str(config)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "semi" in err and err.count("\n") == 1
+
+
+def test_simulate_huge_t_max_is_invalid_input(capsys, recwarn):
+    code, out, err = run_cli(capsys, "simulate", "--p", "3", "--q", "1", "--n", "2", "--steps", "2", "--t-max", "1e308")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "not finite" in err and err.count("\n") == 1
+    assert not recwarn.list
+
+
 def test_frame_output(capsys):
     code, out, _ = run_cli(capsys, "frame", "--N", "2", "--matrix")
     assert code == 0

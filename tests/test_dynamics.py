@@ -178,6 +178,15 @@ def test_simulate_lab_rejects_bad_t_max(t_max):
         simulate_lab(spec, t_max, 10)
 
 
+@pytest.mark.parametrize("n", [2, 6])
+def test_simulate_rejects_a_factor_phase_that_overflows(n, recwarn):
+    spec = SystemSpec(n=n, params=params_from_pair(3, 1, 0.0))
+    with pytest.raises(ValueError, match="factor phase .* is not finite"):
+        simulate(spec, np.array([0.0, 1e308]))
+    # raised before any product is formed, so numpy warns about nothing
+    assert not recwarn.list
+
+
 def test_simulate_lab_reads_simulate_once(monkeypatch):
     calls = []
     real = dynamics.simulate

@@ -150,7 +150,8 @@ def test_build_w_rejects_out_of_range():
 def test_general_even_frame_two():
     q = general_even_frame(2)
     assert np.max(np.abs(q[0] - np.array([1, 0, 0, 1]) / S2)) < 1e-12
-    assert np.max(np.abs(q[2] - np.array([0, -1, 1, 0]) / S2)) < 1e-12
+    # row-major V(Y), as in build_w: the "2" column of the 4-level frame
+    assert np.max(np.abs(q[2] - np.array([0, 1, -1, 0]) / S2)) < 1e-12
 
 
 def test_general_even_frame_orthogonal():
@@ -160,7 +161,31 @@ def test_general_even_frame_orthogonal():
         assert np.max(np.abs(q @ q.T - np.eye(n * n))) < 1e-12
         # the two transfer rows are the seeds of the completion, kept bit for bit
         assert np.array_equal(q[0], vectorize(np.eye(n)) / np.sqrt(n))
-        assert np.array_equal(q[n * n - n], vectorize(y_matrix(n).real) / np.sqrt(n))
+        assert np.array_equal(q[n * n - n], vectorize(y_matrix(n).T) / np.sqrt(n))
+
+
+@pytest.mark.parametrize("n", range(2, 33, 2))
+def test_transfer_rows_are_the_same_for_every_provider(n):
+    # one row convention: the row-major V(I) and V(Y) of build_w, bit for bit at every even n
+    vi = vectorize(np.eye(n)) / np.sqrt(n)
+    vy = vectorize(y_matrix(n).T) / np.sqrt(n)
+    for frame in (lab_frame(n), general_even_frame(n)):
+        assert np.array_equal(frame[0], vi)
+        assert np.array_equal(frame[n * n - n], vy)
+
+
+@pytest.mark.parametrize("n", [6, 10, 12])
+def test_general_even_frame_factorizes_only_the_two_seeds(n, monkeypatch):
+    shapes = []
+    qr = np.linalg.qr
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    general_even_frame(n)
+    assert shapes == [(n * n, 2)]
 
 
 def test_general_even_frame_rejects_odd():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pythcpt import retrograde
@@ -46,9 +46,7 @@ def test_lab_frame_orthogonal_with_transfer_rows(n):
     assert np.max(np.abs(w @ w.T - np.eye(n * n))) <= 1e-12
     sq = np.sqrt(n)
     assert np.max(np.abs(w[0] - vectorize(np.eye(n)) / sq)) <= 1e-12
-    vy = vectorize(y_matrix(n).real) / sq
-    row = w[n * n - n]
-    assert min(np.max(np.abs(row - vy)), np.max(np.abs(row + vy))) <= 1e-12
+    assert np.max(np.abs(w[n * n - n] - vectorize(y_matrix(n).T) / sq)) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -66,6 +64,15 @@ def test_verify_cpt_amplitude_matches_dense_oracle(pq, k, n):
     assert abs(cert.phase - dense) <= 1e-12
     assert abs(cert.fidelity - abs(dense) ** 2) <= 1e-12
     assert cert.passed
+
+
+@pytest.mark.parametrize("n", range(2, 13, 2))
+def test_verify_cpt_phase_is_the_row_major_amplitude(n):
+    # one sign at every even n: <V_r(Y)| U(tau) |V_r(I)> / n with row-major V_r
+    params = params_from_pair(7, 3, 0.3)
+    u = dense_propagator(build_h_tp(n, params), params.tau)
+    amp = vectorize(y_matrix(n).T) @ u @ vectorize(np.eye(n)) / n
+    assert abs(verify_cpt(SystemSpec(n=n, params=params)).phase - amp) <= 1e-12
 
 
 EPS = np.finfo(float).eps
@@ -185,11 +192,13 @@ def test_doubled_space_reports_never_form_the_dense_propagator(monkeypatch):
     n=st.integers(2, 8),
     variant=st.sampled_from(["retrograde", "semi"]),
 )
+@example(pq=(43, 3), k=-1.15625, n=7, variant="retrograde")
 def test_equivalence_equals_segment_product_oracle(pq, k, n, variant):
     # the oracle exponentiates each segment and multiplies them in order;
     # the report builds U(T, 0) from the two half-period factors instead
     pulse = pythagorean_pulse(*pq, k, n=n)
-    y = y_matrix(n) if variant == "retrograde" else np.eye(n, dtype=complex)
+    # complex, as the report takes y, so both sides divide the same target
+    y = (y_matrix(n) if variant == "retrograde" else np.eye(n)).astype(complex)
     rep = check_equivalence(pulse, y, variant=variant)
     u_first, u_second = (matexp_unitary(h, d) for h, d in pulse.segments)
     u_full = u_second @ u_first
