@@ -13,6 +13,7 @@ from .linalg import (
     complete_orthogonal,
     kron,
     matexp_unitary,
+    propagator_elements,
     unvectorize,
     vectorize,
 )
@@ -118,6 +119,7 @@ __all__ = [
     "odd_dim_demo",
     "ordered_propagator",
     "params_from_pair",
+    "propagator_elements",
     "pythagorean_pulse",
     "run_suite",
     "sigma_set",

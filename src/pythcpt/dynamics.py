@@ -12,7 +12,11 @@ nearest-neighbour couplings are the V's of :func:`pythcpt.triples.lab_couplings`
 :func:`simulate`, which never forms the n^2 x n^2 Hamiltonian: the
 propagator is u1(t) (x) u2(t), so two n x n ``eigh`` calls and 2n real
 sin/cos per time point replace one n^2 x n^2 ``eigh`` and n^2 complex
-exponentials per point.
+exponentials per point. :func:`verify_cpt` still diagonalizes the real
+n^2 x n^2 ``build_h_tp`` once, but reads its two amplitudes straight
+from the spectral decomposition
+(:func:`pythcpt.linalg.propagator_elements`), so it forms no n^2 x n^2
+propagator and runs no n^2 x n^2 complex product.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import lab_frame
-from .linalg import kron, matexp_unitary, require_hermitian, vectorize
+from .linalg import kron, propagator_elements, require_hermitian, vectorize
 from .su2 import spin_generators, y_matrix
 from .triples import CouplingParams
 
@@ -203,23 +207,31 @@ def verify_cpt(spec: SystemSpec, tol: float = CPT_TOL) -> CptCertificate:
 
     Reports the lab-frame fidelity, the equivalent product-frame
     overlap |<V(Y)/sqrt(n)| U(tau) |V(I)/sqrt(n)>|, and the measured
-    global phase of the transfer amplitude.
+    global phase of the transfer amplitude. ``tol`` must be finite and
+    positive.
+
+    Both amplitudes come from one :func:`propagator_elements` call on
+    ``build_h_tp``: the lab amplitude reads rows n^2 - n and 0 of the
+    lab frame, the overlap the column-stacked V(Y) and V(I). The
+    n^2 x n^2 propagator U(tau) is never formed.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
     n = spec.n
     tau = spec.params.tau
     w = lab_frame(n)
-    u_tp = matexp_unitary(build_h_tp(n, spec.params), tau)
     target = n * n - n  # 0-based
-    amp = w[target] @ u_tp @ w[0]  # (W U W^T)[target, 0] without forming W U W^T
     vi = vectorize(np.eye(n)) / np.sqrt(n)
     vy = vectorize(y_matrix(n)) / np.sqrt(n)
-    tp_overlap = abs(np.vdot(vy, u_tp @ vi))
+    amp, overlap = propagator_elements(
+        build_h_tp(n, spec.params), tau, np.stack((w[target], vy)), np.stack((w[0], vi))
+    )
     return CptCertificate(
         n=n,
         target_index=target + 1,
         tau=tau,
         fidelity=float(abs(amp) ** 2),
-        tp_overlap=float(tp_overlap),
+        tp_overlap=float(abs(overlap)),
         phase=complex(amp),
         tolerance=tol,
     )

@@ -5,6 +5,15 @@ of partial real frames, and one gate per invariant:
 max(1, max|h|)), ``require_normalized`` (NORMALIZATION_TOL = 1e-10)
 and ``require_unitary`` (UNITARITY_TOL = 1e-10).
 
+Two functions evolve by a Hermitian generator. ``matexp_unitary``
+returns the whole propagator exp(-i h t). ``propagator_elements``
+returns only chosen matrix elements <bra_i| exp(-i h t) |ket_i>, read
+from the spectral decomposition without forming the propagator. It
+keeps three gates: ``require_hermitian`` on h, ``require_unitary`` on
+the eigenbasis, and unit modulus of the phases exp(-i lambda t) (to
+UNITARITY_TOL, so a NaN or infinite t raises "propagator is not
+unitary").
+
 All functions are pure and operate on plain numpy arrays. Matrices are
 2-d ``ndarray``s, vectors 1-d. Everything here is exact up to
 eigendecomposition error, which is why propagators are computed by
@@ -22,8 +31,19 @@ ORTHONORMALITY_TOL = 1e-10
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with block (i, j) equal to ``a[i, j] * b``."""
-    return np.kron(np.asarray(a), np.asarray(b))
+    """Kronecker product with block (i, j) equal to ``a[i, j] * b``.
+
+    Two matrices or two vectors are multiplied in one broadcast, which
+    is bit-identical to ``np.kron`` and cheaper for small inputs; other
+    shapes go to ``np.kron``.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim == b.ndim == 2:
+        shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+        return (a[:, None, :, None] * b[None, :, None, :]).reshape(shape)
+    if a.ndim == b.ndim == 1:
+        return np.multiply.outer(a, b).reshape(-1)
+    return np.kron(a, b)
 
 
 def vectorize(x: np.ndarray) -> np.ndarray:
@@ -106,6 +126,36 @@ def matexp_unitary(h: np.ndarray, t: float) -> np.ndarray:
     u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
     require_unitary(u, "propagator")
     return u
+
+
+def propagator_elements(h: np.ndarray, t: float, bras: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """Return ``<bras[i]| exp(-i h t) |kets[i]>`` for each row pair i.
+
+    ``bras`` and ``kets`` hold one vector per row, and bras are
+    conjugated; a single bra and ket give a single element. With
+    h = V diag(lambda) V^dagger the
+    elements are sum_j (bra^dagger V)_j exp(-i lambda_j t) (V^dagger ket)_j,
+    from one ``eigh`` and two thin products: the propagator is never
+    formed, so no d x d reconstruction runs. The gates stand in for the
+    unitarity check of :func:`matexp_unitary`: ``h`` must pass
+    :func:`require_hermitian`, the eigenbasis :func:`require_unitary`,
+    and every phase must have unit modulus to UNITARITY_TOL.
+    """
+    h = np.asarray(h)
+    require_hermitian(h, "generator")
+    evals, evecs = np.linalg.eigh(h)
+    require_unitary(evecs, "eigenbasis")
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite t is reported by the gate below
+        phases = np.exp(-1j * evals * t)
+        err = float(np.abs(np.abs(phases) - 1.0).max())
+    if not err <= UNITARITY_TOL:
+        raise ValueError(
+            f"propagator is not unitary: max ||exp(-i lambda t)| - 1| = {err:.3e} "
+            f"exceeds {UNITARITY_TOL:.0e} at t = {t!r}"
+        )
+    left = np.conj(bras) @ evecs  # row i: bra_i^dagger V
+    right = np.conj(np.conj(kets) @ evecs)  # row i: (V^dagger ket_i)^T
+    return (left * right) @ phases
 
 
 def complete_orthogonal(rows: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from pythcpt import dynamics
+from pythcpt import dynamics, linalg
 from pythcpt.dynamics import (
     SystemSpec,
     build_h_single,
@@ -232,9 +234,41 @@ def test_verify_cpt_takes_the_real_eigensolver(monkeypatch):
         seen.append((np.shape(a), np.asarray(a).dtype))
         return real_eigh(a, *args, **kwargs)
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_cpt formed a full propagator")
+
+    assert not hasattr(dynamics, "matexp_unitary")
+    monkeypatch.setattr(linalg, "matexp_unitary", refuse)
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    assert verify_cpt(SystemSpec(n=4, params=params_from_pair(3, 1, 0.3))).passed
-    assert seen == [((16, 16), np.float64)]
+    for n in (2, 4, 6):
+        seen.clear()
+        assert verify_cpt(SystemSpec(n=n, params=params_from_pair(3, 1, 0.3))).passed
+        assert seen == [((n * n, n * n), np.float64)]
+
+
+def test_verify_cpt_nan_tau_raises():
+    params = dataclasses.replace(params_from_pair(3, 1, 0.3), tau=float("nan"))
+    with pytest.raises(ValueError, match="propagator is not unitary"):
+        verify_cpt(SystemSpec(n=4, params=params))
+
+
+def test_verify_cpt_rejects_a_non_orthonormal_eigenbasis(monkeypatch):
+    real_eigh = np.linalg.eigh
+
+    def skewed(a, *args, **kwargs):
+        evals, evecs = real_eigh(a, *args, **kwargs)
+        evecs[:, 0] += 1e-6 * evecs[:, 1]
+        return evals, evecs
+
+    monkeypatch.setattr(np.linalg, "eigh", skewed)
+    with pytest.raises(ValueError, match="eigenbasis is not unitary"):
+        verify_cpt(SystemSpec(n=4, params=params_from_pair(3, 1, 0.3)))
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1e-9, 0.0])
+def test_verify_cpt_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be a finite positive number"):
+        verify_cpt(SystemSpec(n=2, params=params_from_pair(3, 1, 0.3)), tol=tol)
 
 
 def test_verify_cpt_lifts():

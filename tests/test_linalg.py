@@ -6,6 +6,7 @@ from pythcpt.linalg import (
     complete_orthogonal,
     kron,
     matexp_unitary,
+    propagator_elements,
     require_hermitian,
     require_normalized,
     require_unitary,
@@ -23,6 +24,24 @@ SIG2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 def test_kron_identity():
     assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+
+
+@pytest.mark.parametrize(
+    "shape_a, shape_b",
+    [((2, 2), (2, 2)), ((3, 2), (2, 5)), ((1, 4), (3, 1)), ((4,), (3,)), ((2, 3), (0, 2)), ((2,), (2, 2))],
+)
+@pytest.mark.parametrize("dtypes", [(float, float), (complex, complex), (float, complex), (complex, float)])
+def test_kron_is_bit_identical_to_numpy(shape_a, shape_b, dtypes):
+    rng = np.random.default_rng(11)
+
+    def sample(shape, dtype):
+        x = rng.normal(size=shape)
+        return x + 1j * rng.normal(size=shape) if dtype is complex else x
+
+    a, b = sample(shape_a, dtypes[0]), sample(shape_b, dtypes[1])
+    got, want = kron(a, b), np.kron(a, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_kron_diagonal():
@@ -164,10 +183,12 @@ NAN = float("nan")
         (lambda: require_normalized(np.array([NAN, 0.0]), "v"), "v must be normalized"),
         (lambda: require_unitary(np.diag([NAN, 1.0]), "u"), "u is not unitary"),
         (lambda: matexp_unitary(SZ, NAN), "propagator is not unitary"),
+        (lambda: propagator_elements(SZ, NAN, np.eye(2), np.eye(2)), "propagator is not unitary"),
+        (lambda: propagator_elements(SZ, float("inf"), np.eye(2), np.eye(2)), "propagator is not unitary"),
         (lambda: complete_orthogonal([np.array([NAN, 0.0])]), "not orthonormal"),
         (lambda: complete_orthogonal([np.array([1.0 + NAN * 1j, 0.0])]), "must be real"),
     ],
-    ids=["hermitian", "normalized", "unitary", "matexp", "gram", "real_seeds"],
+    ids=["hermitian", "normalized", "unitary", "matexp", "elements_nan", "elements_inf", "gram", "real_seeds"],
 )
 def test_gates_reject_nan(gate, message):
     with pytest.raises(ValueError, match=message):
@@ -203,6 +224,19 @@ def test_matexp_group_property_and_unitarity():
         u_ts = matexp_unitary(h, t + s)
         assert np.max(np.abs(u_t @ u_s - u_ts)) < 1e-10
         assert np.max(np.abs(u_t @ u_t.conj().T - np.eye(dim))) < 1e-10
+
+
+def test_propagator_elements_sigma_x_quarter_period():
+    # exp(-i sigma_x pi/2) = -i sigma_x: <0|U|0> = 0, <0|U|1> = -i, and one pair gives one element
+    t = np.pi / 2
+    assert np.allclose(propagator_elements(SX, t, np.eye(2)[[0, 0]], np.eye(2)), [0.0, -1j], atol=1e-15)
+    got = propagator_elements(SX, t, np.eye(2)[1], np.eye(2)[0])
+    assert np.shape(got) == () and abs(got + 1j) < 1e-15
+
+
+def test_propagator_elements_rejects_non_hermitian():
+    with pytest.raises(ValueError, match="generator is not Hermitian"):
+        propagator_elements(SIG2, 1.0, np.eye(2), np.eye(2))
 
 
 def test_complete_orthogonal_standard_basis():

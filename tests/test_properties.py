@@ -2,16 +2,17 @@
 evolution and the doubled-space reports against dense oracles."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pythcpt import retrograde
+from pythcpt import linalg, retrograde
 from pythcpt.dynamics import CPT_TOL, SystemSpec, build_h_single, build_h_tp, lab_hamiltonian, simulate, verify_cpt
 from pythcpt.frames import lab_frame
-from pythcpt.linalg import kron, matexp_unitary, vectorize
+from pythcpt.linalg import kron, matexp_unitary, propagator_elements, vectorize
 from pythcpt.retrograde import (
     RetrogradeSystem,
     basic_cpts,
@@ -76,6 +77,51 @@ def test_verify_cpt_phase_is_the_row_major_amplitude(n):
 
 
 EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n, pqk", [(n, (7, 3, 0.3)) for n in range(2, 13, 2)] + [(8, (10**8 + 1, 1, 0.5))])
+def test_verify_cpt_matches_the_dense_propagators(n, pqk):
+    params = params_from_pair(*pqk)
+    cert = verify_cpt(SystemSpec(n=n, params=params))
+    h = build_h_tp(n, params)
+    w = lab_frame(n)
+    vi, vy = (vectorize(m) / np.sqrt(n) for m in (np.eye(n), y_matrix(n)))
+    # the complex oracle's eigenvalues err by ~eps * max|h|, so its phase by ~eps * max|h| * tau
+    # (8e-8 at p = 10^8 + 1); matexp_unitary reconstructs from the same real spectrum as verify_cpt
+    oracle_phase_error = 4 * EPS * np.max(np.abs(h)) * params.tau
+    for u, phase_tol in ((dense_propagator(h, params.tau), 1e-12 + oracle_phase_error),
+                         (matexp_unitary(h, params.tau), 1e-12)):
+        amp = w[n * n - n] @ u @ w[0]
+        assert abs(cert.fidelity - abs(amp) ** 2) <= 1e-12
+        assert abs(cert.tp_overlap - abs(np.vdot(vy, u @ vi))) <= 1e-12
+        assert abs(cert.phase - amp) <= phase_tol
+    assert cert.passed
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 16),
+    pairs=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.0, 1e3),
+    t=st.floats(0.0, 10.0),
+    complex_entries=st.booleans(),
+)
+def test_propagator_elements_match_matexp_unitary(d, pairs, seed, scale, t, complex_entries):
+    """<bra| U |ket> from the spectrum against bra^dagger matexp_unitary(h, t) ket, to 16 eps d (1 + max|h| t)."""
+    rng = np.random.default_rng(seed)
+
+    def sample(*shape):
+        return rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_entries else 0.0)
+
+    a = sample(d, d)
+    h = a + a.conj().T
+    h *= scale / np.max(np.abs(h))
+    bras, kets = (x / np.linalg.norm(x, axis=1, keepdims=True) for x in (sample(pairs, d), sample(pairs, d)))
+    got = propagator_elements(h, t, bras, kets)
+    want = np.einsum("ij,jk,ik->i", bras.conj(), matexp_unitary(h, t), kets)
+    assert got.shape == (pairs,)
+    assert np.max(np.abs(got - want)) <= 16 * EPS * d * (1.0 + np.max(np.abs(h)) * t)
 
 
 def _assert_matches_complex_solver(h, t):
@@ -169,7 +215,11 @@ def test_doubled_space_reports_never_form_the_dense_propagator(monkeypatch):
         raise AssertionError("an n^2 x n^2 doubled matrix was formed")
 
     assert not hasattr(retrograde, "kron") and not hasattr(RetrogradeSystem, "propagator")
-    monkeypatch.setattr(np, "kron", refuse)  # catches linalg.kron as well
+    # linalg.kron multiplies by broadcasting, so every pythcpt binding of it is refused as well
+    monkeypatch.setattr(np, "kron", refuse)
+    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "pythcpt"]:
+        if getattr(mod, "kron", None) is kron:
+            monkeypatch.setattr(mod, "kron", refuse)
     pulse = pythagorean_pulse(3, 1, 0.4, n=4)
     assert check_equivalence(pulse, y_matrix(4)).as_pair() == (True, True)
     assert basic_cpts(4, 3, 1, 0.4).all_ok
@@ -182,7 +232,7 @@ def test_doubled_space_reports_never_form_the_dense_propagator(monkeypatch):
     i_state = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2)
     assert time_independent_conditions(h, i_state, np.pi).both_hold
     with pytest.raises(AssertionError, match="doubled matrix"):
-        kron(*RetrogradeSystem(pulse, "retrograde").factors(pulse.T / 2.0))
+        linalg.kron(*RetrogradeSystem(pulse, "retrograde").factors(pulse.T / 2.0))
 
 
 @settings(max_examples=40, deadline=None)
