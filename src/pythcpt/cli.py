@@ -186,8 +186,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _print_json(payload: dict, stream=None) -> None:
-    print(json.dumps(payload, indent=2), file=stream or sys.stdout)
+def _print_json(payload: dict) -> None:
+    print(json.dumps(payload, indent=2))
 
 
 def _cmd_triples(cfg: dict) -> int:
@@ -330,8 +330,8 @@ def _cmd_retro(cfg: dict) -> int:
     if n == 3:
         if cfg["variant"] == "semi":
             raise ConfigError("variant semi is not defined at n = 3: the odd-dimension demo is retrograde only")
-        rep = odd_dim_demo(p, q, k)
-        ok = rep.action_matches and rep.basic.orthogonality_residual <= tol
+        rep = odd_dim_demo(p, q, k, tol)
+        ok = rep.action_matches and rep.basic.ok
         _print_json(
             {
                 "n": 3,
@@ -361,7 +361,7 @@ def _cmd_retro(cfg: dict) -> int:
     }
     ok = equiv.propagator_matches and equiv.doubled_state_matches
     if cfg["variant"] == "retrograde":
-        report = basic_cpts(n, p, q, k)
+        report = basic_cpts(n, p, q, k, tol)
         payload["pairwise_transfers"] = [
             {"index": r.index, "orthogonality_residual": r.orthogonality_residual, "ok": r.ok}
             for r in report.records

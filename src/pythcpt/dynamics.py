@@ -99,6 +99,12 @@ class CouplingGraph:
     diagonal: np.ndarray
 
 
+def require_tol(tol: float) -> None:
+    """Raise ValueError unless a certification tolerance is a finite positive number."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+
+
 def build_h_single(n: int, delta: float, omega: float) -> np.ndarray:
     """Single-factor Hamiltonian 2*delta*J3 + 2*omega*J1 (dim n).
 
@@ -215,8 +221,7 @@ def verify_cpt(spec: SystemSpec, tol: float = CPT_TOL) -> CptCertificate:
     lab frame, the overlap the column-stacked V(Y) and V(I). The
     n^2 x n^2 propagator U(tau) is never formed.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+    require_tol(tol)
     n = spec.n
     tau = spec.params.tau
     w = lab_frame(n)

@@ -21,7 +21,16 @@ to Y" gate and (rev, fwd) from that one computation, ``odd_dim_demo``
 its U(T, 0), U(T/2, 0) = fwd, V(I)/V(Y) overlap |trace(y)|/n and
 V(I) -> V(Y) residual. ``general_recipe`` is the two-state transfer;
 ``odd_dim_demo``'s pairwise transfer and each sampled family member of
-``time_independent_conditions`` are calls to it.
+``time_independent_conditions`` are calls to it. ``ordered_propagator``
+multiplies the segments of an interval in one pass and returns the
+adjoint for a reversed one, so ``factors`` costs two calls.
+
+``check_equivalence``, ``basic_cpts`` and ``odd_dim_demo`` each take a
+``tol`` (default CPT_TOL), reject one that is not finite and positive,
+and judge every verdict of their reports with it: the two sides of the
+equivalence, ``is_cpt``, the pairwise ``ok`` and ``all_ok``, and
+``action_matches``. The preconditions of ``general_recipe`` and the
+1e-9 intertwining and 1e-8 "proportional to Y" gates stay fixed.
 """
 
 from __future__ import annotations
@@ -31,10 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CPT_TOL, build_h_single
+from .dynamics import CPT_TOL, build_h_single, require_tol
 from .linalg import matexp_unitary, require_hermitian, require_normalized, require_unitary, vectorize
 from .su2 import y_matrix
-from .triples import OddPair, params_from_pair
+from .triples import params_from_pair
 
 PARTIAL_OVERLAP_MAX = 1.0 - 1e-12  # |<i|f>| below this: the recipe's two states are distinct
 
@@ -71,26 +80,24 @@ class PulseSchedule:
 def ordered_propagator(schedule: PulseSchedule, t0: float, t1: float) -> np.ndarray:
     """Time-ordered propagator U(t1, t0) of a piecewise-constant schedule.
 
-    Partial segments are handled exactly; ``t1 < t0`` returns the
-    adjoint of the forward propagator, so the group property
-    U(t3, t2) U(t2, t1) = U(t3, t1) holds for any ordering of times.
+    One pass multiplies the segments of [min(t0, t1), max(t0, t1)],
+    partial segments exactly; ``t1 < t0`` returns the adjoint of that
+    product, so the group property U(t3, t2) U(t2, t1) = U(t3, t1)
+    holds for any ordering of times, and ``t1 == t0`` gives the identity.
     """
     T = schedule.T
     for t in (t0, t1):
         if not -1e-12 <= t <= T + 1e-12:  # NaN fails this too
             raise ValueError(f"time {t} outside schedule range [0, {T}]")
-    if t1 < t0:
-        return ordered_propagator(schedule, t1, t0).conj().T
+    t_lo, t_hi = min(t0, t1), max(t0, t1)
     u = np.eye(schedule.dim, dtype=complex)
-    if t1 == t0:
-        return u
     start = schedule.boundaries()[:-1]
     for (h, d), s in zip(schedule.segments, start):
-        lo = max(t0, s)
-        hi = min(t1, s + d)
+        lo = max(t_lo, s)
+        hi = min(t_hi, s + d)
         if hi - lo > 1e-15:
             u = matexp_unitary(h, hi - lo) @ u
-    return u
+    return u.conj().T if t1 < t0 else u
 
 
 def pythagorean_pulse(p: int, q: int, k: float = 0.0, n: int = 2) -> PulseSchedule:
@@ -102,8 +109,7 @@ def pythagorean_pulse(p: int, q: int, k: float = 0.0, n: int = 2) -> PulseSchedu
     optional ``n`` lifts the same drive to the spin-(n-1)/2
     representation.
     """
-    pair = OddPair(p, q)
-    params = params_from_pair(pair.p, pair.q, k)
+    params = params_from_pair(p, q, k)
     tau = params.tau
     h_a = build_h_single(n, params.delta1, params.omega1)
     h_b = -build_h_single(n, params.delta2, params.omega2)
@@ -187,9 +193,11 @@ def check_equivalence(
     such u has to satisfy u y u^T = y for the retrograde variant
     (u y u^dagger = y for the semi variant), to 1e-9 in max-entry
     distance; anything else is rejected since the equivalence is
-    meaningless there. Also reports whether trace(y) = 0, i.e. whether
-    the doubled-space transfer is between orthogonal states.
+    meaningless there. Also reports whether |trace(y)| <= tol, i.e.
+    whether the doubled-space transfer is between orthogonal states.
+    ``tol`` must be finite and positive.
     """
+    require_tol(tol)
     return _equivalence(base, y, variant, tol)[0]
 
 
@@ -227,7 +235,7 @@ def _equivalence(
         doubled_phase=state_phase,
         propagator_residual=prop_resid,
         doubled_state_residual=state_resid,
-        is_cpt=abs(trace_y) <= CPT_TOL,
+        is_cpt=abs(trace_y) <= tol,
         trace_y=trace_y,
     )
     return report, u_full, rev, fwd
@@ -373,10 +381,11 @@ class BasicCptRecord:
     initial: np.ndarray
     final: np.ndarray
     orthogonality_residual: float
+    tolerance: float
 
     @property
     def ok(self) -> bool:
-        return self.orthogonality_residual <= CPT_TOL
+        return self.orthogonality_residual <= self.tolerance
 
 
 @dataclass(frozen=True)
@@ -400,17 +409,18 @@ class BasicCptReport:
     uniform_initial: np.ndarray
     uniform_final: np.ndarray
     uniform_target_residual: float
+    tolerance: float
 
     @property
     def all_ok(self) -> bool:
         return (
             all(r.ok for r in self.records)
-            and all(res <= CPT_TOL for _, res in self.family_samples)
-            and self.uniform_target_residual <= CPT_TOL
+            and all(res <= self.tolerance for _, res in self.family_samples)
+            and self.uniform_target_residual <= self.tolerance
         )
 
 
-def basic_cpts(n: int, p: int, q: int, k: float = 0.0) -> BasicCptReport:
+def basic_cpts(n: int, p: int, q: int, k: float = 0.0, tol: float = CPT_TOL) -> BasicCptReport:
     """Pairwise transfers of the lifted pulse in even dimension n.
 
     Each of the n/2 initial states (|ii> + |n+1-i,n+1-i>)/sqrt(2) is
@@ -418,13 +428,15 @@ def basic_cpts(n: int, p: int, q: int, k: float = 0.0) -> BasicCptReport:
     its image; 20 random unit combinations of the initial states
     (seeded, so reports repeat) are sampled as well. The uniform
     combination is compared against the universal target V(Y)/sqrt(n).
-    Every such state is V(diag(d)), moved to V(fwd diag(d) rev^T).
+    Every such state is V(diag(d)), moved to V(fwd diag(d) rev^T). The
+    verdicts ``ok`` and ``all_ok`` read the finite positive ``tol``.
     """
+    require_tol(tol)
     if n % 2 != 0:
         raise ValueError(f"pairwise transfers need even n, got {n}")
     base = pythagorean_pulse(p, q, k, n=n)
     y = y_matrix(n)
-    equiv, _, rev, fwd = _equivalence(base, y, "retrograde", CPT_TOL)
+    equiv, _, rev, fwd = _equivalence(base, y, "retrograde", tol)
     if equiv.propagator_residual > 1e-8:
         raise ValueError(f"pulse propagator for (p, q, k)=({p}, {q}, {k}) is not proportional to Y")
     sign = equiv.propagator_phase
@@ -441,7 +453,9 @@ def basic_cpts(n: int, p: int, q: int, k: float = 0.0) -> BasicCptReport:
         final = np.conj(sign) * vectorize(moved(d))
         resid = float(abs(np.vdot(initial, final)))
         records.append(
-            BasicCptRecord(index=i, initial=initial, final=final, orthogonality_residual=resid)
+            BasicCptRecord(
+                index=i, initial=initial, final=final, orthogonality_residual=resid, tolerance=tol
+            )
         )
         diagonals.append(d)
     rng = np.random.default_rng(7)
@@ -466,6 +480,7 @@ def basic_cpts(n: int, p: int, q: int, k: float = 0.0) -> BasicCptReport:
         uniform_initial=vectorize(np.diag(uniform)),
         uniform_final=uniform_final,
         uniform_target_residual=uniform_resid,
+        tolerance=tol,
     )
 
 
@@ -477,7 +492,8 @@ class OddDimReport:
     overlap (|trace(Y)|/3 = 1/3), so the move is not a complete
     transfer; only the single pairwise transfer from
     (-|11> + |33>)/sqrt(2) is orthogonal. ``is_cpt`` is measured: V(I)
-    must reach V(Y) and the two must be orthogonal, both to CPT_TOL.
+    must reach V(Y) and the two must be orthogonal, both to ``tolerance``,
+    which ``action_matches`` and ``basic.ok`` read as well.
     """
 
     p: int
@@ -488,18 +504,23 @@ class OddDimReport:
     vi_vy_overlap: float
     vi_to_vy_residual: float
     is_cpt: bool
+    tolerance: float
 
     @property
     def action_matches(self) -> bool:
-        return self.action_residual <= CPT_TOL
+        return self.action_residual <= self.tolerance
 
 
-def odd_dim_demo(p: int, q: int, k: float = 0.0) -> OddDimReport:
-    """Run the spin-1 lift and report the non-transfer diagnosis."""
+def odd_dim_demo(p: int, q: int, k: float = 0.0, tol: float = CPT_TOL) -> OddDimReport:
+    """Run the spin-1 lift and report the non-transfer diagnosis.
+
+    ``tol`` must be finite and positive; the report's verdicts read it.
+    """
+    require_tol(tol)
     n = 3
     base = pythagorean_pulse(p, q, k, n=n)
     y = y_matrix(n)
-    equiv, u_full, _, u_half = _equivalence(base, y, "retrograde", CPT_TOL)  # fwd = U(T/2, 0)
+    equiv, u_full, _, u_half = _equivalence(base, y, "retrograde", tol)  # fwd = U(T/2, 0)
     e = np.eye(n)
     recipe = general_recipe(u_full, u_half, e[0], e[2], phi=0.0)
     if recipe.initial is None:
@@ -509,6 +530,7 @@ def odd_dim_demo(p: int, q: int, k: float = 0.0) -> OddDimReport:
         initial=recipe.initial,
         final=recipe.final,
         orthogonality_residual=float(recipe.overlap),
+        tolerance=tol,
     )
     overlap = abs(equiv.trace_y) / n
     residual = equiv.doubled_state_residual
@@ -520,5 +542,6 @@ def odd_dim_demo(p: int, q: int, k: float = 0.0) -> OddDimReport:
         basic=basic,
         vi_vy_overlap=overlap,
         vi_to_vy_residual=residual,
-        is_cpt=overlap <= CPT_TOL and residual <= CPT_TOL,
+        is_cpt=overlap <= tol and residual <= tol,
+        tolerance=tol,
     )

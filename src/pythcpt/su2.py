@@ -1,36 +1,40 @@
 """Irreducible spin-(n-1)/2 generators of su(2), the 2x2 Sigma set, and
-the anti-diagonal rotation Y_n = exp(i pi J2)."""
+the anti-diagonal rotation Y_n = exp(i pi J2).
+
+The Sigma set is a NamedTuple: sigma_k reads by name (``s.sigma1``),
+by index (``s[1]``), by iteration or by unpacking, and every
+:func:`sigma_set` call builds fresh arrays.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SigmaSet:
+class SigmaSet(NamedTuple):
     """The real 2x2 matrices (I, sigma_x, i*sigma_y, sigma_z).
 
     All entries lie in {0, +1, -1}; the middle two are the symmetric
-    and antisymmetric off-diagonal units.
+    and antisymmetric off-diagonal units. Index k is sigma_k.
     """
 
-    sigma0: np.ndarray = field(default_factory=lambda: np.eye(2))
-    sigma1: np.ndarray = field(default_factory=lambda: np.array([[0.0, 1.0], [1.0, 0.0]]))
-    sigma2: np.ndarray = field(default_factory=lambda: np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    sigma3: np.ndarray = field(default_factory=lambda: np.array([[1.0, 0.0], [0.0, -1.0]]))
-
-    def __iter__(self):
-        return iter((self.sigma0, self.sigma1, self.sigma2, self.sigma3))
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return (self.sigma0, self.sigma1, self.sigma2, self.sigma3)[i]
+    sigma0: np.ndarray
+    sigma1: np.ndarray
+    sigma2: np.ndarray
+    sigma3: np.ndarray
 
 
 def sigma_set() -> SigmaSet:
-    """Return the four Sigma matrices with exact integer entries."""
-    return SigmaSet()
+    """Return fresh arrays of the four Sigma matrices, with exact integer entries."""
+    return SigmaSet(
+        np.eye(2),
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.array([[0.0, 1.0], [-1.0, 0.0]]),
+        np.array([[1.0, 0.0], [0.0, -1.0]]),
+    )
 
 
 @dataclass(frozen=True)

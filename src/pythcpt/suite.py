@@ -25,6 +25,7 @@ from .dynamics import (
     coupling_graph,
     forbidden_scan,
     lab_hamiltonian,
+    require_tol,
     simulate_lab,
     verify_cpt,
 )
@@ -149,7 +150,7 @@ def _check_doubled_space_equivalence(tol: float) -> tuple[bool, str]:
 
 
 def _check_pairwise_transfers(tol: float) -> tuple[bool, str]:
-    reports = {pq: basic_cpts(4, *pq, 0.0) for pq in ((3, 1), (5, 1))}
+    reports = {pq: basic_cpts(4, *pq, 0.0, tol) for pq in ((3, 1), (5, 1))}
     ok = all(r.all_ok for r in reports.values())
     uniform_gap = float(
         np.max(np.abs(reports[(3, 1)].uniform_final - reports[(5, 1)].uniform_final))
@@ -163,11 +164,11 @@ def _check_pairwise_transfers(tol: float) -> tuple[bool, str]:
 
 
 def _check_odd_dimension(tol: float) -> tuple[bool, str]:
-    rep = odd_dim_demo(3, 1, 0.0)
+    rep = odd_dim_demo(3, 1, 0.0, tol)
     ok = (
-        rep.action_residual <= tol
+        rep.action_matches
         and abs(rep.vi_vy_overlap - 1.0 / 3.0) <= 1e-12
-        and rep.basic.orthogonality_residual <= tol
+        and rep.basic.ok
         and not rep.is_cpt
     )
     try:
@@ -227,8 +228,10 @@ def run_suite(
     ``n=None`` runs every check; ``n=3`` switches to the odd-dimension
     demonstration alone, where the absence of a complete transfer is
     the expected outcome. No other n is accepted.
-    Randomness is seeded so repeated runs are byte-identical.
+    Randomness is seeded so repeated runs are byte-identical. ``tol``
+    must be finite and positive; every certificate and verdict reads it.
     """
+    require_tol(tol)
     if n == 3:
         return SuiteReport(results=(_timed(lambda: _check_odd_dimension(tol), "odd_dimension"),))
     if n is not None:

@@ -27,11 +27,15 @@ class OddPair:
 
 @dataclass(frozen=True)
 class PythTriple:
-    """Signed triple (a, b, c) with a^2 + b^2 = c^2 and c > 0."""
+    """Signed triple (a, b, c) with a^2 + b^2 = c^2 and c > 0.
 
-    a: float
-    b: float
-    c: float
+    ``triple_from_pair`` keeps a, b and c as exact Python ints, so
+    c - a = q^2 and c + a = p^2 carry no rounding into the couplings.
+    """
+
+    a: int
+    b: int
+    c: int
     primitive: bool
 
 
@@ -56,7 +60,8 @@ def triple_from_pair(pair: OddPair, sign_a: int = 1, sign_b: int = 1) -> PythTri
     """Map an odd pair to the triple (±(p²-q²)/2, ±pq, (p²+q²)/2).
 
     Sign flips give genuinely different coupling families, so they are
-    exposed explicitly; the default is the all-positive triple.
+    exposed explicitly; the default is the all-positive triple. The
+    entries are exact ints; c must still fit a finite float.
     """
     if sign_a not in (1, -1) or sign_b not in (1, -1):
         raise ValueError("sign_a and sign_b must be +1 or -1")
@@ -66,7 +71,7 @@ def triple_from_pair(pair: OddPair, sign_a: int = 1, sign_b: int = 1) -> PythTri
     c = (p * p + q * q) // 2
     if c > sys.float_info.max:  # |a| and b are below c, so they fit whenever c does
         raise ValueError(f"c = (p^2 + q^2)/2 for (p, q) = ({p}, {q}) does not fit a finite float")
-    return PythTriple(a=float(a), b=float(b), c=float(c), primitive=math.gcd(p, q) == 1)
+    return PythTriple(a=a, b=b, c=c, primitive=math.gcd(p, q) == 1)
 
 
 def enumerate_primitive_pairs(limit_c: float) -> list[OddPair]:
@@ -92,20 +97,24 @@ def coupling_params(triple: PythTriple, k: float = 0.0) -> CouplingParams:
     formulas remain well defined there. With s = hypot(1, k) the weights
     k/s and 1/s stay finite for every finite k; as k -> +-inf the axes
     (delta1, omega1) and (delta2, omega2) tend to +-(q, -p) and +-(p, q).
+    For an integer triple c - a and c + a are exact, each rounded once
+    to a float where it meets a weight.
     """
     a, b, c = triple.a, triple.b, triple.c
     if c <= 0:
         raise ValueError(f"triple must have c > 0, got c={c}")
+    tau = math.pi / math.sqrt(2.0 * c)
+    if tau == 0.0:  # 2c overflows, and so may the integer c + a, which no float could hold
+        raise ValueError(f"c={float(c)} overflows the transfer time")
     s = math.hypot(1.0, k)
     wk, w1 = k / s, 1.0 / s
     d1 = 0.5 * (wk * (c - a) + w1 * b)
     o1 = 0.5 * (w1 * (c - a) - wk * b)
     d2 = 0.5 * (wk * (c + a) - w1 * b)
     o2 = 0.5 * (w1 * (c + a) + wk * b)
-    tau = math.pi / math.sqrt(2.0 * c)
     params = CouplingParams(delta1=d1, omega1=o1, delta2=d2, omega2=o2, tau=tau)
-    if not all(math.isfinite(v) for v in (*params.as_tuple(), tau)) or tau == 0.0:
-        raise ValueError(f"c={c} overflows the couplings or the transfer time: {params}")
+    if not all(math.isfinite(v) for v in (*params.as_tuple(), tau)):
+        raise ValueError(f"c={float(c)} overflows the couplings or the transfer time: {params}")
     scale = max(abs(v) for v in params.as_tuple())
     zeros = [
         name

@@ -392,6 +392,30 @@ def test_suite_rejects_unsupported_n(capsys):
         assert "n=3" in err
 
 
+@pytest.mark.parametrize("n", [None, 3])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-9])
+def test_run_suite_rejects_bad_tolerances(n, tol):
+    with pytest.raises(ValueError, match="tol must be a finite positive number"):
+        run_suite(n=n, tol=tol)
+
+
+@pytest.mark.parametrize("n", ["3", "4"])
+def test_retro_tolerance_reaches_every_printed_verdict(capsys, n):
+    code, out, _ = run_cli(capsys, "retro", "--p", "3", "--q", "1", "--n", n, "--tol", "1e-300")
+    payload = json.loads(out)
+    assert code == 1
+    assert payload["pass"] is False
+    if n == "4":
+        assert payload["forward"] is False
+        assert [t["ok"] for t in payload["pairwise_transfers"]] == [False, False]
+    code, out, _ = run_cli(capsys, "retro", "--p", "3", "--q", "1", "--n", n)
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["pass"] is True
+    if n == "4":
+        assert [t["ok"] for t in payload["pairwise_transfers"]] == [True, True]
+
+
 def test_suite_frame_hook_detects_corruption():
     def flip_one_sign(frame: EntangledFrame) -> EntangledFrame:
         w = frame.W.copy()

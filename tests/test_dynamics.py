@@ -265,7 +265,7 @@ def test_verify_cpt_rejects_a_non_orthonormal_eigenbasis(monkeypatch):
         verify_cpt(SystemSpec(n=4, params=params_from_pair(3, 1, 0.3)))
 
 
-@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1e-9, 0.0])
+@pytest.mark.parametrize("tol", [float("inf"), -float("inf"), float("nan"), -1e-9, 0.0])
 def test_verify_cpt_rejects_bad_tol(tol):
     with pytest.raises(ValueError, match="tol must be a finite positive number"):
         verify_cpt(SystemSpec(n=2, params=params_from_pair(3, 1, 0.3)), tol=tol)

@@ -127,10 +127,60 @@ def test_propagator_equal_times_and_range():
 @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
 def test_propagator_rejects_non_finite_times(t):
     sched = PulseSchedule(segments=((SZ, 1.0),))
-    with pytest.raises(ValueError, match="outside"):
-        ordered_propagator(sched, 0.0, t)
-    with pytest.raises(ValueError, match="outside"):
-        ordered_propagator(sched, t, 0.0)
+    for t0, t1 in ((0.0, t), (t, 0.0), (t, t)):
+        with pytest.raises(ValueError, match="outside"):
+            ordered_propagator(sched, t0, t1)
+
+
+@pytest.mark.parametrize("t", [-1.0, -1e-9, 1.0 + 1e-9, 2.0])
+def test_propagator_rejects_finite_times_outside_the_schedule(t):
+    sched = PulseSchedule(segments=((SZ, 1.0),))
+    for t0, t1 in ((0.0, t), (t, 0.0), (t, t), (1.0, t), (t, 1.0)):
+        with pytest.raises(ValueError, match="outside"):
+            ordered_propagator(sched, t0, t1)
+
+
+def test_reversed_interval_is_the_exact_adjoint():
+    rng = np.random.default_rng(31)
+    for dim in (2, 3, 5):
+        sched = random_schedule(rng, dim=dim)
+        times = np.concatenate([[0.0, sched.T], sched.boundaries()[1:-1], rng.uniform(0.0, sched.T, 3)])
+        for t0 in times:
+            for t1 in times[times < t0]:
+                backward = ordered_propagator(sched, t0, t1)
+                assert np.array_equal(backward, ordered_propagator(sched, t1, t0).conj().T)
+
+
+def test_equal_times_give_the_identity_without_exponentiating(monkeypatch):
+    calls = []
+
+    def counting(h, t):
+        calls.append(t)
+        return matexp_unitary(h, t)
+
+    monkeypatch.setattr(retrograde, "matexp_unitary", counting)
+    sched = random_schedule(np.random.default_rng(4), dim=3)
+    for t in (0.0, sched.boundaries()[1], 0.5 * sched.T, sched.T):
+        u = ordered_propagator(sched, t, t)
+        assert u.dtype == np.complex128
+        assert np.array_equal(u, np.eye(3, dtype=complex))
+    assert calls == []
+
+
+@pytest.mark.parametrize("variant", ["retrograde", "semi"])
+def test_factors_takes_one_propagator_call_per_factor(monkeypatch, variant):
+    calls = []
+    real = retrograde.ordered_propagator
+
+    def counting(schedule, t0, t1):
+        calls.append((t0, t1))
+        return real(schedule, t0, t1)
+
+    monkeypatch.setattr(retrograde, "ordered_propagator", counting)
+    pulse = pythagorean_pulse(3, 1, 0.3)
+    t = 0.25 * pulse.T
+    RetrogradeSystem(base=pulse, variant=variant).factors(t)
+    assert calls == [(pulse.T, pulse.T - t), (0.0, t)]
 
 
 def test_pulse_durations():
@@ -471,3 +521,45 @@ def test_odd_dim_demo_overlap_and_basic():
     assert np.max(np.abs(rep.basic.initial - expected_initial)) < 1e-12
     assert not rep.is_cpt
     assert rep.vi_to_vy_residual < 1e-9  # scalar still reaches V(Y), just not orthogonally
+
+
+BAD_TOLERANCES = [float("nan"), float("inf"), -float("inf"), 0.0, -1e-9]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda tol: check_equivalence(pythagorean_pulse(3, 1), y_matrix(2), tol=tol),
+        lambda tol: basic_cpts(4, 3, 1, 0.0, tol=tol),
+        lambda tol: odd_dim_demo(3, 1, 0.0, tol=tol),
+    ],
+    ids=["check_equivalence", "basic_cpts", "odd_dim_demo"],
+)
+def test_entry_points_reject_bad_tolerances(entry, tol):
+    with pytest.raises(ValueError, match="tol must be a finite positive number"):
+        entry(tol)
+
+
+def test_pairwise_verdicts_read_the_given_tolerance():
+    # residuals near 1e-16 pass the default tolerance and fail 1e-300
+    assert basic_cpts(4, 3, 1, 0.0).all_ok
+    strict = basic_cpts(4, 3, 1, 0.0, tol=1e-300)
+    assert 0.0 < max(r.orthogonality_residual for r in strict.records) < 1e-12
+    assert not any(r.ok for r in strict.records)
+    assert not strict.all_ok
+
+
+def test_odd_dimension_verdicts_read_the_given_tolerance():
+    strict = odd_dim_demo(3, 1, 0.0, tol=1e-300)
+    assert not strict.action_matches and not strict.basic.ok and not strict.is_cpt
+    # the 1/3 overlap of V(I) and V(Y) counts as orthogonal only at a tolerance above it
+    loose = odd_dim_demo(3, 1, 0.0, tol=0.5)
+    assert loose.action_matches and loose.basic.ok and loose.is_cpt
+
+
+def test_equivalence_is_cpt_reads_the_given_tolerance():
+    # trace(I_2) = 2: orthogonal only at a tolerance of at least 2
+    pulse = pythagorean_pulse(3, 1)
+    assert not check_equivalence(pulse, np.eye(2), "semi").is_cpt
+    assert check_equivalence(pulse, np.eye(2), "semi", tol=3.0).is_cpt

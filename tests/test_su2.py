@@ -128,6 +128,34 @@ def test_sigma_set_values():
     assert np.array_equal(s.sigma2, (1j * SY).real)
 
 
+SIGMAS = (
+    np.eye(2),
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.array([[0.0, 1.0], [-1.0, 0.0]]),
+    np.array([[1.0, 0.0], [0.0, -1.0]]),
+)
+
+
+def test_sigma_set_names_indices_iteration_and_unpacking_agree():
+    s = sigma_set()
+    s0, s1, s2, s3 = s
+    for got in ([s.sigma0, s.sigma1, s.sigma2, s.sigma3], [s[i] for i in range(4)], list(s), [s0, s1, s2, s3]):
+        assert len(got) == 4
+        for g, want in zip(got, SIGMAS):
+            assert g.dtype == np.float64
+            assert np.array_equal(g, want)
+    assert s[-1] is s.sigma3
+
+
+def test_sigma_set_calls_return_fresh_arrays():
+    first, second = sigma_set(), sigma_set()
+    for a, b in zip(first, second):
+        assert not np.shares_memory(a, b)
+    first.sigma1[0, 0] = 7.0
+    assert np.array_equal(second.sigma1, SIGMAS[1])
+    assert np.array_equal(sigma_set().sigma1, SIGMAS[1])
+
+
 def test_sigma_products():
     s = sigma_set()
     # sigma1 @ sigma3 = [[0, -1], [1, 0]] = -sigma2

@@ -1,7 +1,11 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pythcpt.triples import (
     CouplingParams,
@@ -177,3 +181,51 @@ def test_zero_transfer_time_is_rejected():
     # 2c overflows, so tau = pi / sqrt(2c) rounds to 0 while the couplings stay finite
     with pytest.raises(ValueError, match=r"c=1e\+308 overflows"):
         coupling_params(PythTriple(a=3.0, b=4.0, c=1e308, primitive=True), 0.0)
+
+
+def test_triple_entries_are_exact_integers():
+    p, q = 999999937, 1
+    t = triple_from_pair(OddPair(p, q), sign_a=-1)
+    assert (type(t.a), type(t.b), type(t.c)) == (int, int, int)
+    assert (t.c + t.a, t.c - t.a, t.b) == (q * q, p * p, p * q)
+
+
+def test_couplings_at_large_c_are_within_four_ulp_of_the_exact_value():
+    # c = 5.0e17: c - a = q^2 is exact only if the triple keeps its integers
+    p, q, k = 999999937, 1, 0.5
+    a, b, c = (p * p - q * q) // 2, p * q, (p * p + q * q) // 2
+    s = math.hypot(1.0, k)
+    wk, w1 = Fraction(k / s), Fraction(1.0 / s)  # the float weights, taken as exact rationals
+    exact = (
+        (wk * (c - a) + w1 * b) / 2,
+        (w1 * (c - a) - wk * b) / 2,
+        (wk * (c + a) - w1 * b) / 2,
+        (w1 * (c + a) + wk * b) / 2,
+    )
+    for got, want in zip(params_from_pair(p, q, k).as_tuple(), exact):
+        assert abs(Fraction(got) - want) <= 4 * Fraction(math.ulp(float(want)))
+
+
+odd_pairs_below_2_53 = (
+    st.integers(1, 2**26 - 1)
+    .flatmap(lambda i: st.tuples(st.just(2 * i + 1), st.integers(0, i - 1).map(lambda j: 2 * j + 1)))
+    .filter(lambda pq: (pq[0] ** 2 + pq[1] ** 2) // 2 < 2**53)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pq=odd_pairs_below_2_53,
+    k=st.floats(-1e6, 1e6, allow_nan=False),
+    signs=st.sampled_from([(1, 1), (-1, 1), (1, -1), (-1, -1)]),
+)
+@example(pq=(134217727, 1), k=0.5, signs=(-1, 1))  # c = 2^53 - 2^27 + 1, p^2 above 2^53
+@example(pq=(10**8 + 1, 1), k=0.5, signs=(1, 1))
+def test_integer_triples_below_2_53_give_the_float_triples_params(pq, k, signs):
+    # below 2^53 every entry is an exact float and c -+ a rounds once either way
+    t = triple_from_pair(OddPair(*pq), *signs)
+    as_floats = PythTriple(a=float(t.a), b=float(t.b), c=float(t.c), primitive=t.primitive)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a k that zeroes a coupling warns on both paths
+        got, want = coupling_params(t, k), coupling_params(as_floats, k)
+    assert (*got.as_tuple(), got.tau) == (*want.as_tuple(), want.tau)
