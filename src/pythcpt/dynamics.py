@@ -9,9 +9,11 @@ nearest-neighbour couplings are the V's of :func:`pythcpt.triples.lab_couplings`
 :func:`simulate_lab` is the one evolution of lab state 1: the CLI
 ``simulate`` traces, the suite's 16-level check and
 :func:`forbidden_scan` all read its populations. It evolves through
-:func:`simulate`, which never forms the n^2 x n^2 Hamiltonian: the
-propagator is u1(t) (x) u2(t), so two n x n ``eigh`` calls and 2n real
-sin/cos per time point replace one n^2 x n^2 ``eigh`` and n^2 complex
+:func:`simulate`, which samples a uniform grid and never forms the
+n^2 x n^2 Hamiltonian: the propagator is u1(t) (x) u2(t), so two n x n
+``eigh`` calls replace one n^2 x n^2 ``eigh``, and the phases of all T
+grid points come from two small tables per factor, about 2n sqrt(T)
+complex exponentials in all, where the dense evolution takes n^2 complex
 exponentials per point. :func:`verify_cpt` still diagonalizes the real
 n^2 x n^2 ``build_h_tp`` once, but reads its two amplitudes straight
 from the spectral decomposition
@@ -153,14 +155,27 @@ def _phase_map(n: int) -> np.ndarray:
     return k
 
 
-def _features(n: int, omega: float, times: np.ndarray) -> np.ndarray:
-    """(cos, sin) of the harmonics h * omega * t, h = 1, 3, ..., n - 1, as (n, T)."""
-    angles = np.outer(np.arange(1, n, 2), omega * times)
-    return np.concatenate((np.cos(angles), np.sin(angles)))
+def _features(n: int, omega: float, dt: float, points: int) -> np.ndarray:
+    """(cos, sin) of the harmonics h * omega * dt * j, h = 1, 3, ..., n - 1, j < points, as (n, points).
+
+    With j = a * B + b and B = ceil(sqrt(points)), exp(i h omega dt j) is
+    exp(i h omega dt B a) * exp(i h omega dt b): a coarse table over a and
+    a fine table over b, about n * sqrt(points) complex exponentials in all,
+    then one complex product per harmonic and point.
+    """
+    block = math.isqrt(points - 1) + 1
+    rate = np.arange(1, n, 2)[:, None] * (omega * dt)
+    coarse = np.exp(1j * rate * (block * np.arange(-(-points // block))))
+    fine = np.exp(1j * rate * np.arange(block))
+    waves = (coarse[:, :, None] * fine[:, None, :]).reshape(len(rate), -1)[:, :points]
+    return np.concatenate((waves.real, waves.imag))
 
 
-def simulate(spec: SystemSpec, times: np.ndarray) -> SimulationResult:
-    """Lab-frame populations from lab state 1 at the absolute ``times``.
+def simulate(spec: SystemSpec, t_max: float, steps: int) -> SimulationResult:
+    """Lab-frame populations from lab state 1 on a uniform grid of [0, t_max].
+
+    The grid has ``steps + 1`` points, endpoints included, in absolute
+    time; ``times`` of the result is ``linspace(0, t_max, steps + 1)``.
 
     The propagator is u1(t) (x) u2(t), and each real factor
     h_i = 2 Delta_i J3 + 2 Omega_i J1 has the spin ladder
@@ -169,43 +184,51 @@ def simulate(spec: SystemSpec, times: np.ndarray) -> SimulationResult:
     calls), E = W kron(V1, V2) is real orthogonal with lab state 1 at
     coefficients E[0], and psi(t) = M phi(t) with the constant
     M = E diag(E[0]) kron(K, K) (K from :func:`_phase_map`) and the real
-    features phi(t) = f1(t) (x) f2(t) of :func:`_features`. Per time
-    point that is 2n real sin/cos, n^2 products and two real
-    matrix-vector products; no n^2 x n^2 Hamiltonian is formed.
+    features phi(t) = f1(t) (x) f2(t). Because the grid is uniform, each
+    factor's features come from two small phase tables
+    (:func:`_features`), O(n sqrt(steps)) complex exponentials per
+    factor. Per time point that leaves n complex products, n^2 real
+    products and two real matrix-vector products; no n^2 x n^2
+    Hamiltonian is formed.
     """
+    if not (math.isfinite(t_max) and t_max >= 0):
+        raise ValueError(f"t_max must be finite and non-negative, got {t_max}")
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
     n, p = spec.n, spec.params
     w = lab_frame(n)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
     drives = ((p.delta1, p.omega1), (p.delta2, p.omega2))
     omegas = [float(np.hypot(delta, omega)) for delta, omega in drives]
-    t_abs = float(np.max(np.abs(times), initial=0.0))
     # Python floats overflow to inf without a warning, so this raises before numpy sees the product
-    if not all(math.isfinite((n - 1) * omega * t_abs) for omega in omegas):
-        raise ValueError(f"factor phase (n - 1) * omega * |t| is not finite at |t| = {t_abs!r}")
+    if not all(math.isfinite((n - 1) * omega * t_max) for omega in omegas):
+        raise ValueError(f"factor phase (n - 1) * omega * |t| is not finite at |t| = {t_max!r}")
+    points = steps + 1
+    dt = t_max / max(steps, 1)
     v1, v2 = (np.linalg.eigh(build_h_single(n, delta, omega))[1] for delta, omega in drives)
-    f1, f2 = (_features(n, omega, times) for omega in omegas)
+    f1, f2 = (_features(n, omega, dt, points) for omega in omegas)
     e = _rows_times_kron(w, v1, v2)
     k = _phase_map(n)
     m = _rows_times_kron(e * e[0], k, k)
-    phi = (f1[:, None, :] * f2[None, :, :]).reshape(n * n, len(times))
+    phi = (f1[:, None, :] * f2[None, :, :]).reshape(n * n, points)
     waves = np.concatenate((m.real, m.imag)) @ phi  # (2 n^2, T): Re psi(t) over Im psi(t)
     waves *= waves
-    return SimulationResult(times=times, populations=(waves[: n * n] + waves[n * n :]).T)
+    return SimulationResult(
+        times=np.linspace(0.0, t_max, points), populations=(waves[: n * n] + waves[n * n :]).T
+    )
 
 
 def simulate_lab(spec: SystemSpec, t_max_tau: float, steps: int) -> SimulationResult:
     """Lab-frame populations from state 1 on a uniform grid of [0, t_max_tau * tau].
 
     The grid has ``steps + 1`` points, endpoints included; the result's
-    times are in units of tau = ``spec.params.tau``.
+    times are in units of tau = ``spec.params.tau``. One call to
+    :func:`simulate` on the same grid in absolute time.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be non-negative, got {steps}")
+    # simulate checks the absolute t_max too; this check reports the value the caller gave, in tau
     if not (math.isfinite(t_max_tau) and t_max_tau >= 0):
         raise ValueError(f"t_max must be finite and non-negative, got {t_max_tau}")
-    grid_tau = np.linspace(0.0, t_max_tau, steps + 1)
-    result = simulate(spec, grid_tau * spec.params.tau)
-    return SimulationResult(times=grid_tau, populations=result.populations)
+    result = simulate(spec, t_max_tau * spec.params.tau, steps)
+    return SimulationResult(times=np.linspace(0.0, t_max_tau, steps + 1), populations=result.populations)
 
 
 def verify_cpt(spec: SystemSpec, tol: float = CPT_TOL) -> CptCertificate:
@@ -253,8 +276,11 @@ def forbidden_scan(spec: SystemSpec) -> ForbiddenScanReport:
     pi*q/2 and pi*p/2 per tau, so one grid step spans about (p + q)/1000
     periods of the fastest population oscillation. For large c (p ~ 1e8
     to 1e9, c ~ 5e15 to 5e17) that is 10^5 to 10^6 periods: the maxima
-    there are aliased samples, and rounding the grid differently moves
-    them by up to 2e-7 at p = 10^8 + 1. See ROADMAP items 3 (exact triple
+    there are still aliased samples, and rounding the grid or the phases
+    differently moves them by a few 1e-7 at p = 10^8 + 1. Their phases
+    come from :func:`simulate`'s small tables, so angles near 1e10 cost
+    no more time than small ones, but they still carry c and lose
+    precision as eps * c. See ROADMAP items 3 (exact triple
     angles, which take c out of the phases) and 4 (a closed-form bound).
     """
     if spec.n != 2:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -155,10 +156,10 @@ def test_simulate_constant_under_zero_hamiltonian():
 @pytest.mark.parametrize("pqk", [(3, 1, 0.0), (7, 3, -1.2), (101, 7, 0.5), (101, 1, 0.3)])
 def test_simulate_matches_dense_oracle(n, pqk):
     spec = SystemSpec(n=n, params=params_from_pair(*pqk))
-    times = np.linspace(0.0, 3.0, 61) * spec.params.tau
+    times = np.linspace(0.0, 3.0 * spec.params.tau, 61)
     psi0 = np.eye(n * n)[0]
     dense = dense_simulate(lab_hamiltonian(spec), psi0, times)
-    result = simulate(spec, times)
+    result = simulate(spec, 3.0 * spec.params.tau, 60)
     assert np.array_equal(result.times, times)
     assert result.populations.shape == (61, n * n)
     assert np.max(np.abs(result.populations - dense.populations)) <= 1e-12
@@ -167,7 +168,7 @@ def test_simulate_matches_dense_oracle(n, pqk):
 @pytest.mark.parametrize("n", [2, 4])
 def test_simulate_zero_couplings_keep_state_1(n):
     spec = SystemSpec(n=n, params=CouplingParams(0.0, 0.0, 0.0, 0.0, tau=1.0))
-    result = simulate(spec, np.linspace(0, 5, 7))
+    result = simulate(spec, 5.0, 6)
     expected = np.zeros(n * n)
     expected[0] = 1.0
     assert np.max(np.abs(result.populations - expected)) < 1e-12
@@ -180,11 +181,26 @@ def test_simulate_lab_rejects_bad_t_max(t_max):
         simulate_lab(spec, t_max, 10)
 
 
+@pytest.mark.parametrize("evolve", [simulate, simulate_lab])
+@pytest.mark.parametrize(
+    "t_max, steps, message",
+    [
+        (1.0, -1, "steps must be non-negative"),
+        (-1.0, 10, "t_max must be finite and non-negative"),
+        (float("nan"), -1, "t_max must be finite and non-negative"),  # t_max is named first
+    ],
+)
+def test_simulate_rejects_a_bad_grid(evolve, t_max, steps, message):
+    spec = SystemSpec(n=2, params=params_from_pair(3, 1, 0.0))
+    with pytest.raises(ValueError, match=message):
+        evolve(spec, t_max, steps)
+
+
 @pytest.mark.parametrize("n", [2, 6])
 def test_simulate_rejects_a_factor_phase_that_overflows(n, recwarn):
     spec = SystemSpec(n=n, params=params_from_pair(3, 1, 0.0))
     with pytest.raises(ValueError, match="factor phase .* is not finite"):
-        simulate(spec, np.array([0.0, 1e308]))
+        simulate(spec, 1e308, 1)
     # raised before any product is formed, so numpy warns about nothing
     assert not recwarn.list
 
@@ -201,10 +217,42 @@ def test_simulate_lab_reads_simulate_once(monkeypatch):
     spec = SystemSpec(n=4, params=params_from_pair(5, 1, 0.3))
     result = simulate_lab(spec, 2.0, 8)
     assert len(calls) == 1
-    called_spec, times = calls[0]
+    called_spec, t_max, steps = calls[0]
     assert called_spec is spec
-    assert np.array_equal(times, np.linspace(0.0, 2.0, 9) * spec.params.tau)
+    assert (t_max, steps) == (2.0 * spec.params.tau, 8)
     assert np.array_equal(result.times, np.linspace(0.0, 2.0, 9))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("steps", [0, 1, 2, 3, 14, 15, 16, 17, 9_999])
+@pytest.mark.parametrize("t_max_tau", [0.0, 3.0])
+def test_simulate_grid_split_matches_dense_oracle(n, steps, t_max_tau):
+    # steps + 1 points around the perfect square 16 exercise the coarse/fine phase tables' edges
+    spec = SystemSpec(n=n, params=params_from_pair(7, 3, 0.3))
+    t_max = t_max_tau * spec.params.tau
+    times = np.linspace(0.0, t_max, steps + 1)
+    dense = dense_simulate(lab_hamiltonian(spec), np.eye(n * n)[0], times)
+    result = simulate(spec, t_max, steps)
+    assert np.array_equal(result.times, times)
+    assert np.max(np.abs(result.populations - dense.populations)) <= 1e-12
+    assert np.max(np.abs(result.populations.sum(axis=1) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_simulate_evaluates_order_sqrt_points_transcendentals(monkeypatch, n):
+    seen = []
+    for name in ("exp", "cos", "sin"):
+        real = getattr(np, name)
+
+        def spy(x, *args, real=real, **kwargs):
+            seen.append(np.size(x))
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, spy)
+    steps = 9_999
+    simulate_lab(SystemSpec(n=n, params=params_from_pair(7, 3, 0.3)), 20.0, steps)
+    # two factors, n / 2 harmonics each, a coarse and a fine table of about sqrt(steps + 1) phases
+    assert 0 < sum(seen) <= 2 * n * (math.isqrt(steps + 1) + 2)
 
 
 def test_simulate_lab_forms_no_dense_hamiltonian(monkeypatch):
@@ -340,6 +388,16 @@ def test_forbidden_scan_examples():
         assert report.max_pop_2 < 1.0 - 1e-6
         assert report.max_pop_4 < 1.0 - 1e-6
         assert report.passed
+
+
+@pytest.mark.parametrize("pqk", [(3, 1, 0.0), (7, 3, 0.3), (55, 3, 1.9)])
+def test_forbidden_scan_maxima_match_dense_oracle(pqk):
+    spec = SystemSpec(n=2, params=params_from_pair(*pqk))
+    report = forbidden_scan(spec)
+    times = np.linspace(0.0, 20.0 * spec.params.tau, 10_000)
+    dense = dense_simulate(lab_hamiltonian(spec), np.eye(4)[0], times).populations
+    assert abs(report.max_pop_2 - np.max(dense[:, 1])) <= 1e-12
+    assert abs(report.max_pop_4 - np.max(dense[:, 3])) <= 1e-12
 
 
 def test_forbidden_scan_reads_simulate_lab(monkeypatch):

@@ -268,12 +268,13 @@ def test_equivalence_equals_segment_product_oracle(pq, k, n, variant):
     pq=coprime_pairs_c_1e4,
     k=st.floats(-3.0, 3.0, allow_nan=False),
     n=st.sampled_from([2, 4, 6, 8]),
-    t_tau=st.lists(st.floats(0.0, 3.0, allow_nan=False), min_size=1, max_size=12),
+    t_max_tau=st.floats(0.0, 3.0, allow_nan=False),
+    steps=st.integers(0, 12),
 )
-def test_simulate_matches_dense_oracle(pq, k, n, t_tau):
+def test_simulate_matches_dense_oracle(pq, k, n, t_max_tau, steps):
     spec = SystemSpec(n=n, params=params_from_pair(*pq, k))
-    times = np.array(t_tau) * spec.params.tau
-    pops = simulate(spec, times).populations
+    times = np.linspace(0.0, t_max_tau * spec.params.tau, steps + 1)
+    pops = simulate(spec, t_max_tau * spec.params.tau, steps).populations
     dense = dense_simulate(lab_hamiltonian(spec), np.eye(n * n)[0], times).populations
     p = spec.params
     omegas = [np.hypot(p.delta1, p.omega1), np.hypot(p.delta2, p.omega2)]
