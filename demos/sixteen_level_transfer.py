@@ -9,12 +9,12 @@ when matplotlib is available, saves a figure next to them.
 
 import numpy as np
 
-from pythcpt import SystemSpec, simulate_lab, verify_cpt, params_from_pair
+from pythcpt import SystemSpec, simulate, verify_cpt, params_from_pair
 
 for p, q in ((3, 1), (5, 1)):
     spec = SystemSpec(n=4, params=params_from_pair(p, q, 0.0))
     cert = verify_cpt(spec)
-    result = simulate_lab(spec, t_max_tau=2.0, steps=400)
+    result = simulate(spec, t_max_tau=2.0, steps=400)
     print(f"(p, q) = ({p}, {q}): tau = {spec.params.tau:.6f}")
     print(f"  certificate: fidelity {cert.fidelity:.12f} into state {cert.target_index}")
     idx_tau = 200
@@ -42,7 +42,7 @@ try:
 
     fig, axes = plt.subplots(1, 2, figsize=(11, 4), sharey=True)
     for ax, (p, q) in zip(axes, ((3, 1), (5, 1))):
-        result = simulate_lab(SystemSpec(n=4, params=params_from_pair(p, q, 0.0)), t_max_tau=2.0, steps=400)
+        result = simulate(SystemSpec(n=4, params=params_from_pair(p, q, 0.0)), t_max_tau=2.0, steps=400)
         for i in range(16):
             lw = 2.0 if i in (0, 12) else 0.8
             ax.plot(result.times, result.populations[:, i], lw=lw)

@@ -25,6 +25,7 @@ from .triples import (
     coupling_params,
     enumerate_primitive_pairs,
     lab_couplings,
+    params_from_lab_couplings,
     params_from_pair,
     triple_from_pair,
 )
@@ -50,7 +51,6 @@ from .dynamics import (
     forbidden_scan,
     lab_hamiltonian,
     simulate,
-    simulate_lab,
     verify_cpt,
 )
 from .retrograde import (
@@ -118,13 +118,13 @@ __all__ = [
     "matexp_unitary",
     "odd_dim_demo",
     "ordered_propagator",
+    "params_from_lab_couplings",
     "params_from_pair",
     "propagator_elements",
     "pythagorean_pulse",
     "run_suite",
     "sigma_set",
     "simulate",
-    "simulate_lab",
     "spin_generators",
     "triple_from_pair",
     "unvectorize",

@@ -32,15 +32,15 @@ import sys
 
 import numpy as np
 
-from .dynamics import CPT_TOL, SystemSpec, coupling_graph, lab_hamiltonian, simulate_lab, verify_cpt
+from .dynamics import CPT_TOL, SystemSpec, coupling_graph, lab_hamiltonian, simulate, verify_cpt
 from .frames import MAX_N, build_w
 from .retrograde import basic_cpts, check_equivalence, odd_dim_demo, pythagorean_pulse
 from .su2 import y_matrix
 from .suite import run_suite
 from .triples import (
     MIN_C,
-    CouplingParams,
     enumerate_primitive_pairs,
+    params_from_lab_couplings,
     params_from_pair,
     triple_from_pair,
 )
@@ -221,7 +221,7 @@ def _cmd_simulate(cfg: dict) -> int:
     if n % 2 or not 2 <= n <= _MAX_LEVELS:
         raise ConfigError(f"n must be even with 2 <= n <= {_MAX_LEVELS}, got {n}")
     spec = SystemSpec(n=n, params=params_from_pair(cfg["p"], cfg["q"], cfg["k"]))
-    result = simulate_lab(spec, cfg["t_max"], cfg["steps"])
+    result = simulate(spec, cfg["t_max"], cfg["steps"])
     times = result.times * spec.params.tau if cfg["absolute_time"] else result.times
     unit = "absolute" if cfg["absolute_time"] else "tau"
     header = ("t" if unit == "absolute" else "t_over_tau") + "," + ",".join(
@@ -259,16 +259,8 @@ _SYMBOLIC_NAMES = ("V12", "V23", "V34", "V14")
 
 def _symbolic_basis(n: int) -> list[np.ndarray]:
     """Lab-frame Hamiltonians for unit values of each nearest-neighbour coupling."""
-    mats = []
-    for name in _SYMBOLIC_NAMES:
-        v = {key: (1.0 if key == name else 0.0) for key in _SYMBOLIC_NAMES}
-        d1 = (v["V23"] + v["V14"]) / 2.0
-        d2 = (v["V14"] - v["V23"]) / 2.0
-        o1 = (v["V12"] - v["V34"]) / 2.0
-        o2 = (v["V12"] + v["V34"]) / 2.0
-        params = CouplingParams(d1, o1, d2, o2, tau=1.0)
-        mats.append(lab_hamiltonian(SystemSpec(n=n, params=params)))
-    return mats
+    units = np.eye(len(_SYMBOLIC_NAMES)).tolist()
+    return [lab_hamiltonian(SystemSpec(n=n, params=params_from_lab_couplings(v, tau=1.0))) for v in units]
 
 
 def _coeff_str(c: float) -> str | None:

@@ -6,17 +6,16 @@ The two-factor Hamiltonian is h1 (x) I + I (x) h2 with each factor
 :func:`lab_hamiltonian` conjugates it with the lab frame W of
 :func:`pythcpt.frames.lab_frame`, giving the sparse lab-frame form whose
 nearest-neighbour couplings are the V's of :func:`pythcpt.triples.lab_couplings`.
-:func:`simulate_lab` is the one evolution of lab state 1: the CLI
-``simulate`` traces, the suite's 16-level check and
-:func:`forbidden_scan` all read its populations. It evolves through
-:func:`simulate`, which samples a uniform grid and never forms the
-n^2 x n^2 Hamiltonian: the propagator is u1(t) (x) u2(t), so two n x n
-``eigh`` calls replace one n^2 x n^2 ``eigh``, and the phases of all T
-grid points come from two small tables per factor, about 2n sqrt(T)
-complex exponentials in all, where the dense evolution takes n^2 complex
-exponentials per point. :func:`verify_cpt` still diagonalizes the real
-n^2 x n^2 ``build_h_tp`` once, but reads its two amplitudes straight
-from the spectral decomposition
+:func:`simulate` is the one evolution of lab state 1, on a uniform grid
+in units of tau: the CLI ``simulate`` traces, the suite's 16-level
+check and :func:`forbidden_scan` all read its populations. It never
+forms the n^2 x n^2 Hamiltonian: the propagator is u1(t) (x) u2(t), so
+two n x n ``eigh`` calls replace one n^2 x n^2 ``eigh``, and the phases
+of all T grid points come from two small tables per factor, about
+2n sqrt(T) complex exponentials in all, where the dense evolution takes
+n^2 complex exponentials per point. :func:`verify_cpt` still
+diagonalizes the real n^2 x n^2 ``build_h_tp`` once, but reads its two
+amplitudes straight from the spectral decomposition
 (:func:`pythcpt.linalg.propagator_elements`), so it forms no n^2 x n^2
 propagator and runs no n^2 x n^2 complex product.
 """
@@ -52,9 +51,9 @@ class SystemSpec:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Population traces on a time grid.
+    """Population traces on a time grid in units of tau.
 
-    ``populations[t, i]`` is |<e_{i+1}|psi(t)>|^2 at ``times[t]``.
+    ``populations[t, i]`` is |<e_{i+1}|psi(t)>|^2 at ``times[t] * tau``.
     """
 
     times: np.ndarray
@@ -171,11 +170,12 @@ def _features(n: int, omega: float, dt: float, points: int) -> np.ndarray:
     return np.concatenate((waves.real, waves.imag))
 
 
-def simulate(spec: SystemSpec, t_max: float, steps: int) -> SimulationResult:
-    """Lab-frame populations from lab state 1 on a uniform grid of [0, t_max].
+def simulate(spec: SystemSpec, t_max_tau: float, steps: int) -> SimulationResult:
+    """Lab-frame populations from lab state 1 on a uniform grid of [0, t_max_tau * tau].
 
-    The grid has ``steps + 1`` points, endpoints included, in absolute
-    time; ``times`` of the result is ``linspace(0, t_max, steps + 1)``.
+    tau = ``spec.params.tau``. The grid has ``steps + 1`` points,
+    endpoints included; ``times`` of the result is
+    ``linspace(0, t_max_tau, steps + 1)``, in units of tau.
 
     The propagator is u1(t) (x) u2(t), and each real factor
     h_i = 2 Delta_i J3 + 2 Omega_i J1 has the spin ladder
@@ -191,11 +191,12 @@ def simulate(spec: SystemSpec, t_max: float, steps: int) -> SimulationResult:
     products and two real matrix-vector products; no n^2 x n^2
     Hamiltonian is formed.
     """
-    if not (math.isfinite(t_max) and t_max >= 0):
-        raise ValueError(f"t_max must be finite and non-negative, got {t_max}")
+    if not (math.isfinite(t_max_tau) and t_max_tau >= 0):
+        raise ValueError(f"t_max must be finite and non-negative, got {t_max_tau}")
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
     n, p = spec.n, spec.params
+    t_max = t_max_tau * p.tau
     w = lab_frame(n)
     drives = ((p.delta1, p.omega1), (p.delta2, p.omega2))
     omegas = [float(np.hypot(delta, omega)) for delta, omega in drives]
@@ -213,22 +214,8 @@ def simulate(spec: SystemSpec, t_max: float, steps: int) -> SimulationResult:
     waves = np.concatenate((m.real, m.imag)) @ phi  # (2 n^2, T): Re psi(t) over Im psi(t)
     waves *= waves
     return SimulationResult(
-        times=np.linspace(0.0, t_max, points), populations=(waves[: n * n] + waves[n * n :]).T
+        times=np.linspace(0.0, t_max_tau, points), populations=(waves[: n * n] + waves[n * n :]).T
     )
-
-
-def simulate_lab(spec: SystemSpec, t_max_tau: float, steps: int) -> SimulationResult:
-    """Lab-frame populations from state 1 on a uniform grid of [0, t_max_tau * tau].
-
-    The grid has ``steps + 1`` points, endpoints included; the result's
-    times are in units of tau = ``spec.params.tau``. One call to
-    :func:`simulate` on the same grid in absolute time.
-    """
-    # simulate checks the absolute t_max too; this check reports the value the caller gave, in tau
-    if not (math.isfinite(t_max_tau) and t_max_tau >= 0):
-        raise ValueError(f"t_max must be finite and non-negative, got {t_max_tau}")
-    result = simulate(spec, t_max_tau * spec.params.tau, steps)
-    return SimulationResult(times=np.linspace(0.0, t_max_tau, steps + 1), populations=result.populations)
 
 
 def verify_cpt(spec: SystemSpec, tol: float = CPT_TOL) -> CptCertificate:
@@ -285,7 +272,7 @@ def forbidden_scan(spec: SystemSpec) -> ForbiddenScanReport:
     """
     if spec.n != 2:
         raise ValueError(f"forbidden state scan applies to n=2 only, got n={spec.n}")
-    result = simulate_lab(spec, 20.0, 9_999)
+    result = simulate(spec, 20.0, 9_999)
     return ForbiddenScanReport(
         max_pop_2=float(np.max(result.populations[:, 1])),
         max_pop_4=float(np.max(result.populations[:, 3])),

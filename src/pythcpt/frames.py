@@ -210,10 +210,12 @@ def general_even_frame(n: int) -> np.ndarray:
 def lab_frame(n: int) -> np.ndarray:
     """Lab frame for an n-level pair, as rows (see the module docstring).
 
-    ``build_w(N).W`` for n = 2^N, else :func:`general_even_frame`, which
-    rejects odd n; both give the same transfer rows 0 and n^2 - n.
+    ``build_w(N).W`` for n = 2^N <= 2^MAX_N, else :func:`general_even_frame`,
+    which rejects odd n; both give the same transfer rows 0 and n^2 - n.
     """
     if n & (n - 1) == 0:
+        if not 2 <= n <= 2 ** MAX_N:
+            raise ValueError(f"no lab frame for n={n}: build_w builds powers of two 2 <= n <= {2 ** MAX_N}")
         return build_w(n.bit_length() - 1).W
     return general_even_frame(n)
 

@@ -26,7 +26,7 @@ from .dynamics import (
     forbidden_scan,
     lab_hamiltonian,
     require_tol,
-    simulate_lab,
+    simulate,
     verify_cpt,
 )
 from .frames import EntangledFrame, build_w, entanglement_entropy, general_even_frame, validate_frame
@@ -67,7 +67,7 @@ def _timed(fn: Callable[[], tuple[bool, str]], name: str) -> CheckResult:
 def _check_sixteen_level_transfer(tol: float) -> tuple[bool, str]:
     worst = 1.0
     for p, q in ((3, 1), (5, 1)):
-        result = simulate_lab(SystemSpec(n=4, params=params_from_pair(p, q, 0.0)), t_max_tau=2.0, steps=400)
+        result = simulate(SystemSpec(n=4, params=params_from_pair(p, q, 0.0)), t_max_tau=2.0, steps=400)
         at_tau = result.populations[200, 12]
         back = result.populations[400, 0]
         worst = min(worst, at_tau, back)

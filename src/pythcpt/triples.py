@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 MIN_C = 5  # hypotenuse of the smallest triple, (3, 4, 5)
@@ -137,6 +138,18 @@ def lab_couplings(params: CouplingParams) -> tuple[float, float, float, float]:
         params.delta1 - params.delta2,
         -params.omega1 + params.omega2,
         params.delta1 + params.delta2,
+    )
+
+
+def params_from_lab_couplings(couplings: Sequence[float], tau: float) -> CouplingParams:
+    """Inverse of :func:`lab_couplings`: the parameters whose lab couplings are (V12, V23, V34, V14)."""
+    v12, v23, v34, v14 = couplings
+    return CouplingParams(
+        delta1=(v23 + v14) / 2.0,
+        omega1=(v12 - v34) / 2.0,
+        delta2=(v14 - v23) / 2.0,
+        omega2=(v12 + v34) / 2.0,
+        tau=tau,
     )
 
 

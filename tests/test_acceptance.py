@@ -13,7 +13,7 @@ from pythcpt.dynamics import (
     coupling_graph,
     forbidden_scan,
     lab_hamiltonian,
-    simulate_lab,
+    simulate,
     verify_cpt,
 )
 from pythcpt.frames import build_w, entanglement_entropy, general_even_frame
@@ -53,7 +53,7 @@ def test_criterion_1_sixteen_level_transfer():
     ok = True
     for p, q in ((3, 1), (5, 1)):
         t0 = time.perf_counter()
-        result = simulate_lab(SystemSpec(n=4, params=params_from_pair(p, q, 0.0)), t_max_tau=2.0, steps=400)
+        result = simulate(SystemSpec(n=4, params=params_from_pair(p, q, 0.0)), t_max_tau=2.0, steps=400)
         elapsed = time.perf_counter() - t0
         peak = result.populations[200, 12]
         revival = result.populations[400, 0]

@@ -8,7 +8,7 @@ import pytest
 
 from pythcpt import cli
 from pythcpt.cli import main
-from pythcpt.dynamics import SystemSpec, simulate_lab
+from pythcpt.dynamics import SystemSpec, simulate
 from pythcpt.frames import EntangledFrame
 from pythcpt.suite import run_suite
 from pythcpt.triples import params_from_pair
@@ -145,12 +145,12 @@ def test_simulate_stdout_absolute_time(capsys):
 
 
 @pytest.mark.parametrize("absolute", [False, True])
-def test_simulate_csv_is_repr_of_simulate_lab(capsys, absolute):
+def test_simulate_csv_is_repr_of_simulate(capsys, absolute):
     argv = ["simulate", "--p", "5", "--q", "1", "--k", "0.3", "--n", "4", "--t-max", "2", "--steps", "6"]
     code, out, _ = run_cli(capsys, *argv, *(["--absolute-time"] if absolute else []))
     assert code == 0
     spec = SystemSpec(n=4, params=params_from_pair(5, 1, 0.3))
-    result = simulate_lab(spec, 2.0, 6)
+    result = simulate(spec, 2.0, 6)
     times = result.times * spec.params.tau if absolute else result.times
     header = ["t" if absolute else "t_over_tau"] + [f"pop_{i + 1}" for i in range(16)]
     rows = [",".join(repr(float(x)) for x in [t, *pops]) for t, pops in zip(times, result.populations)]

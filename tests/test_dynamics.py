@@ -13,7 +13,6 @@ from pythcpt.dynamics import (
     forbidden_scan,
     lab_hamiltonian,
     simulate,
-    simulate_lab,
     verify_cpt,
 )
 from pythcpt.frames import build_w
@@ -131,7 +130,7 @@ def test_lab_propagator_full_transfer_column():
 
 def test_simulate_sixteen_level_peaks():
     for p, q in ((3, 1), (5, 1)):
-        result = simulate_lab(SystemSpec(n=4, params=params_from_pair(p, q, 0.0)), t_max_tau=2.0, steps=400)
+        result = simulate(SystemSpec(n=4, params=params_from_pair(p, q, 0.0)), t_max_tau=2.0, steps=400)
         assert result.populations[200, 12] >= 1.0 - 1e-9  # state 13 at tau
         assert result.populations[400, 0] >= 1.0 - 1e-9  # back to state 1 at 2 tau
         sums = result.populations.sum(axis=1)
@@ -142,7 +141,7 @@ def test_simulate_sixteen_level_peaks():
 
 def test_periodicity_two_and_four():
     for n in (2, 4):
-        result = simulate_lab(SystemSpec(n=n, params=params_from_pair(3, 1, 0.0)), t_max_tau=2.0, steps=2)
+        result = simulate(SystemSpec(n=n, params=params_from_pair(3, 1, 0.0)), t_max_tau=2.0, steps=2)
         assert result.populations[2, 0] >= 1.0 - 1e-9
 
 
@@ -159,8 +158,8 @@ def test_simulate_matches_dense_oracle(n, pqk):
     times = np.linspace(0.0, 3.0 * spec.params.tau, 61)
     psi0 = np.eye(n * n)[0]
     dense = dense_simulate(lab_hamiltonian(spec), psi0, times)
-    result = simulate(spec, 3.0 * spec.params.tau, 60)
-    assert np.array_equal(result.times, times)
+    result = simulate(spec, 3.0, 60)
+    assert np.array_equal(result.times, np.linspace(0.0, 3.0, 61))  # in units of tau
     assert result.populations.shape == (61, n * n)
     assert np.max(np.abs(result.populations - dense.populations)) <= 1e-12
 
@@ -175,13 +174,17 @@ def test_simulate_zero_couplings_keep_state_1(n):
 
 
 @pytest.mark.parametrize("t_max", [float("nan"), float("inf"), -1.0])
-def test_simulate_lab_rejects_bad_t_max(t_max):
+def test_simulate_rejects_bad_t_max(t_max):
     spec = SystemSpec(n=2, params=params_from_pair(3, 1, 0.0))
-    with pytest.raises(ValueError, match="t_max must be finite and non-negative"):
-        simulate_lab(spec, t_max, 10)
+    with pytest.raises(ValueError, match=f"t_max must be finite and non-negative, got {t_max}$"):
+        simulate(spec, t_max, 10)
 
 
-@pytest.mark.parametrize("evolve", [simulate, simulate_lab])
+def _simulate_by_keyword(spec, t_max_tau, steps):
+    return simulate(spec, t_max_tau=t_max_tau, steps=steps)
+
+
+@pytest.mark.parametrize("evolve", [simulate, _simulate_by_keyword])
 @pytest.mark.parametrize(
     "t_max, steps, message",
     [
@@ -205,22 +208,13 @@ def test_simulate_rejects_a_factor_phase_that_overflows(n, recwarn):
     assert not recwarn.list
 
 
-def test_simulate_lab_reads_simulate_once(monkeypatch):
-    calls = []
-    real = dynamics.simulate
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(dynamics, "simulate", spy)
-    spec = SystemSpec(n=4, params=params_from_pair(5, 1, 0.3))
-    result = simulate_lab(spec, 2.0, 8)
-    assert len(calls) == 1
-    called_spec, t_max, steps = calls[0]
-    assert called_spec is spec
-    assert (t_max, steps) == (2.0 * spec.params.tau, 8)
-    assert np.array_equal(result.times, np.linspace(0.0, 2.0, 9))
+@pytest.mark.parametrize("couplings", [(1.0, 2.0, 3.0, 4.0), (0.0, 0.0, 0.0, 0.0)])
+def test_simulate_rejects_a_grid_end_that_overflows(couplings, recwarn):
+    # t_max_tau is finite, but t_max_tau * tau overflows to inf; with zero couplings the phase is 0 * inf
+    spec = SystemSpec(n=2, params=CouplingParams(*couplings, tau=10.0))
+    with pytest.raises(ValueError, match=r"factor phase .* is not finite at \|t\| = inf"):
+        simulate(spec, 1e308, 2)
+    assert not recwarn.list
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
@@ -229,11 +223,10 @@ def test_simulate_lab_reads_simulate_once(monkeypatch):
 def test_simulate_grid_split_matches_dense_oracle(n, steps, t_max_tau):
     # steps + 1 points around the perfect square 16 exercise the coarse/fine phase tables' edges
     spec = SystemSpec(n=n, params=params_from_pair(7, 3, 0.3))
-    t_max = t_max_tau * spec.params.tau
-    times = np.linspace(0.0, t_max, steps + 1)
+    times = np.linspace(0.0, t_max_tau * spec.params.tau, steps + 1)
     dense = dense_simulate(lab_hamiltonian(spec), np.eye(n * n)[0], times)
-    result = simulate(spec, t_max, steps)
-    assert np.array_equal(result.times, times)
+    result = simulate(spec, t_max_tau, steps)
+    assert np.array_equal(result.times, np.linspace(0.0, t_max_tau, steps + 1))
     assert np.max(np.abs(result.populations - dense.populations)) <= 1e-12
     assert np.max(np.abs(result.populations.sum(axis=1) - 1.0)) <= 1e-12
 
@@ -250,12 +243,12 @@ def test_simulate_evaluates_order_sqrt_points_transcendentals(monkeypatch, n):
 
         monkeypatch.setattr(np, name, spy)
     steps = 9_999
-    simulate_lab(SystemSpec(n=n, params=params_from_pair(7, 3, 0.3)), 20.0, steps)
+    simulate(SystemSpec(n=n, params=params_from_pair(7, 3, 0.3)), 20.0, steps)
     # two factors, n / 2 harmonics each, a coarse and a fine table of about sqrt(steps + 1) phases
     assert 0 < sum(seen) <= 2 * n * (math.isqrt(steps + 1) + 2)
 
 
-def test_simulate_lab_forms_no_dense_hamiltonian(monkeypatch):
+def test_simulate_forms_no_dense_hamiltonian(monkeypatch):
     def refuse(*args):
         raise AssertionError("an n^2 x n^2 Hamiltonian was formed")
 
@@ -269,7 +262,7 @@ def test_simulate_lab_forms_no_dense_hamiltonian(monkeypatch):
     monkeypatch.setattr(dynamics, "lab_hamiltonian", refuse)
     monkeypatch.setattr(dynamics, "build_h_tp", refuse)
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    result = simulate_lab(SystemSpec(n=4, params=params_from_pair(3, 1, 0.0)), t_max_tau=2.0, steps=2)
+    result = simulate(SystemSpec(n=4, params=params_from_pair(3, 1, 0.0)), t_max_tau=2.0, steps=2)
     assert result.populations[1, 12] >= 1.0 - 1e-9
     assert dims == [(4, False), (4, False)]
 
@@ -400,15 +393,15 @@ def test_forbidden_scan_maxima_match_dense_oracle(pqk):
     assert abs(report.max_pop_4 - np.max(dense[:, 3])) <= 1e-12
 
 
-def test_forbidden_scan_reads_simulate_lab(monkeypatch):
+def test_forbidden_scan_reads_simulate(monkeypatch):
     calls = []
-    real = dynamics.simulate_lab
+    real = dynamics.simulate
 
     def spy(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(dynamics, "simulate_lab", spy)
+    monkeypatch.setattr(dynamics, "simulate", spy)
     spec = SystemSpec(n=2, params=params_from_pair(3, 1, 0.0))
     forbidden_scan(spec)
     assert calls == [(spec, 20.0, 9_999)]
@@ -452,7 +445,7 @@ def test_system_spec_validation():
 @pytest.mark.parametrize("p", [99, 1001])
 def test_simulate_six_levels_large_couplings(p):
     # W h W^T is symmetric only to ~eps * max|h|, which the relative Hermiticity gate accepts
-    result = simulate_lab(SystemSpec(n=6, params=params_from_pair(p, 1, 0.5)), t_max_tau=1.0, steps=1)
+    result = simulate(SystemSpec(n=6, params=params_from_pair(p, 1, 0.5)), t_max_tau=1.0, steps=1)
     assert result.populations[1, 30] >= 1.0 - 1e-9
 
 

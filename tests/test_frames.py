@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pythcpt.dynamics import SystemSpec, simulate, verify_cpt
 from pythcpt.frames import (
     MAX_N,
     EntangledFrame,
@@ -14,6 +15,7 @@ from pythcpt.frames import (
 from pythcpt.linalg import vectorize
 from pythcpt.reference_tables import sixteen_level_w
 from pythcpt.su2 import y_matrix
+from pythcpt.triples import params_from_pair
 
 S2 = np.sqrt(2.0)
 ALL_N = tuple(range(1, MAX_N + 1))
@@ -198,6 +200,19 @@ def test_lab_frame_rejects_odd_once(n):
     # odd n reaches general_even_frame, the frame path's one odd-n check
     with pytest.raises(ValueError, match=rf"n={n} is odd: V\(I\) and V\(Y\) are not orthogonal"):
         lab_frame(n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2 ** (MAX_N + 1), 2 ** (MAX_N + 4)])
+def test_lab_frame_names_n_outside_the_built_frames(n):
+    with pytest.raises(ValueError, match=rf"^no lab frame for n={n}: .* <= {2 ** MAX_N}$"):
+        lab_frame(n)
+
+
+@pytest.mark.parametrize("evolve", [verify_cpt, lambda spec: simulate(spec, 1.0, 2)], ids=["verify_cpt", "simulate"])
+def test_callers_name_n_outside_the_built_frames(evolve):
+    # the caller passed n, so the message names n, not build_w's exponent N
+    with pytest.raises(ValueError, match=rf"^no lab frame for n={2 ** (MAX_N + 1)}: .* <= {2 ** MAX_N}$"):
+        evolve(SystemSpec(n=2 ** (MAX_N + 1), params=params_from_pair(3, 1, 0.0)))
 
 
 def test_entropy_product_state():

@@ -274,7 +274,7 @@ def test_equivalence_equals_segment_product_oracle(pq, k, n, variant):
 def test_simulate_matches_dense_oracle(pq, k, n, t_max_tau, steps):
     spec = SystemSpec(n=n, params=params_from_pair(*pq, k))
     times = np.linspace(0.0, t_max_tau * spec.params.tau, steps + 1)
-    pops = simulate(spec, t_max_tau * spec.params.tau, steps).populations
+    pops = simulate(spec, t_max_tau, steps).populations
     dense = dense_simulate(lab_hamiltonian(spec), np.eye(n * n)[0], times).populations
     p = spec.params
     omegas = [np.hypot(p.delta1, p.omega1), np.hypot(p.delta2, p.omega2)]

@@ -14,6 +14,7 @@ from pythcpt.triples import (
     coupling_params,
     enumerate_primitive_pairs,
     lab_couplings,
+    params_from_lab_couplings,
     params_from_pair,
     triple_from_pair,
 )
@@ -107,6 +108,23 @@ def test_lab_couplings_cancellation():
     params = CouplingParams(1.0, 2.0, 1.0, 2.0, tau=1.0)
     v12, v23, v34, v14 = lab_couplings(params)
     assert v23 == 0.0 and v34 == 0.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.tuples(*[st.floats(-1e6, 1e6, allow_nan=False)] * 4), st.floats(0.1, 10.0))
+def test_params_from_lab_couplings_inverts_lab_couplings(couplings, tau):
+    params = params_from_lab_couplings(couplings, tau)
+    assert params.tau == tau
+    scale = max(map(abs, couplings))
+    for v, back in zip(couplings, lab_couplings(params)):
+        assert abs(back - v) <= 4 * np.finfo(float).eps * scale
+
+
+def test_params_from_lab_couplings_of_unit_couplings_is_exact():
+    for unit in np.eye(4).tolist():
+        assert lab_couplings(params_from_lab_couplings(unit, 1.0)) == tuple(unit)
+    params = params_from_pair(3, 1, 0.0)
+    assert params_from_lab_couplings(lab_couplings(params), params.tau) == params
 
 
 def test_coupling_identities_random_k():
