@@ -13,7 +13,10 @@ forms the n^2 x n^2 Hamiltonian: the propagator is u1(t) (x) u2(t), so
 two n x n ``eigh`` calls replace one n^2 x n^2 ``eigh``, and the phases
 of all T grid points come from two small tables per factor, about
 2n sqrt(T) complex exponentials in all, where the dense evolution takes
-n^2 complex exponentials per point. :func:`verify_cpt` still
+n^2 complex exponentials per point. The populations come from two real
+GEMMs, one for Re psi and one for Im psi, each squared in place: no
+(2 n^2, T) array is formed, and the peak memory is about three times
+the returned (T, n^2) populations. :func:`verify_cpt` still
 diagonalizes the real n^2 x n^2 ``build_h_tp`` once, but reads its two
 amplitudes straight from the spectral decomposition
 (:func:`pythcpt.linalg.propagator_elements`), so it forms no n^2 x n^2
@@ -22,6 +25,7 @@ propagator and runs no n^2 x n^2 complex product.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +33,7 @@ import numpy as np
 
 from .frames import lab_frame
 from .linalg import kron, propagator_elements, require_hermitian, vectorize
-from .su2 import spin_generators, y_matrix
+from .su2 import SPIN_CACHE_SIZE, spin_generators, y_matrix
 from .triples import CouplingParams
 
 CPT_TOL = 1e-9
@@ -139,35 +143,70 @@ def _rows_times_kron(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.T @ x.reshape(-1, n, n) @ b).reshape(len(x), -1)
 
 
+@functools.lru_cache(maxsize=SPIN_CACHE_SIZE)
 def _phase_map(n: int) -> np.ndarray:
     """K with exp(-i mu_k theta) = (K f(theta))_k for the ascending spin ladder.
 
     mu_k = 2k - n + 1 (even n), and f(theta) = (cos(h theta), sin(h theta))
     over the harmonics h = 1, 3, ..., n - 1; each row of K holds a 1 on
-    the cosine and -i sign(mu_k) on the sine of harmonic |mu_k|.
+    the cosine and -i sign(mu_k) on the sine of harmonic |mu_k|. Built
+    once per n; the returned array is read-only.
     """
     mu = 2 * np.arange(n) - n + 1
     harmonic = np.abs(mu) // 2
     k = np.zeros((n, n), dtype=complex)
     k[np.arange(n), harmonic] = 1.0
     k[np.arange(n), n // 2 + harmonic] = -1j * np.sign(mu)
+    k.flags.writeable = False
     return k
 
 
 def _features(n: int, omega: float, dt: float, points: int) -> np.ndarray:
-    """(cos, sin) of the harmonics h * omega * dt * j, h = 1, 3, ..., n - 1, j < points, as (n, points).
+    """exp(i h omega dt j) for the harmonics h = 1, 3, ..., n - 1 and j < points, as a complex (n/2, points) table.
 
-    With j = a * B + b and B = ceil(sqrt(points)), exp(i h omega dt j) is
-    exp(i h omega dt B a) * exp(i h omega dt b): a coarse table over a and
-    a fine table over b, about n * sqrt(points) complex exponentials in all,
-    then one complex product per harmonic and point.
+    Its real and imaginary parts are the (cos, sin) features f of
+    :func:`_phase_map`. With j = a * B + b and B = ceil(sqrt(points)),
+    exp(i h omega dt j) is exp(i h omega dt B a) * exp(i h omega dt b): a
+    coarse table over a and a fine table over b, about n * sqrt(points)
+    complex exponentials in all, then one complex product per harmonic
+    and point.
     """
     block = math.isqrt(points - 1) + 1
     rate = np.arange(1, n, 2)[:, None] * (omega * dt)
     coarse = np.exp(1j * rate * (block * np.arange(-(-points // block))))
     fine = np.exp(1j * rate * np.arange(block))
-    waves = (coarse[:, :, None] * fine[:, None, :]).reshape(len(rate), -1)[:, :points]
-    return np.concatenate((waves.real, waves.imag))
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(rate), -1)[:, :points]
+
+
+def _feature_products(n: int, omegas: list[float], dt: float, points: int) -> np.ndarray:
+    """phi(t) = f1(t) (x) f2(t) with f = (Re, Im) of each factor's :func:`_features` table, as (n^2, points).
+
+    Each of the four (Re | Im) x (Re | Im) blocks is written straight
+    into phi, so f is never stacked, and the two complex tables are
+    freed when this returns.
+    """
+    half = n // 2
+    phi = np.empty((2, half, 2, half, points))
+    w1, w2 = (_features(n, omega, dt, points) for omega in omegas)
+    for a, f1 in enumerate((w1.real, w1.imag)):
+        for b, f2 in enumerate((w2.real, w2.imag)):
+            np.multiply(f1[:, None], f2, out=phi[a, :, b])
+    return phi.reshape(n * n, points)
+
+
+def _squared_moduli(m: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """|m @ phi|^2 for complex m and real phi, from two real GEMMs and no complex product.
+
+    The square of the imaginary part is added in place into the square
+    of the real part, so the peak is phi and two arrays of the result's
+    shape.
+    """
+    out = m.real @ phi
+    out *= out
+    imag = m.imag @ phi
+    imag *= imag
+    out += imag
+    return out
 
 
 def simulate(spec: SystemSpec, t_max_tau: float, steps: int) -> SimulationResult:
@@ -188,8 +227,10 @@ def simulate(spec: SystemSpec, t_max_tau: float, steps: int) -> SimulationResult
     factor's features come from two small phase tables
     (:func:`_features`), O(n sqrt(steps)) complex exponentials per
     factor. Per time point that leaves n complex products, n^2 real
-    products and two real matrix-vector products; no n^2 x n^2
-    Hamiltonian is formed.
+    products and two real matrix-vector products, one for Re psi and
+    one for Im psi (:func:`_squared_moduli`); no n^2 x n^2 Hamiltonian
+    and no (2 n^2, T) array is formed, and the peak memory is about
+    three times the returned populations.
     """
     if not (math.isfinite(t_max_tau) and t_max_tau >= 0):
         raise ValueError(f"t_max must be finite and non-negative, got {t_max_tau}")
@@ -206,16 +247,11 @@ def simulate(spec: SystemSpec, t_max_tau: float, steps: int) -> SimulationResult
     points = steps + 1
     dt = t_max / max(steps, 1)
     v1, v2 = (np.linalg.eigh(build_h_single(n, delta, omega))[1] for delta, omega in drives)
-    f1, f2 = (_features(n, omega, dt, points) for omega in omegas)
     e = _rows_times_kron(w, v1, v2)
     k = _phase_map(n)
     m = _rows_times_kron(e * e[0], k, k)
-    phi = (f1[:, None, :] * f2[None, :, :]).reshape(n * n, points)
-    waves = np.concatenate((m.real, m.imag)) @ phi  # (2 n^2, T): Re psi(t) over Im psi(t)
-    waves *= waves
-    return SimulationResult(
-        times=np.linspace(0.0, t_max_tau, points), populations=(waves[: n * n] + waves[n * n :]).T
-    )
+    populations = _squared_moduli(m, _feature_products(n, omegas, dt, points))  # (n^2, T)
+    return SimulationResult(times=np.linspace(0.0, t_max_tau, points), populations=populations.T)
 
 
 def verify_cpt(spec: SystemSpec, tol: float = CPT_TOL) -> CptCertificate:
@@ -269,6 +305,9 @@ def forbidden_scan(spec: SystemSpec) -> ForbiddenScanReport:
     no more time than small ones, but they still carry c and lose
     precision as eps * c. See ROADMAP items 3 (exact triple
     angles, which take c out of the phases) and 4 (a closed-form bound).
+
+    Each scan is one 10^4-point :func:`simulate` call at n = 2, whose
+    peak memory is about three times its 320 kB of populations.
     """
     if spec.n != 2:
         raise ValueError(f"forbidden state scan applies to n=2 only, got n={spec.n}")

@@ -44,6 +44,7 @@ follows from one property of F:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,10 +128,18 @@ def build_w(N: int) -> EntangledFrame:
     """Entangled frame for n = 2^N, 1 <= N <= MAX_N, from the closed form.
 
     See the module docstring for the formula and why it meets every
-    demand; W lands the transfer on basis state n^2 - n + 1.
+    demand; W lands the transfer on basis state n^2 - n + 1. Each frame
+    is built once, so repeated calls return the same object and its W
+    is read-only; copy it before writing to it.
     """
     if not 1 <= N <= MAX_N:
         raise ValueError(f"N must be in 1..{MAX_N}, got {N}")
+    return _closed_form_frame(N)
+
+
+# MAX_N frames at most; typed, so a float N still fails in the builder instead of hitting the int entry
+@functools.lru_cache(maxsize=None, typed=True)
+def _closed_form_frame(N: int) -> EntangledFrame:
     n = 2 ** N
     f = np.eye(N, k=1, dtype=int) + np.eye(N, k=-1, dtype=int)
     f[0, 0] = 1
@@ -140,6 +149,7 @@ def build_w(N: int) -> EntangledFrame:
     r, c = np.divmod(np.arange(n * n), n)
     x = r ^ c
     w = np.where(x[:, None] == x[None, :], sign[r[:, None], r[None, :]], 0) / np.sqrt(2.0 ** N)
+    w.flags.writeable = False
     codes = bits[x] + 2 * z[r]  # digit k indexes "0132" by x_k + 2 z_k
     labels = tuple("".join("0132"[d] for d in row) for row in codes.tolist())
     return EntangledFrame(N=N, labels=labels, W=w)
@@ -212,6 +222,8 @@ def lab_frame(n: int) -> np.ndarray:
 
     ``build_w(N).W`` for n = 2^N <= 2^MAX_N, else :func:`general_even_frame`,
     which rejects odd n; both give the same transfer rows 0 and n^2 - n.
+    The power-of-two frame is cached and read-only; the general even-n
+    frame is built fresh on every call.
     """
     if n & (n - 1) == 0:
         if not 2 <= n <= 2 ** MAX_N:

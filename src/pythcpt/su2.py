@@ -8,10 +8,14 @@ by index (``s[1]``), by iteration or by unpacking, and every
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+# distinct dimensions whose spin generators stay cached
+SPIN_CACHE_SIZE = 64
 
 
 class SigmaSet(NamedTuple):
@@ -60,10 +64,19 @@ def spin_generators(n: int) -> SpinRep:
 
     The raising operator has matrix elements
     ``sqrt(j(j+1) - m(m+1))`` on the first superdiagonal, from which
-    J1 = (J+ + J-)/2 and J2 = (J+ - J-)/(2i).
+    J1 = (J+ + J-)/2 and J2 = (J+ - J-)/(2i). The representation is
+    built once per n (the last ``SPIN_CACHE_SIZE`` dimensions are kept),
+    so repeated calls return the same object and its arrays are
+    read-only; copy one before writing to it.
     """
     if n < 2:
         raise ValueError(f"representation dimension must be >= 2, got {n}")
+    return _spin_rep(n)
+
+
+# typed, so a float n still fails in the builder instead of hitting the int entry
+@functools.lru_cache(maxsize=SPIN_CACHE_SIZE, typed=True)
+def _spin_rep(n: int) -> SpinRep:
     j = (n - 1) / 2.0
     m = j - np.arange(n)  # descending: j, j-1, ..., -j
     jplus = np.zeros((n, n))
@@ -74,7 +87,10 @@ def spin_generators(n: int) -> SpinRep:
     jminus = jplus.T
     j1 = (jplus + jminus) / 2.0
     j2 = (jplus - jminus) / 2j
-    return SpinRep(n=n, j=j, J1=j1, J2=j2, J3=np.diag(m))
+    j3 = np.diag(m)
+    for a in (j1, j2, j3):
+        a.flags.writeable = False
+    return SpinRep(n=n, j=j, J1=j1, J2=j2, J3=j3)
 
 
 def y_matrix(n: int) -> np.ndarray:

@@ -44,7 +44,8 @@ class PythTriple:
 class CouplingParams:
     """Detunings, Rabi frequencies and transfer time for one triple.
 
-    ``tau`` is the time at which the population transfer completes.
+    ``tau`` is the time at which the population transfer completes; it
+    must be finite and positive.
     """
 
     delta1: float
@@ -52,6 +53,10 @@ class CouplingParams:
     delta2: float
     omega2: float
     tau: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be a finite positive number, got {self.tau!r}")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.delta1, self.omega1, self.delta2, self.omega2)
@@ -114,7 +119,7 @@ def coupling_params(triple: PythTriple, k: float = 0.0) -> CouplingParams:
     d2 = 0.5 * (wk * (c + a) - w1 * b)
     o2 = 0.5 * (w1 * (c + a) + wk * b)
     params = CouplingParams(delta1=d1, omega1=o1, delta2=d2, omega2=o2, tau=tau)
-    if not all(math.isfinite(v) for v in (*params.as_tuple(), tau)):
+    if not all(math.isfinite(v) for v in params.as_tuple()):
         raise ValueError(f"c={float(c)} overflows the couplings or the transfer time: {params}")
     scale = max(abs(v) for v in params.as_tuple())
     zeros = [

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +232,20 @@ def test_simulate_grid_split_matches_dense_oracle(n, steps, t_max_tau):
     assert np.max(np.abs(result.populations.sum(axis=1) - 1.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("n, steps", [(2, 9_999), (8, 5_000)])
+def test_simulate_peak_memory_is_about_three_outputs(n, steps):
+    # phi and two real GEMM outputs of the populations' size; no (2 n^2, T) array, no stacked features
+    spec = SystemSpec(n=n, params=params_from_pair(13, 3, 0.7))
+    simulate(spec, 20.0, steps)  # builds the cached per-n constants outside the measurement
+    tracemalloc.start()
+    try:
+        result = simulate(spec, 20.0, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * result.populations.nbytes
+
+
 @pytest.mark.parametrize("n", [2, 8])
 def test_simulate_evaluates_order_sqrt_points_transcendentals(monkeypatch, n):
     seen = []
@@ -288,9 +303,9 @@ def test_verify_cpt_takes_the_real_eigensolver(monkeypatch):
 
 
 def test_verify_cpt_nan_tau_raises():
-    params = dataclasses.replace(params_from_pair(3, 1, 0.3), tau=float("nan"))
-    with pytest.raises(ValueError, match="propagator is not unitary"):
-        verify_cpt(SystemSpec(n=4, params=params))
+    # a NaN tau is rejected where the parameters are built, before any certificate reads it
+    with pytest.raises(ValueError, match="tau must be a finite positive number, got nan"):
+        dataclasses.replace(params_from_pair(3, 1, 0.3), tau=float("nan"))
 
 
 def test_verify_cpt_rejects_a_non_orthonormal_eigenbasis(monkeypatch):

@@ -120,6 +120,12 @@ def test_params_from_lab_couplings_inverts_lab_couplings(couplings, tau):
         assert abs(back - v) <= 4 * np.finfo(float).eps * scale
 
 
+@pytest.mark.parametrize("tau", [0.0, -0.0, -1.0, float("inf"), float("-inf"), float("nan")])
+def test_coupling_params_rejects_a_tau_that_is_not_finite_and_positive(tau):
+    with pytest.raises(ValueError, match=f"tau must be a finite positive number, got {tau!r}$"):
+        CouplingParams(1.0, 2.0, 3.0, 4.0, tau=tau)
+
+
 def test_params_from_lab_couplings_of_unit_couplings_is_exact():
     for unit in np.eye(4).tolist():
         assert lab_couplings(params_from_lab_couplings(unit, 1.0)) == tuple(unit)
