@@ -7,129 +7,99 @@ symmetric orthogonal entangled frames that turn them into sparse
 lab-frame systems, and certifies the resulting complete population
 transfers numerically, including the doubled-space (retrograde)
 generalizations.
+
+Each public name is declared once, in ``_EXPORTS``, and its layer is
+imported when a name of it (or the layer, ``pythcpt.frames``) is first
+read, so ``import pythcpt.triples`` loads no numpy. Nothing is cached
+here: a function patched in its layer is what the package returns.
 """
 
-from .linalg import (
-    complete_orthogonal,
-    kron,
-    matexp_unitary,
-    propagator_elements,
-    unvectorize,
-    vectorize,
-)
-from .su2 import SigmaSet, SpinRep, sigma_set, spin_generators, y_matrix
-from .triples import (
-    CouplingParams,
-    OddPair,
-    PythTriple,
-    coupling_params,
-    enumerate_primitive_pairs,
-    lab_couplings,
-    params_from_lab_couplings,
-    params_from_pair,
-    triple_from_pair,
-)
-from .frames import (
-    EntangledFrame,
-    FrameValidation,
-    build_w,
-    entanglement_entropy,
-    general_even_frame,
-    lab_frame,
-    label_to_column,
-    validate_frame,
-)
-from .dynamics import (
-    CouplingGraph,
-    CptCertificate,
-    ForbiddenScanReport,
-    SimulationResult,
-    SystemSpec,
-    build_h_single,
-    build_h_tp,
-    coupling_graph,
-    forbidden_scan,
-    lab_hamiltonian,
-    simulate,
-    verify_cpt,
-)
-from .retrograde import (
-    BasicCptRecord,
-    BasicCptReport,
-    EquivalenceReport,
-    OddDimReport,
-    PulseSchedule,
-    RecipeResult,
-    RetrogradeSystem,
-    TimeIndependentReport,
-    basic_cpts,
-    check_equivalence,
-    general_recipe,
-    odd_dim_demo,
-    ordered_propagator,
-    pythagorean_pulse,
-    time_independent_conditions,
-)
-from .suite import CheckResult, SuiteReport, run_suite
+import importlib
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasicCptRecord",
-    "BasicCptReport",
-    "CheckResult",
-    "CouplingGraph",
-    "CouplingParams",
-    "CptCertificate",
-    "EntangledFrame",
-    "EquivalenceReport",
-    "ForbiddenScanReport",
-    "FrameValidation",
-    "OddDimReport",
-    "OddPair",
-    "PulseSchedule",
-    "PythTriple",
-    "RecipeResult",
-    "RetrogradeSystem",
-    "SigmaSet",
-    "SimulationResult",
-    "SpinRep",
-    "SuiteReport",
-    "SystemSpec",
-    "TimeIndependentReport",
-    "basic_cpts",
-    "build_h_single",
-    "build_h_tp",
-    "build_w",
-    "check_equivalence",
-    "complete_orthogonal",
-    "coupling_graph",
-    "coupling_params",
-    "enumerate_primitive_pairs",
-    "entanglement_entropy",
-    "forbidden_scan",
-    "general_even_frame",
-    "general_recipe",
-    "kron",
-    "lab_couplings",
-    "lab_frame",
-    "lab_hamiltonian",
-    "label_to_column",
-    "matexp_unitary",
-    "odd_dim_demo",
-    "ordered_propagator",
-    "params_from_lab_couplings",
-    "params_from_pair",
-    "propagator_elements",
-    "pythagorean_pulse",
-    "run_suite",
-    "sigma_set",
-    "simulate",
-    "spin_generators",
-    "triple_from_pair",
-    "unvectorize",
-    "validate_frame",
-    "vectorize",
-    "verify_cpt",
-    "y_matrix",
-]
+# {layer module: the names it exports}
+_EXPORTS = {
+    "linalg": (
+        "complete_orthogonal",
+        "kron",
+        "matexp_unitary",
+        "propagator_elements",
+        "unvectorize",
+        "vectorize",
+    ),
+    "su2": ("SigmaSet", "SpinRep", "sigma_set", "spin_generators", "y_matrix"),
+    "triples": (
+        "CouplingParams",
+        "OddPair",
+        "PythTriple",
+        "coupling_params",
+        "enumerate_primitive_pairs",
+        "lab_couplings",
+        "params_from_lab_couplings",
+        "params_from_pair",
+        "triple_from_pair",
+    ),
+    "frames": (
+        "EntangledFrame",
+        "FrameValidation",
+        "build_w",
+        "entanglement_entropy",
+        "general_even_frame",
+        "lab_frame",
+        "label_to_column",
+        "validate_frame",
+    ),
+    "dynamics": (
+        "CouplingGraph",
+        "CptCertificate",
+        "ForbiddenScanReport",
+        "SimulationResult",
+        "SystemSpec",
+        "build_h_single",
+        "build_h_tp",
+        "coupling_graph",
+        "forbidden_scan",
+        "lab_hamiltonian",
+        "simulate",
+        "verify_cpt",
+    ),
+    "retrograde": (
+        "BasicCptRecord",
+        "BasicCptReport",
+        "EquivalenceReport",
+        "OddDimReport",
+        "PulseSchedule",
+        "RecipeResult",
+        "RetrogradeSystem",
+        "TimeIndependentReport",
+        "basic_cpts",
+        "check_equivalence",
+        "general_recipe",
+        "odd_dim_demo",
+        "ordered_propagator",
+        "pythagorean_pulse",
+        "time_independent_conditions",
+    ),
+    "suite": ("CheckResult", "SuiteReport", "run_suite"),
+}
+_MODULE_OF = {name: f"{__name__}.{layer}" for layer, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    try:
+        module_name = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    # sys.modules first: for a loaded layer this halves the cost of a read through import_module
+    module = sys.modules.get(module_name) or importlib.import_module(module_name)
+    return getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -19,12 +19,16 @@ counts as an absent key. NaN and infinite numbers are rejected. The
 environment variable ``PYTHCPT_TOL`` overrides the default
 certification tolerance (1e-9); a tolerance from any source must be a
 finite positive number. Exit codes: 0 success, 1 verification failure,
-2 invalid input, with a message naming the flag or config field.
+2 invalid input, with a message naming the flag or config field (each
+subcommand's rule on n is its converter of ``n``), 141 when the reader
+closes stdout early (``| head``), as for a process that SIGPIPE ended.
+``simulate`` writes its CSV row by row; it never holds the table as text.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -120,13 +124,33 @@ def _one_of(*choices: str):
     return convert
 
 
+def _levels(allowed, rule: str):
+    """A converter of one subcommand's n: an integer that satisfies ``allowed``, described by ``rule``."""
+
+    def convert(value, source: str) -> int:
+        n = _integer(value, source)
+        if not allowed(n):
+            raise ConfigError(f"{source}: n must be {rule}, got {n}")
+        return n
+
+    return convert
+
+
 def _default_tol() -> float:
     raw = os.environ.get("PYTHCPT_TOL")
     return CPT_TOL if raw is None else _positive_tol(raw, "PYTHCPT_TOL")
 
 
+# each subcommand's n: verify leaves odd n and n < 2 to the library's messages
+_SIMULATE_N = _levels(lambda n: n % 2 == 0 and 2 <= n <= _MAX_LEVELS, f"even with 2 <= n <= {_MAX_LEVELS}")
+_VERIFY_N = _levels(lambda n: n <= _MAX_LEVELS, f"<= {_MAX_LEVELS}")
+_GRAPH_N = _levels(
+    lambda n: 2 <= n <= _MAX_LEVELS and not n & (n - 1), f"a power of two with 2 <= n <= {_MAX_LEVELS}"
+)
+_RETRO_N = _levels(lambda n: n in (2, 3, 4), "one of 2, 3, 4")
+
 # {subcommand: (help, {field: (converter, default[, help])})}; a callable default is evaluated per run.
-_PQKN = {"p": (_integer, _REQUIRED), "q": (_integer, _REQUIRED), "k": (_real, 0.0), "n": (_integer, 4)}
+_PQK = {"p": (_integer, _REQUIRED), "q": (_integer, _REQUIRED), "k": (_real, 0.0)}
 _TOL = {"tol": (_positive_tol, _default_tol)}
 _FIELDS = {
     "triples": (
@@ -139,14 +163,17 @@ _FIELDS = {
     ),
     "simulate": (
         "lab-frame population traces as CSV",
-        {**_PQKN, "t_max": (_real, 2.0), "steps": (_integer, 400), "out": (_text, "-"),
+        {**_PQK, "n": (_SIMULATE_N, 4), "t_max": (_real, 2.0), "steps": (_integer, 400), "out": (_text, "-"),
          "absolute_time": (_switch, False)},
     ),
-    "verify": ("transfer certificate as JSON", {**_PQKN, **_TOL}),
-    "graph": ("coupling graph as DOT or JSON", {**_PQKN, "format": (_one_of("dot", "json"), "dot")}),
+    "verify": ("transfer certificate as JSON", {**_PQK, "n": (_VERIFY_N, 4), **_TOL}),
+    "graph": (
+        "coupling graph as DOT or JSON",
+        {**_PQK, "n": (_GRAPH_N, 4), "format": (_one_of("dot", "json"), "dot")},
+    ),
     "retro": (
         "doubled-space transfer report as JSON",
-        {**_PQKN, "n": (_integer, 2), "variant": (_one_of("retrograde", "semi"), "retrograde"), **_TOL},
+        {**_PQK, "n": (_RETRO_N, 2), "variant": (_one_of("retrograde", "semi"), "retrograde"), **_TOL},
     ),
     "suite": (
         "run the verification battery",
@@ -217,30 +244,23 @@ def _cmd_frame(cfg: dict) -> int:
 
 
 def _cmd_simulate(cfg: dict) -> int:
-    n = cfg["n"]
-    if n % 2 or not 2 <= n <= _MAX_LEVELS:
-        raise ConfigError(f"n must be even with 2 <= n <= {_MAX_LEVELS}, got {n}")
-    spec = SystemSpec(n=n, params=params_from_pair(cfg["p"], cfg["q"], cfg["k"]))
+    spec = SystemSpec(n=cfg["n"], params=params_from_pair(cfg["p"], cfg["q"], cfg["k"]))
     result = simulate(spec, cfg["t_max"], cfg["steps"])
     times = result.times * spec.params.tau if cfg["absolute_time"] else result.times
-    unit = "absolute" if cfg["absolute_time"] else "tau"
-    header = ("t" if unit == "absolute" else "t_over_tau") + "," + ",".join(
+    header = ("t" if cfg["absolute_time"] else "t_over_tau") + "," + ",".join(
         f"pop_{i + 1}" for i in range(result.populations.shape[1])
     )
-    # repr of Python floats round-trips; converting one row at a time keeps the peak memory low
-    rows = (",".join(map(repr, [t, *pops.tolist()])) for t, pops in zip(times.tolist(), result.populations))
-    text = "\n".join([header, *rows]) + "\n"
-    if cfg["out"] == "-":
-        sys.stdout.write(text)
-    else:
-        with open(cfg["out"], "w", encoding="utf-8") as fh:
-            fh.write(text)
+    # each row goes straight to the sink, so no copy of the table is held as text;
+    # repr of Python floats round-trips
+    out = cfg["out"]
+    with (open(out, "w", encoding="utf-8") if out != "-" else contextlib.nullcontext(sys.stdout)) as sink:
+        sink.write(header + "\n")
+        for t, pops in zip(times.tolist(), result.populations):
+            sink.write(",".join(map(repr, [t, *pops.tolist()])) + "\n")
     return 0
 
 
 def _cmd_verify(cfg: dict) -> int:
-    if cfg["n"] > _MAX_LEVELS:  # odd n and n < 2 keep the library's messages
-        raise ConfigError(f"n must be <= {_MAX_LEVELS}, got {cfg['n']}")
     spec = SystemSpec(n=cfg["n"], params=params_from_pair(cfg["p"], cfg["q"], cfg["k"]))
     cert = verify_cpt(spec, tol=cfg["tol"])
     _print_json(
@@ -287,8 +307,6 @@ def _symbolic_label(i: int, j: int, basis: list[np.ndarray]) -> str:
 
 def _cmd_graph(cfg: dict) -> int:
     n = cfg["n"]
-    if n < 2 or n & (n - 1) or n > _MAX_LEVELS:
-        raise ConfigError(f"n must be a power of two with 2 <= n <= {_MAX_LEVELS}, got {n}")
     params = params_from_pair(cfg["p"], cfg["q"], cfg["k"])
     graph = coupling_graph(lab_hamiltonian(SystemSpec(n=n, params=params)))
     symbolic = _symbolic_basis(n) if n in (2, 4) else None
@@ -317,8 +335,6 @@ def _cmd_graph(cfg: dict) -> int:
 
 def _cmd_retro(cfg: dict) -> int:
     p, q, k, n, tol = cfg["p"], cfg["q"], cfg["k"], cfg["n"], cfg["tol"]
-    if n not in (2, 3, 4):
-        raise ConfigError(f"n must be one of 2, 3, 4, got {n}")
     if n == 3:
         if cfg["variant"] == "semi":
             raise ConfigError("variant semi is not defined at n = 3: the odd-dimension demo is retrograde only")
@@ -420,7 +436,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(_merge_config(args))
+        code = args.func(_merge_config(args))
+        sys.stdout.flush()  # a reader that left shows here, not in the interpreter's exit flush
+        return code
+    except BrokenPipeError:
+        # a closed reader is not invalid input; devnull keeps the exit flush of what is left silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

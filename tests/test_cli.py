@@ -1,7 +1,12 @@
 import argparse
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +162,28 @@ def test_simulate_csv_is_repr_of_simulate(capsys, absolute):
     assert out == "\n".join([",".join(header), *rows]) + "\n"
 
 
+def test_simulate_csv_streams_to_its_sink(tmp_path, monkeypatch):
+    # the rows go to the file one at a time: no whole-table string beside the populations
+    results = []
+
+    def recording(*args):
+        results.append(cli_simulate(*args))
+        return results[-1]
+
+    cli_simulate = cli.simulate
+    monkeypatch.setattr(cli, "simulate", recording)
+    argv = ["simulate", "--p", "13", "--q", "3", "--k", "0.7", "--n", "8", "--steps", "5000"]
+    main([*argv, "--out", str(tmp_path / "warm.csv")])  # builds the cached per-n constants outside the measurement
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--out", str(tmp_path / "trace.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 3.5 * results[-1].populations.nbytes
+
+
 def test_graph_dot_symbolic(capsys):
     code, out, _ = run_cli(capsys, "graph", "--p", "3", "--q", "1", "--k", "0.7", "--n", "4")
     assert code == 0
@@ -293,6 +320,21 @@ def test_verify_n_bound_from_config(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "n must be <= 32, got 64" in err
+
+
+@pytest.mark.parametrize("command, n", [("simulate", 3), ("verify", 34), ("graph", 6), ("retro", 5)])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_n_rule_message_names_its_source(capsys, tmp_path, command, n, source):
+    if source == "flag":
+        argv, named = [command, "--p", "3", "--q", "1", "--n", str(n)], "--n"
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"p": 3, "q": 1, "n": n}))
+        argv, named = [command, "--config", str(config)], "config field 'n'"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {named}: n must be ") and err.endswith(f", got {n}\n")
 
 
 def test_verify_largest_n(capsys):
@@ -588,3 +630,23 @@ def test_huge_p_is_invalid_input(capsys, tmp_path, command, p, source):
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
     assert "(p, q) = (" in err or "c=9.8e+307" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["triples", "--max-c", "100000"], ["simulate", "--p", "13", "--q", "3", "--n", "4", "--steps", "5000"]],
+    ids=["triples", "simulate"],
+)
+def test_closed_stdout_exits_141_silently(argv):
+    # a reader that leaves after one line, as `| head -n 1` does, is not invalid input
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with subprocess.Popen(
+        [sys.executable, "-m", "pythcpt.cli", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert code == 141
+    assert err == b""

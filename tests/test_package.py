@@ -1,0 +1,65 @@
+"""The package namespace: one export table, each layer imported on first use, nothing cached."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pythcpt
+
+SRC = Path(pythcpt.__file__).resolve().parent.parent
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's pythcpt."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_star_import_binds_exactly_all():
+    namespace: dict = {}
+    exec("from pythcpt import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(pythcpt.__all__)
+    assert len(pythcpt.__all__) == 58
+    assert "time_independent_conditions" in pythcpt.__all__
+
+
+def test_every_export_is_its_layer_object():
+    for layer, names in pythcpt._EXPORTS.items():
+        module = importlib.import_module(f"pythcpt.{layer}")
+        for name in names:
+            assert getattr(pythcpt, name) is getattr(module, name), name
+    assert sorted(name for names in pythcpt._EXPORTS.values() for name in names) == sorted(pythcpt.__all__)
+
+
+def test_unknown_name_is_absent():
+    assert not hasattr(pythcpt, "no_such_name")
+    assert "verify_cpt" in dir(pythcpt) and "dynamics" in dir(pythcpt)
+
+
+def test_triples_import_loads_no_numpy():
+    proc = run_fresh("import sys, pythcpt, pythcpt.triples; assert 'numpy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_layer_read_from_the_package_imports_it():
+    proc = run_fresh("import pythcpt; print(pythcpt.frames.MAX_N)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "5\n"
+
+
+def test_resolved_names_are_not_cached():
+    # a name bound in the package would outlive a wrapper patched into, then removed from, its layer
+    proc = run_fresh(
+        "import pythcpt\n"
+        "for name in pythcpt.__all__: getattr(pythcpt, name)\n"
+        "assert not set(vars(pythcpt)) & set(pythcpt.__all__)\n"
+        "import pythcpt.dynamics as d\n"
+        "real = d.verify_cpt\n"
+        "d.verify_cpt = wrapper = lambda *a: real(*a)\n"
+        "assert pythcpt.verify_cpt is wrapper\n"
+        "d.verify_cpt = real\n"
+        "assert pythcpt.verify_cpt is real\n"
+    )
+    assert proc.returncode == 0, proc.stderr
