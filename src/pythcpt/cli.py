@@ -15,12 +15,14 @@ field reads a flag string and a config value alike, so config values
 take the field's JSON type: integers (or integer strings) for integer
 fields, numbers for real fields, ``true``/``false`` for switches, and
 one of the listed strings for ``format`` and ``variant``; JSON null
-counts as an absent key. NaN and infinite numbers are rejected. The
+counts as an absent key. NaN and infinite numbers are rejected. A
+flag's value may start with a dash in any form (``--k -1e-3``). The
 environment variable ``PYTHCPT_TOL`` overrides the default
 certification tolerance (1e-9); a tolerance from any source must be a
 finite positive number. Exit codes: 0 success, 1 verification failure,
 2 invalid input, with a message naming the flag or config field (each
-subcommand's rule on n is its converter of ``n``), 141 when the reader
+subcommand's rule on n is its converter of ``n``; still 2 when stderr
+cannot take the message), 141 when the reader
 closes stdout early (``| head``), as for a process that SIGPIPE ended.
 ``simulate`` writes its CSV row by row; it never holds the table as text.
 """
@@ -39,7 +41,6 @@ import numpy as np
 from .dynamics import CPT_TOL, SystemSpec, coupling_graph, lab_hamiltonian, simulate, verify_cpt
 from .frames import MAX_N, build_w
 from .retrograde import basic_cpts, check_equivalence, odd_dim_demo, pythagorean_pulse
-from .su2 import y_matrix
 from .suite import run_suite
 from .triples import (
     MIN_C,
@@ -352,9 +353,11 @@ def _cmd_retro(cfg: dict) -> int:
             }
         )
         return 0 if ok else 1
-    pulse = pythagorean_pulse(p, q, k, n=n)
-    y = np.eye(n, dtype=complex) if cfg["variant"] == "semi" else y_matrix(n)
-    equiv = check_equivalence(pulse, y, variant=cfg["variant"], tol=tol)
+    if cfg["variant"] == "semi":
+        report, equiv = None, check_equivalence(pythagorean_pulse(p, q, k, n=n), np.eye(n), variant="semi", tol=tol)
+    else:  # basic_cpts measures the equivalence against Y on its one half step
+        report = basic_cpts(n, p, q, k, tol)
+        equiv = report.equivalence
     payload = {
         "n": n,
         "variant": cfg["variant"],
@@ -368,8 +371,7 @@ def _cmd_retro(cfg: dict) -> int:
         "is_cpt": equiv.is_cpt,
     }
     ok = equiv.propagator_matches and equiv.doubled_state_matches
-    if cfg["variant"] == "retrograde":
-        report = basic_cpts(n, p, q, k, tol)
+    if report is not None:
         payload["pairwise_transfers"] = [
             {"index": r.index, "orthogonality_residual": r.orthogonality_residual, "ok": r.ok}
             for r in report.records
@@ -429,10 +431,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """``--flag value`` as ``--flag=value`` where the value starts with a dash and is not a flag.
+
+    argparse reads such a token as a value only if it looks like a plain
+    negative number: ``-0.001``, not ``-1e-3`` (how ``repr`` writes small
+    negative floats) or ``-inf``. Attached, it reaches the field's converter.
+    """
+    fields = _FIELDS[argv[0]][1] if argv and argv[0] in _FIELDS else {}
+    valued = {_flag(key) for key, (convert, *_) in fields.items() if convert is not _switch} | {"--config"}
+    flags = valued | {_flag(key) for key in fields} | {"-h", "--help"}
+    attached = argv[:1]
+    for token in argv[1:]:
+        if attached[-1] in valued and token.startswith("-") and token not in flags:
+            attached[-1] += "=" + token
+        else:
+            attached.append(token)
+    return attached
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -446,7 +467,8 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         return 141
     except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        with contextlib.suppress(OSError):  # an unwritable stderr leaves the exit code of invalid input alone
+            print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

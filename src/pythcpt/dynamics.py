@@ -13,32 +13,36 @@ forms the n^2 x n^2 Hamiltonian: the propagator is u1(t) (x) u2(t), so
 two n x n ``eigh`` calls replace one n^2 x n^2 ``eigh``, and the phases
 of all T grid points come from two small tables per factor, about
 2n sqrt(T) complex exponentials in all, where the dense evolution takes
-n^2 complex exponentials per point. The populations come from two real
-GEMMs, one for Re psi and one for Im psi, each squared in place: no
+n^2 complex exponentials per point. Each eigen-index folds with its
+mirror, so the populations come from two real GEMMs of inner dimension
+n^2/2, one for Re psi and one for Im psi, each squared in place: no
 (2 n^2, T) array is formed, and the peak memory is about three times
 the returned (T, n^2) populations. :func:`verify_cpt` still
-diagonalizes the real n^2 x n^2 ``build_h_tp`` once, but reads its two
-amplitudes straight from the spectral decomposition
+diagonalizes the real n^2 x n^2 ``build_h_tp`` once, but reads its one
+amplitude straight from the spectral decomposition
 (:func:`pythcpt.linalg.propagator_elements`), so it forms no n^2 x n^2
 propagator and runs no n^2 x n^2 complex product.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .frames import lab_frame
-from .linalg import kron, propagator_elements, require_hermitian, vectorize
-from .su2 import SPIN_CACHE_SIZE, spin_generators, y_matrix
+from .linalg import kron, propagator_elements, require_hermitian
+from .su2 import spin_generators
 from .triples import CouplingParams
 
 CPT_TOL = 1e-9
 # sampled populations of lab states 2 and 4 must stay below this
 FORBIDDEN_MAX_POP = 1.0 - 1e-6
+# Rows: the (cos cos, sin sin, cos sin, sin cos) feature blocks of :func:`_feature_products`; columns: the
+# signs (+ +, + -, - +, - -) of mu1 and mu2. exp(-i mu theta) = cos(|mu| theta) - i sign(mu) sin(|mu| theta),
+# so each row gives Re psi (first two) or -Im psi (last two) from the coefficients of the four mirrored terms.
+_MIRROR_SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -143,29 +147,11 @@ def _rows_times_kron(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.T @ x.reshape(-1, n, n) @ b).reshape(len(x), -1)
 
 
-@functools.lru_cache(maxsize=SPIN_CACHE_SIZE)
-def _phase_map(n: int) -> np.ndarray:
-    """K with exp(-i mu_k theta) = (K f(theta))_k for the ascending spin ladder.
-
-    mu_k = 2k - n + 1 (even n), and f(theta) = (cos(h theta), sin(h theta))
-    over the harmonics h = 1, 3, ..., n - 1; each row of K holds a 1 on
-    the cosine and -i sign(mu_k) on the sine of harmonic |mu_k|. Built
-    once per n; the returned array is read-only.
-    """
-    mu = 2 * np.arange(n) - n + 1
-    harmonic = np.abs(mu) // 2
-    k = np.zeros((n, n), dtype=complex)
-    k[np.arange(n), harmonic] = 1.0
-    k[np.arange(n), n // 2 + harmonic] = -1j * np.sign(mu)
-    k.flags.writeable = False
-    return k
-
-
 def _features(n: int, omega: float, dt: float, points: int) -> np.ndarray:
     """exp(i h omega dt j) for the harmonics h = 1, 3, ..., n - 1 and j < points, as a complex (n/2, points) table.
 
-    Its real and imaginary parts are the (cos, sin) features f of
-    :func:`_phase_map`. With j = a * B + b and B = ceil(sqrt(points)),
+    Its real and imaginary parts are the (cos, sin) features of
+    :func:`simulate`. With j = a * B + b and B = ceil(sqrt(points)),
     exp(i h omega dt j) is exp(i h omega dt B a) * exp(i h omega dt b): a
     coarse table over a and a fine table over b, about n * sqrt(points)
     complex exponentials in all, then one complex product per harmonic
@@ -179,31 +165,31 @@ def _features(n: int, omega: float, dt: float, points: int) -> np.ndarray:
 
 
 def _feature_products(n: int, omegas: list[float], dt: float, points: int) -> np.ndarray:
-    """phi(t) = f1(t) (x) f2(t) with f = (Re, Im) of each factor's :func:`_features` table, as (n^2, points).
+    """The cos cos, sin sin, cos sin and sin cos blocks of the two factors' :func:`_features`, as (n^2, points).
 
-    Each of the four (Re | Im) x (Re | Im) blocks is written straight
-    into phi, so f is never stacked, and the two complex tables are
-    freed when this returns.
+    Each block is written straight into phi, and the two complex tables
+    are freed when this returns.
     """
     half = n // 2
-    phi = np.empty((2, half, 2, half, points))
+    phi = np.empty((4, half, half, points))
     w1, w2 = (_features(n, omega, dt, points) for omega in omegas)
-    for a, f1 in enumerate((w1.real, w1.imag)):
-        for b, f2 in enumerate((w2.real, w2.imag)):
-            np.multiply(f1[:, None], f2, out=phi[a, :, b])
+    pairs = ((w1.real, w2.real), (w1.imag, w2.imag), (w1.real, w2.imag), (w1.imag, w2.real))
+    for block, (f1, f2) in zip(phi, pairs):
+        np.multiply(f1[:, None], f2, out=block)
     return phi.reshape(n * n, points)
 
 
-def _squared_moduli(m: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """|m @ phi|^2 for complex m and real phi, from two real GEMMs and no complex product.
+def _squared_moduli(same: np.ndarray, mixed: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """|psi|^2 = (same @ phi[:m])^2 + (mixed @ phi[m:])^2, m = n^2 / 2: two real GEMMs, one per half of phi.
 
     The square of the imaginary part is added in place into the square
     of the real part, so the peak is phi and two arrays of the result's
     shape.
     """
-    out = m.real @ phi
+    m = same.shape[1]
+    out = same @ phi[:m]
     out *= out
-    imag = m.imag @ phi
+    imag = mixed @ phi[m:]
     imag *= imag
     out += imag
     return out
@@ -221,16 +207,19 @@ def simulate(spec: SystemSpec, t_max_tau: float, steps: int) -> SimulationResult
     omega_i (2k - n + 1), omega_i = hypot(Delta_i, Omega_i), as its
     spectrum. So each factor is diagonalized once (two n x n ``eigh``
     calls), E = W kron(V1, V2) is real orthogonal with lab state 1 at
-    coefficients E[0], and psi(t) = M phi(t) with the constant
-    M = E diag(E[0]) kron(K, K) (K from :func:`_phase_map`) and the real
-    features phi(t) = f1(t) (x) f2(t). Because the grid is uniform, each
-    factor's features come from two small phase tables
+    coefficients E[0]. The eigen-index k and its mirror n - 1 - k have
+    opposite ladder values mu = 2k - n + 1, so each harmonic pair
+    (|mu1|, |mu2|) gathers four terms of E diag(E[0]), and their sums
+    with the signs of ``_MIRROR_SIGNS`` are two real n^2 x n^2/2 maps,
+    for Re psi and Im psi, on the products phi(t) of the factors' cos
+    and sin features (:func:`_feature_products`). Because the grid is
+    uniform, each factor's features come from two small phase tables
     (:func:`_features`), O(n sqrt(steps)) complex exponentials per
-    factor. Per time point that leaves n complex products, n^2 real
-    products and two real matrix-vector products, one for Re psi and
-    one for Im psi (:func:`_squared_moduli`); no n^2 x n^2 Hamiltonian
-    and no (2 n^2, T) array is formed, and the peak memory is about
-    three times the returned populations.
+    factor. Per time point that leaves n complex
+    products, n^2 real products and two real matrix-vector products of
+    inner dimension n^2/2 (:func:`_squared_moduli`); no complex matrix,
+    no n^2 x n^2 Hamiltonian and no (2 n^2, T) array is formed, and the
+    peak memory is about three times the returned populations.
     """
     if not (math.isfinite(t_max_tau) and t_max_tau >= 0):
         raise ValueError(f"t_max must be finite and non-negative, got {t_max_tau}")
@@ -246,11 +235,13 @@ def simulate(spec: SystemSpec, t_max_tau: float, steps: int) -> SimulationResult
         raise ValueError(f"factor phase (n - 1) * omega * |t| is not finite at |t| = {t_max!r}")
     points = steps + 1
     dt = t_max / max(steps, 1)
-    v1, v2 = (np.linalg.eigh(build_h_single(n, delta, omega))[1] for delta, omega in drives)
+    half = n // 2
+    mirrored = np.r_[half:n, half - 1:-1:-1]  # mu = 1, 3, ..., n - 1, then -1, -3, ..., 1 - n
+    v1, v2 = (np.linalg.eigh(build_h_single(n, delta, omega))[1][:, mirrored] for delta, omega in drives)
     e = _rows_times_kron(w, v1, v2)
-    k = _phase_map(n)
-    m = _rows_times_kron(e * e[0], k, k)
-    populations = _squared_moduli(m, _feature_products(n, omegas, dt, points))  # (n^2, T)
+    terms = (e * e[0]).reshape(n * n, 2, half, 2, half).transpose(0, 1, 3, 2, 4).reshape(n * n, 4, -1)
+    same, mixed = (_MIRROR_SIGNS @ terms).reshape(n * n, 2, -1).transpose(1, 0, 2)
+    populations = _squared_moduli(same, mixed, _feature_products(n, omegas, dt, points))  # (n^2, T)
     return SimulationResult(times=np.linspace(0.0, t_max_tau, points), populations=populations.T)
 
 
@@ -262,27 +253,24 @@ def verify_cpt(spec: SystemSpec, tol: float = CPT_TOL) -> CptCertificate:
     global phase of the transfer amplitude. ``tol`` must be finite and
     positive.
 
-    Both amplitudes come from one :func:`propagator_elements` call on
-    ``build_h_tp``: the lab amplitude reads rows n^2 - n and 0 of the
-    lab frame, the overlap the column-stacked V(Y) and V(I). The
-    n^2 x n^2 propagator U(tau) is never formed.
+    The amplitude is one :func:`propagator_elements` element of
+    ``build_h_tp`` between rows n^2 - n and 0 of the lab frame; the
+    n^2 x n^2 propagator U(tau) is never formed. Row 0 is V(I)/sqrt(n)
+    and row n^2 - n is -V(Y)/sqrt(n) with V(Y) column-stacked, so the
+    overlap is the amplitude's modulus.
     """
     require_tol(tol)
     n = spec.n
     tau = spec.params.tau
     w = lab_frame(n)
     target = n * n - n  # 0-based
-    vi = vectorize(np.eye(n)) / np.sqrt(n)
-    vy = vectorize(y_matrix(n)) / np.sqrt(n)
-    amp, overlap = propagator_elements(
-        build_h_tp(n, spec.params), tau, np.stack((w[target], vy)), np.stack((w[0], vi))
-    )
+    amp = propagator_elements(build_h_tp(n, spec.params), tau, w[target], w[0])
     return CptCertificate(
         n=n,
         target_index=target + 1,
         tau=tau,
         fidelity=float(abs(amp) ** 2),
-        tp_overlap=float(abs(overlap)),
+        tp_overlap=float(abs(amp)),
         phase=complex(amp),
         tolerance=tol,
     )

@@ -397,6 +397,8 @@ class BasicCptReport:
     comparable vectors; the raw sign sits in ``sign``. The uniform
     combination of all pairwise initial states reproduces the
     universal V(I) -> V(Y) transfer independently of the drive.
+    ``equivalence`` is the :func:`check_equivalence` report of the
+    pulse against Y that the sign and the half-step factors come from.
     """
 
     n: int
@@ -404,6 +406,7 @@ class BasicCptReport:
     q: int
     k: float
     sign: complex
+    equivalence: EquivalenceReport
     records: tuple[BasicCptRecord, ...]
     family_samples: tuple[tuple[tuple[complex, ...], float], ...]
     uniform_initial: np.ndarray
@@ -475,6 +478,7 @@ def basic_cpts(n: int, p: int, q: int, k: float = 0.0, tol: float = CPT_TOL) -> 
         q=q,
         k=k,
         sign=sign,
+        equivalence=equiv,
         records=tuple(records),
         family_samples=tuple(family),
         uniform_initial=vectorize(np.diag(uniform)),

@@ -1,15 +1,13 @@
-"""The per-n constants (the 2^N frame, the spin generators, the phase map) are built once and read-only."""
+"""The per-n constants (the 2^N frame, the spin generators) are built once and read-only."""
 
 import inspect
 
 import numpy as np
 import pytest
 
-from pythcpt import dynamics, frames, su2
-from pythcpt.dynamics import SystemSpec, simulate
+from pythcpt import frames, su2
 from pythcpt.frames import MAX_N, build_w, general_even_frame, lab_frame, label_to_column
 from pythcpt.su2 import SPIN_CACHE_SIZE, spin_generators
-from pythcpt.triples import CouplingParams
 
 
 @pytest.mark.parametrize(
@@ -20,7 +18,6 @@ from pythcpt.triples import CouplingParams
         lambda: spin_generators(4).J1.__setitem__((0, 1), 0.0),
         lambda: spin_generators(4).J3.__setitem__((0, 0), 0.0),
         lambda: spin_generators(4).J2.__setitem__((0, 1), 0.0),
-        lambda: dynamics._phase_map(4).__setitem__((0, 0), 0.0),
         lambda: np.multiply(build_w(1).W, 2.0, out=build_w(1).W),
     ],
 )
@@ -46,15 +43,6 @@ def test_spin_generators_builds_each_representation_once():
     assert (info.misses, info.hits, info.maxsize) == (1, 4, SPIN_CACHE_SIZE)
 
 
-def test_phase_map_is_built_once_per_n():
-    dynamics._phase_map.cache_clear()
-    spec = SystemSpec(n=4, params=CouplingParams(1.0, 2.0, 3.0, 4.0, tau=1.0))
-    for _ in range(3):
-        simulate(spec, 1.0, 5)
-    info = dynamics._phase_map.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
-
-
 @pytest.mark.parametrize("N", range(1, MAX_N + 1))
 def test_cached_frame_equals_a_fresh_closed_form(N):
     frame = build_w(N)
@@ -77,11 +65,6 @@ def test_cached_spin_generators_equal_the_closed_form(n):
     assert np.array_equal(rep.J3, np.diag(m))
     assert np.array_equal(rep.J1, (jplus + jplus.T) / 2.0)
     assert np.array_equal(rep.J2, (jplus - jplus.T) / 2j)
-
-
-@pytest.mark.parametrize("n", [2, 4, 8])
-def test_cached_phase_map_equals_a_fresh_build(n):
-    assert np.array_equal(dynamics._phase_map(n), dynamics._phase_map.__wrapped__(n))
 
 
 @pytest.mark.parametrize("N", [0, MAX_N + 1])

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pythcpt import cli
+from pythcpt import cli, retrograde
 from pythcpt.cli import main
 from pythcpt.dynamics import SystemSpec, simulate
 from pythcpt.frames import EntangledFrame
@@ -214,6 +214,23 @@ def test_retro_even(capsys):
     assert 0.0 <= payload["doubled_state_residual"] < 1e-9
     assert len(payload["pairwise_transfers"]) == 2
     assert payload["pass"] is True
+
+
+@pytest.mark.parametrize("n", ["2", "4"])
+def test_retro_runs_one_doubled_space_half_step(capsys, monkeypatch, n):
+    # basic_cpts measures the equivalence on the half step it reads, so it is not run twice
+    calls = []
+    real = retrograde.ordered_propagator
+
+    def counting(schedule, t0, t1):
+        calls.append((t0, t1))
+        return real(schedule, t0, t1)
+
+    monkeypatch.setattr(retrograde, "ordered_propagator", counting)
+    code, out, _ = run_cli(capsys, "retro", "--p", "3", "--q", "1", "--n", n)
+    assert code == 0
+    assert json.loads(out)["forward"] is True
+    assert len(calls) == 2
 
 
 def test_retro_semi(capsys):
@@ -650,3 +667,40 @@ def test_closed_stdout_exits_141_silently(argv):
         code = proc.wait(timeout=120)
     assert code == 141
     assert err == b""
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-1.5e-05", "-0.001"])
+def test_negative_k_in_any_float_form(capsys, value):
+    # argparse alone reads only plain negative numbers (-0.001) as values
+    code, out, err = run_cli(capsys, "verify", "--p", "3", "--q", "1", "--n", "2", "--k", value)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("value", ["-inf", "-x"])
+def test_a_dash_value_reaches_its_converter(capsys, value):
+    code, out, err = run_cli(capsys, "verify", "--p", "3", "--q", "1", "--n", "2", "--k", value)
+    assert (code, out) == (2, "")
+    assert err == f"error: --k must be a finite number, got {value!r}\n"
+
+
+def test_a_flag_after_a_value_flag_is_still_a_flag(capsys):
+    code, _, err = run_cli(capsys, "verify", "--p", "3", "--q", "1", "--k", "--n", "2")
+    assert code == 2
+    assert "argument --k: expected one argument" in err
+
+
+def test_unwritable_stderr_keeps_the_invalid_input_exit_code():
+    # a stderr whose reader has already left: the error line cannot be written, the exit code is still 2
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pythcpt.cli", "verify", "--p", "3", "--q", "1", "--n", "34"],
+            env=env, stdout=subprocess.PIPE, stderr=write_end, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stdout) == (2, b"")

@@ -282,6 +282,46 @@ def test_simulate_forms_no_dense_hamiltonian(monkeypatch):
     assert dims == [(4, False), (4, False)]
 
 
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_simulate_folds_its_constant_into_two_real_half_maps(monkeypatch, n):
+    # each eigen-index pairs with its mirror, so both products are real with inner dimension n^2 / 2
+    kron_calls, products = [], []
+    real_kron, real_moduli = dynamics._rows_times_kron, dynamics._squared_moduli
+
+    def kron_spy(*args):
+        kron_calls.append(args)
+        return real_kron(*args)
+
+    def moduli_spy(same, mixed, phi):
+        products.append((same, mixed, phi))
+        return real_moduli(same, mixed, phi)
+
+    monkeypatch.setattr(dynamics, "_rows_times_kron", kron_spy)
+    monkeypatch.setattr(dynamics, "_squared_moduli", moduli_spy)
+    simulate(SystemSpec(n=n, params=params_from_pair(7, 3, 0.3)), 2.0, 7)
+    assert len(kron_calls) == 1
+    [(same, mixed, phi)] = products
+    assert same.dtype == mixed.dtype == phi.dtype == np.float64
+    assert same.shape == mixed.shape == (n * n, n * n // 2)
+    assert phi.shape == (n * n, 8)
+
+
+def test_verify_cpt_reads_one_amplitude(monkeypatch):
+    seen = []
+    real = dynamics.propagator_elements
+
+    def spy(h, t, bras, kets):
+        seen.append((np.shape(bras), np.shape(kets)))
+        return real(h, t, bras, kets)
+
+    monkeypatch.setattr(dynamics, "propagator_elements", spy)
+    for n in (2, 4, 6, 8):
+        cert = verify_cpt(SystemSpec(n=n, params=params_from_pair(11, 5, -1.2)))
+        # lab row n^2 - n is -V(Y)/sqrt(n), so the product-frame overlap is the amplitude's modulus
+        assert cert.tp_overlap == abs(cert.phase)
+        assert seen.pop() == ((n * n,), (n * n,))
+
+
 def test_verify_cpt_takes_the_real_eigensolver(monkeypatch):
     seen = []
     real_eigh = np.linalg.eigh

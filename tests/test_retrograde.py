@@ -476,6 +476,14 @@ def test_basic_cpts_four_level():
     assert report.all_ok
 
 
+@pytest.mark.parametrize("n, pqk", [(2, (3, 1, 0.0)), (2, (7, 3, 0.3)), (4, (5, 1, 0.0)), (4, (11, 5, -1.2))])
+def test_basic_cpts_carries_the_equivalence_it_measured(n, pqk):
+    report = basic_cpts(n, *pqk)
+    direct = check_equivalence(pythagorean_pulse(*pqk, n=n), y_matrix(n))
+    assert report.equivalence == direct  # field for field
+    assert report.sign == report.equivalence.propagator_phase
+
+
 def test_basic_cpts_uniform_final_triple_independent():
     rep31 = basic_cpts(4, 3, 1, 0.0)
     rep51 = basic_cpts(4, 5, 1, 0.0)
