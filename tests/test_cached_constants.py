@@ -18,6 +18,7 @@ from pythcpt.su2 import SPIN_CACHE_SIZE, spin_generators
         lambda: spin_generators(4).J1.__setitem__((0, 1), 0.0),
         lambda: spin_generators(4).J3.__setitem__((0, 0), 0.0),
         lambda: spin_generators(4).J2.__setitem__((0, 1), 0.0),
+        lambda: build_w(3).W[:, 0].__setitem__(0, 0.0),
         lambda: np.multiply(build_w(1).W, 2.0, out=build_w(1).W),
     ],
 )
