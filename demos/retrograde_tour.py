@@ -16,7 +16,6 @@ from pythcpt import (
     check_equivalence,
     general_recipe,
     matexp_unitary,
-    odd_dim_demo,
     ordered_propagator,
     pythagorean_pulse,
     time_independent_conditions,
@@ -68,10 +67,14 @@ print(f"  recipe certified: {result.ok} (transfer residual {result.transfer_resi
       f"initial/final overlap {result.overlap:.1e})")
 
 print()
-print("Why three levels do not give a complete transfer:")
-rep = odd_dim_demo(3, 1, 0.0)
-print(f"  U(T,0) equals the anti-diagonal rotation to {rep.action_residual:.1e}")
-print(f"  the scalar state still reaches its target (residual {rep.vi_to_vy_residual:.1e}),")
-print(f"  but initial and final overlap by |tr Y|/3 = {rep.vi_vy_overlap:.6f}, so the")
-print(f"  transfer is incomplete; only one pairwise transfer is orthogonal "
-      f"(residual {rep.basic.orthogonality_residual:.1e})")
+print("Why odd dimensions do not give a complete transfer:")
+for n in (3, 5):
+    report = basic_cpts(n, 3, 1, 0.0)
+    equiv = report.equivalence
+    print(f"  n = {n}: U(T,0) equals the anti-diagonal rotation to {equiv.propagator_residual:.1e} "
+          f"with sign {report.sign.real:+.0f}")
+    print(f"    the scalar state still reaches its target (residual {report.uniform_target_residual:.1e}),")
+    print(f"    but initial and final overlap by |tr Y|/{n} = {abs(equiv.trace_y) / n:.6f}, so the")
+    residuals = ", ".join(f"{r.orthogonality_residual:.1e}" for r in report.records)
+    print(f"    transfer is incomplete; the {len(report.records)} pairwise transfer(s) around the "
+          f"middle level stay orthogonal [{residuals}]")

@@ -69,7 +69,6 @@ _EXPORTS = {
         "BasicCptRecord",
         "BasicCptReport",
         "EquivalenceReport",
-        "OddDimReport",
         "PulseSchedule",
         "RecipeResult",
         "RetrogradeSystem",
@@ -77,7 +76,6 @@ _EXPORTS = {
         "basic_cpts",
         "check_equivalence",
         "general_recipe",
-        "odd_dim_demo",
         "ordered_propagator",
         "pythagorean_pulse",
         "time_independent_conditions",

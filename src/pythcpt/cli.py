@@ -40,7 +40,7 @@ import numpy as np
 
 from .dynamics import CPT_TOL, SystemSpec, coupling_graph, lab_hamiltonian, simulate, verify_cpt
 from .frames import MAX_N, build_w
-from .retrograde import basic_cpts, check_equivalence, odd_dim_demo, pythagorean_pulse
+from .retrograde import basic_cpts, check_equivalence, pythagorean_pulse
 from .suite import run_suite
 from .triples import (
     MIN_C,
@@ -148,7 +148,7 @@ _VERIFY_N = _levels(lambda n: n <= _MAX_LEVELS, f"<= {_MAX_LEVELS}")
 _GRAPH_N = _levels(
     lambda n: 2 <= n <= _MAX_LEVELS and not n & (n - 1), f"a power of two with 2 <= n <= {_MAX_LEVELS}"
 )
-_RETRO_N = _levels(lambda n: n in (2, 3, 4), "one of 2, 3, 4")
+_RETRO_N = _levels(lambda n: 2 <= n <= _MAX_LEVELS, f"2 <= n <= {_MAX_LEVELS}")
 
 # {subcommand: (help, {field: (converter, default[, help])})}; a callable default is evaluated per run.
 _PQK = {"p": (_integer, _REQUIRED), "q": (_integer, _REQUIRED), "k": (_real, 0.0)}
@@ -179,7 +179,6 @@ _FIELDS = {
     "suite": (
         "run the verification battery",
         {
-            "n": (_integer, None),
             "json": (_text, None, "also write the checks as JSON to this path; the file holds no "
                                   "timings, so it is byte-identical across runs"),
             **_TOL,
@@ -246,7 +245,10 @@ def _cmd_frame(cfg: dict) -> int:
 
 def _cmd_simulate(cfg: dict) -> int:
     spec = SystemSpec(n=cfg["n"], params=params_from_pair(cfg["p"], cfg["q"], cfg["k"]))
-    result = simulate(spec, cfg["t_max"], cfg["steps"])
+    try:
+        result = simulate(spec, cfg["t_max"], cfg["steps"])
+    except MemoryError as exc:  # numpy refuses a table larger than the machine can map
+        raise ConfigError(f"--steps {cfg['steps']} needs more memory than can be allocated: {exc}") from None
     times = result.times * spec.params.tau if cfg["absolute_time"] else result.times
     header = ("t" if cfg["absolute_time"] else "t_over_tau") + "," + ",".join(
         f"pop_{i + 1}" for i in range(result.populations.shape[1])
@@ -270,6 +272,9 @@ def _cmd_verify(cfg: dict) -> int:
             "target_index": cert.target_index,
             "tau": cert.tau,
             "pass": cert.passed,
+            "phase": [cert.phase.real, cert.phase.imag],
+            # the transfer amplitude is (-1)^((p+q)/2) at every even n
+            "phase_error": abs(cert.phase - (-1) ** ((cfg["p"] + cfg["q"]) // 2)),
         }
     )
     return 0 if cert.passed else 1
@@ -336,24 +341,9 @@ def _cmd_graph(cfg: dict) -> int:
 
 def _cmd_retro(cfg: dict) -> int:
     p, q, k, n, tol = cfg["p"], cfg["q"], cfg["k"], cfg["n"], cfg["tol"]
-    if n == 3:
-        if cfg["variant"] == "semi":
-            raise ConfigError("variant semi is not defined at n = 3: the odd-dimension demo is retrograde only")
-        rep = odd_dim_demo(p, q, k, tol)
-        ok = rep.action_matches and rep.basic.ok
-        _print_json(
-            {
-                "n": 3,
-                "action_residual": rep.action_residual,
-                "basic_transfer_orthogonality": rep.basic.orthogonality_residual,
-                "vi_vy_overlap": rep.vi_vy_overlap,
-                "complete_transfer": rep.is_cpt,
-                "expected_non_cpt": True,
-                "pass": ok,
-            }
-        )
-        return 0 if ok else 1
     if cfg["variant"] == "semi":
+        if n % 2:
+            raise ConfigError(f"variant semi needs an even n, got {n}: odd n has only the retrograde report")
         report, equiv = None, check_equivalence(pythagorean_pulse(p, q, k, n=n), np.eye(n), variant="semi", tol=tol)
     else:  # basic_cpts measures the equivalence against Y on its one half step
         report = basic_cpts(n, p, q, k, tol)
@@ -385,7 +375,7 @@ def _cmd_retro(cfg: dict) -> int:
 
 
 def _cmd_suite(cfg: dict) -> int:
-    report = run_suite(n=cfg["n"], tol=cfg["tol"])
+    report = run_suite(tol=cfg["tol"])
     width = max(len(r.name) for r in report.results)
     for r in report.results:
         status = "PASS" if r.passed else "FAIL"

@@ -17,20 +17,21 @@ doubled-space propagator: ``check_equivalence`` takes U(T/2, 0) = fwd,
 U(T, T/2) from rev and U(T, 0) as their product, measures U(T, 0) and
 the image fwd rev^T of V(I) at T/2, each with its phase and residual
 against y, plus trace(y); ``basic_cpts`` takes its sign, "proportional
-to Y" gate and (rev, fwd) from that one computation, ``odd_dim_demo``
-its U(T, 0), U(T/2, 0) = fwd, V(I)/V(Y) overlap |trace(y)|/n and
-V(I) -> V(Y) residual. ``general_recipe`` is the two-state transfer;
-``odd_dim_demo``'s pairwise transfer and each sampled family member of
-``time_independent_conditions`` are calls to it. ``ordered_propagator``
+to Y" gate and (rev, fwd) from that one computation, at every n >= 2:
+the (2m)^2- and (2m+1)^2-level cases differ only in the lift, through
+Y_n^2 = (-1)^(n-1) I, and at odd n the report measures why the
+transfer is incomplete (|trace(Y)|/n = 1/n). ``general_recipe`` is the
+two-state transfer; each sampled family member of
+``time_independent_conditions`` is a call to it. ``ordered_propagator``
 multiplies the segments of an interval in one pass and returns the
 adjoint for a reversed one, so ``factors`` costs two calls.
 
-``check_equivalence``, ``basic_cpts`` and ``odd_dim_demo`` each take a
-``tol`` (default CPT_TOL), reject one that is not finite and positive,
-and judge every verdict of their reports with it: the two sides of the
-equivalence, ``is_cpt``, the pairwise ``ok`` and ``all_ok``, and
-``action_matches``. The preconditions of ``general_recipe`` and the
-1e-9 intertwining and 1e-8 "proportional to Y" gates stay fixed.
+``check_equivalence`` and ``basic_cpts`` each take a ``tol`` (default
+CPT_TOL), reject one that is not finite and positive, and judge every
+verdict of their reports with it: the two sides of the equivalence,
+``is_cpt``, the pairwise ``ok`` and ``all_ok``. The preconditions of
+``general_recipe`` and the 1e-9 intertwining and 1e-8 "proportional to
+Y" gates stay fixed.
 """
 
 from __future__ import annotations
@@ -203,8 +204,8 @@ def check_equivalence(
 
 def _equivalence(
     base: PulseSchedule, y: np.ndarray, variant: str, tol: float
-) -> tuple[EquivalenceReport, np.ndarray, np.ndarray, np.ndarray]:
-    """check_equivalence's report with the U(T, 0) and T/2 factors (rev, fwd) it measured.
+) -> tuple[EquivalenceReport, np.ndarray, np.ndarray]:
+    """check_equivalence's report with the T/2 factors (rev, fwd) it measured.
 
     One ``factors(T/2)`` call gives fwd = U(T/2, 0) and rev, from which
     U(T, T/2) is rev^dagger (rev^T for "semi") and U(T, 0) = U(T, T/2) fwd.
@@ -238,7 +239,7 @@ def _equivalence(
         is_cpt=abs(trace_y) <= tol,
         trace_y=trace_y,
     )
-    return report, u_full, rev, fwd
+    return report, rev, fwd
 
 
 @dataclass(frozen=True)
@@ -375,7 +376,7 @@ def time_independent_conditions(
 
 @dataclass(frozen=True)
 class BasicCptRecord:
-    """One pairwise transfer (|ii> + |n+1-i, n+1-i>)/sqrt(2) -> image at T/2."""
+    """One pairwise transfer (|ii> + (-1)^n |n+1-i, n+1-i>)/sqrt(2) -> image at T/2."""
 
     index: int
     initial: np.ndarray
@@ -395,10 +396,12 @@ class BasicCptReport:
     Final states are reported with the measured global sign of
     U(T, 0) divided out, so different (p, q) produce directly
     comparable vectors; the raw sign sits in ``sign``. The uniform
-    combination of all pairwise initial states reproduces the
-    universal V(I) -> V(Y) transfer independently of the drive.
-    ``equivalence`` is the :func:`check_equivalence` report of the
-    pulse against Y that the sign and the half-step factors come from.
+    state V(I)/sqrt(n) reaches the universal V(Y)/sqrt(n) independently
+    of the drive; at even n it is the uniform combination of the
+    pairwise initial states. ``equivalence`` is the
+    :func:`check_equivalence` report of the pulse against Y that the
+    sign and the half-step factors come from; its ``is_cpt`` is False
+    at odd n, where V(I) and V(Y) overlap by |trace(Y)|/n = 1/n.
     """
 
     n: int
@@ -424,22 +427,23 @@ class BasicCptReport:
 
 
 def basic_cpts(n: int, p: int, q: int, k: float = 0.0, tol: float = CPT_TOL) -> BasicCptReport:
-    """Pairwise transfers of the lifted pulse in even dimension n.
+    """Pairwise transfers of the lifted pulse in dimension n >= 2.
 
-    Each of the n/2 initial states (|ii> + |n+1-i,n+1-i>)/sqrt(2) is
-    propagated to T/2 in the doubled space and certified orthogonal to
-    its image; 20 random unit combinations of the initial states
-    (seeded, so reports repeat) are sampled as well. The uniform
-    combination is compared against the universal target V(Y)/sqrt(n).
-    Every such state is V(diag(d)), moved to V(fwd diag(d) rev^T). The
-    verdicts ``ok`` and ``all_ok`` read the finite positive ``tol``.
+    Y_n^2 = (-1)^(n-1) I, so level i and its mirror n+1-i pair into the
+    initial state (|ii> + (-1)^n |n+1-i,n+1-i>)/sqrt(2); at odd n the
+    middle level is its own mirror and forms no pair. Each of the n // 2
+    initial states is propagated to T/2 in the doubled space and
+    certified orthogonal to its image; 20 random unit combinations of
+    them (seeded, so reports repeat) are sampled as well. The uniform
+    state V(I)/sqrt(n) is compared against the universal target
+    V(Y)/sqrt(n). Every such state is V(diag(d)), moved to
+    V(fwd diag(d) rev^T). The verdicts ``ok`` and ``all_ok`` read the
+    finite positive ``tol``.
     """
     require_tol(tol)
-    if n % 2 != 0:
-        raise ValueError(f"pairwise transfers need even n, got {n}")
     base = pythagorean_pulse(p, q, k, n=n)
     y = y_matrix(n)
-    equiv, _, rev, fwd = _equivalence(base, y, "retrograde", tol)
+    equiv, rev, fwd = _equivalence(base, y, "retrograde", tol)
     if equiv.propagator_residual > 1e-8:
         raise ValueError(f"pulse propagator for (p, q, k)=({p}, {q}, {k}) is not proportional to Y")
     sign = equiv.propagator_phase
@@ -447,11 +451,12 @@ def basic_cpts(n: int, p: int, q: int, k: float = 0.0, tol: float = CPT_TOL) -> 
     def moved(d: np.ndarray) -> np.ndarray:
         return (fwd * d) @ rev.T
 
+    pair = np.array([1.0, (-1.0) ** n]) / np.sqrt(2.0)
     records = []
     diagonals = []
     for i in range(1, n // 2 + 1):
         d = np.zeros(n)
-        d[[i - 1, n - i]] = 1.0 / np.sqrt(2.0)
+        d[[i - 1, n - i]] = pair
         initial = vectorize(np.diag(d))
         final = np.conj(sign) * vectorize(moved(d))
         resid = float(abs(np.vdot(initial, final)))
@@ -469,7 +474,7 @@ def basic_cpts(n: int, p: int, q: int, k: float = 0.0, tol: float = CPT_TOL) -> 
         d0 = sum(c * d for c, d in zip(coeffs, diagonals))
         overlap = float(abs(np.vdot(d0, np.diag(moved(d0)))))  # <V(diag d0)| V(moved)>
         family.append((tuple(complex(c) for c in coeffs), overlap))
-    uniform = sum(diagonals) / np.sqrt(n // 2)
+    uniform = np.full(n, 1.0 / np.sqrt(2.0)) / np.sqrt(n / 2)  # V(I)/sqrt(n) as V(diag(uniform))
     uniform_final = np.conj(sign) * vectorize(moved(uniform))
     uniform_resid = float(np.max(np.abs(uniform_final - vectorize(y) / np.sqrt(n))))
     return BasicCptReport(
@@ -484,68 +489,5 @@ def basic_cpts(n: int, p: int, q: int, k: float = 0.0, tol: float = CPT_TOL) -> 
         uniform_initial=vectorize(np.diag(uniform)),
         uniform_final=uniform_final,
         uniform_target_residual=uniform_resid,
-        tolerance=tol,
-    )
-
-
-@dataclass(frozen=True)
-class OddDimReport:
-    """Why the three-level lift transfers population but not completely.
-
-    The lifted pulse still sends V(I) to V(Y) at T/2, but those states
-    overlap (|trace(Y)|/3 = 1/3), so the move is not a complete
-    transfer; only the single pairwise transfer from
-    (-|11> + |33>)/sqrt(2) is orthogonal. ``is_cpt`` is measured: V(I)
-    must reach V(Y) and the two must be orthogonal, both to ``tolerance``,
-    which ``action_matches`` and ``basic.ok`` read as well.
-    """
-
-    p: int
-    q: int
-    k: float
-    action_residual: float
-    basic: BasicCptRecord
-    vi_vy_overlap: float
-    vi_to_vy_residual: float
-    is_cpt: bool
-    tolerance: float
-
-    @property
-    def action_matches(self) -> bool:
-        return self.action_residual <= self.tolerance
-
-
-def odd_dim_demo(p: int, q: int, k: float = 0.0, tol: float = CPT_TOL) -> OddDimReport:
-    """Run the spin-1 lift and report the non-transfer diagnosis.
-
-    ``tol`` must be finite and positive; the report's verdicts read it.
-    """
-    require_tol(tol)
-    n = 3
-    base = pythagorean_pulse(p, q, k, n=n)
-    y = y_matrix(n)
-    equiv, u_full, _, u_half = _equivalence(base, y, "retrograde", tol)  # fwd = U(T/2, 0)
-    e = np.eye(n)
-    recipe = general_recipe(u_full, u_half, e[0], e[2], phi=0.0)
-    if recipe.initial is None:
-        raise ValueError(f"spin-1 lift violated recipe preconditions: {recipe.violated}")
-    basic = BasicCptRecord(
-        index=1,
-        initial=recipe.initial,
-        final=recipe.final,
-        orthogonality_residual=float(recipe.overlap),
-        tolerance=tol,
-    )
-    overlap = abs(equiv.trace_y) / n
-    residual = equiv.doubled_state_residual
-    return OddDimReport(
-        p=p,
-        q=q,
-        k=k,
-        action_residual=float(np.max(np.abs(u_full - y))),
-        basic=basic,
-        vi_vy_overlap=overlap,
-        vi_to_vy_residual=residual,
-        is_cpt=overlap <= tol and residual <= tol,
         tolerance=tol,
     )

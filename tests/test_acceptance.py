@@ -23,7 +23,7 @@ from pythcpt.retrograde import (
     PulseSchedule,
     basic_cpts,
     check_equivalence,
-    odd_dim_demo,
+    ordered_propagator,
     pythagorean_pulse,
 )
 from pythcpt.su2 import y_matrix
@@ -238,15 +238,22 @@ def test_criterion_7_pairwise_and_universal_transfers():
 
 
 def test_criterion_8_odd_dimension():
-    rep = odd_dim_demo(3, 1, 0.0)
-    overlap_err = abs(rep.vi_vy_overlap - 1.0 / 3.0)
+    rep = basic_cpts(3, 3, 1, 0.0)
+    pulse = pythagorean_pulse(3, 1, 0.0, n=3)
+    action_residual = float(np.max(np.abs(ordered_propagator(pulse, 0.0, pulse.T) - y_matrix(3))))
+    overlap_err = abs(abs(rep.equivalence.trace_y) / 3 - 1.0 / 3.0)
     with pytest.raises(ValueError):
         general_even_frame(3)
-    ok = rep.action_residual <= 1e-9 and overlap_err <= 1e-12 and not rep.is_cpt
+    ok = (
+        action_residual <= 1e-9
+        and overlap_err <= 1e-12
+        and rep.records[0].orthogonality_residual <= 1e-9
+        and not rep.equivalence.is_cpt
+    )
     report(
         "8 odd dimension",
         ok,
-        f"action residual {rep.action_residual:.3e}, overlap error {overlap_err:.3e}, "
+        f"action residual {action_residual:.3e}, overlap error {overlap_err:.3e}, "
         "odd frame rejected",
     )
 

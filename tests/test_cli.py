@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pythcpt import cli, retrograde
+from pythcpt import cli, retrograde, suite
 from pythcpt.cli import main
-from pythcpt.dynamics import SystemSpec, simulate
+from pythcpt.dynamics import SystemSpec, simulate, verify_cpt
 from pythcpt.frames import EntangledFrame
 from pythcpt.suite import run_suite
 from pythcpt.triples import params_from_pair
@@ -47,11 +47,25 @@ def test_verify_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "--p", "3", "--q", "1", "--k", "0", "--n", "4")
     assert code == 0
     payload = json.loads(out)
-    assert set(payload) == {"fidelity", "target_index", "tau", "pass"}
+    assert set(payload) == {"fidelity", "target_index", "tau", "pass", "phase", "phase_error"}
     assert payload["pass"] is True
     assert payload["target_index"] == 13
     assert payload["fidelity"] >= 1.0 - 1e-9
     assert abs(payload["tau"] - np.pi / np.sqrt(10)) < 1e-12
+
+
+@pytest.mark.parametrize("pqk", [(3, 1, 0.0), (5, 1, 0.0), (7, 3, 0.3), (11, 5, -1.2)])
+@pytest.mark.parametrize("n", ["2", "4", "8"])
+def test_verify_reports_the_integer_phase(capsys, n, pqk):
+    p, q, k = pqk
+    code, out, _ = run_cli(capsys, "verify", "--p", str(p), "--q", str(q), "--k", repr(k), "--n", n)
+    assert code == 0
+    payload = json.loads(out)
+    cert = verify_cpt(SystemSpec(n=int(n), params=params_from_pair(p, q, k)))
+    assert payload["phase"] == [cert.phase.real, cert.phase.imag]
+    # the amplitude is (-1)^((p+q)/2), so its distance from that sign is rounding alone
+    sign = (-1) ** ((p + q) // 2)
+    assert payload["phase_error"] == abs(cert.phase - sign) < 1e-13
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -246,25 +260,46 @@ def test_retro_odd_expected_non_cpt(capsys):
     code, out, _ = run_cli(capsys, "retro", "--p", "3", "--q", "1", "--n", "3")
     assert code == 0
     payload = json.loads(out)
-    assert payload["complete_transfer"] is False
-    assert payload["expected_non_cpt"] is True
-    assert abs(payload["vi_vy_overlap"] - 1.0 / 3.0) < 1e-12
+    _, even, _ = run_cli(capsys, "retro", "--p", "3", "--q", "1", "--n", "4")
+    assert list(payload) == list(json.loads(even))  # one payload shape at every n
+    # V(I) still reaches V(Y) and the one pair transfers, but V(I) and V(Y) overlap by 1/3
+    assert payload["is_cpt"] is False
+    assert payload["forward"] is True and payload["backward"] is True
+    assert abs(payload["sign"][0] - 1.0) < 1e-8
+    assert [t["index"] for t in payload["pairwise_transfers"]] == [1]
     assert payload["pass"] is True
+
+
+@pytest.mark.parametrize("pqk", [("3", "1", "0"), ("7", "3", "0.3")])
+def test_retro_serves_every_n(capsys, pqk):
+    p, q, k = pqk
+    for n in range(2, 33):
+        code, out, err = run_cli(capsys, "retro", "--p", p, "--q", q, "--k", k, "--n", str(n))
+        assert code == 0, (n, err)
+        payload = json.loads(out)
+        assert payload["n"] == n and payload["pass"] is True
+        assert payload["is_cpt"] is (n % 2 == 0)
+        assert len(payload["pairwise_transfers"]) == n // 2
+    for n in ("1", "33"):
+        code, out, err = run_cli(capsys, "retro", "--p", p, "--q", q, "--k", k, "--n", n)
+        assert code == 2 and out == ""
+        assert err == f"error: --n: n must be 2 <= n <= 32, got {n}\n"
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_retro_odd_rejects_semi(capsys, tmp_path, source):
-    # the odd-dimension demo has only the retrograde variant
-    if source == "flag":
-        argv = ["retro", "--p", "3", "--q", "1", "--n", "3", "--variant", "semi"]
-    else:
-        config = tmp_path / "semi.json"
-        config.write_text(json.dumps({"p": 3, "q": 1, "n": 3, "variant": "semi"}))
-        argv = ["retro", "--config", str(config)]
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "semi" in err and err.count("\n") == 1
+    # odd n has only the retrograde report
+    for n in (3, 5, 31):
+        if source == "flag":
+            argv = ["retro", "--p", "3", "--q", "1", "--n", str(n), "--variant", "semi"]
+        else:
+            config = tmp_path / "semi.json"
+            config.write_text(json.dumps({"p": 3, "q": 1, "n": n, "variant": "semi"}))
+            argv = ["retro", "--config", str(config)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "semi" in err and err.count("\n") == 1
 
 
 def test_simulate_huge_t_max_is_invalid_input(capsys, recwarn):
@@ -273,6 +308,14 @@ def test_simulate_huge_t_max_is_invalid_input(capsys, recwarn):
     assert out == ""
     assert err.startswith("error: ") and "not finite" in err and err.count("\n") == 1
     assert not recwarn.list
+
+
+def test_simulate_unallocatable_steps_is_invalid_input(capsys):
+    # a (n^2, 10^15 + 1) table is far beyond any address space, so numpy refuses it without touching memory
+    code, out, err = run_cli(capsys, "simulate", "--p", "3", "--q", "1", "--n", "2", "--steps", "1000000000000000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --steps 1000000000000000 ") and err.count("\n") == 1
 
 
 def test_frame_output(capsys):
@@ -339,7 +382,7 @@ def test_verify_n_bound_from_config(tmp_path, capsys):
     assert "n must be <= 32, got 64" in err
 
 
-@pytest.mark.parametrize("command, n", [("simulate", 3), ("verify", 34), ("graph", 6), ("retro", 5)])
+@pytest.mark.parametrize("command, n", [("simulate", 3), ("verify", 34), ("graph", 6), ("retro", 33)])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_n_rule_message_names_its_source(capsys, tmp_path, command, n, source):
     if source == "flag":
@@ -433,29 +476,23 @@ def test_suite_cli_table(capsys):
     assert out.count("PASS") == 11
 
 
-def test_suite_odd_mode(capsys, tmp_path):
-    summary = tmp_path / "suite.json"
-    code, out, _ = run_cli(capsys, "suite", "--n", "3", "--json", str(summary))
-    assert code == 0
-    assert "odd_dimension" in out
-    payload = json.loads(summary.read_text())
-    assert payload["all_passed"] is True
-    assert len(payload["checks"]) == 1
-
-
-def test_suite_rejects_unsupported_n(capsys):
-    for n in ("2", "4", "5", "8"):
+def test_suite_rejects_unsupported_n(capsys, tmp_path):
+    # the suite is one battery; its odd_dimension check reads n = 3, 5 and 7 itself
+    for n in ("2", "3", "4", "5", "8"):
         code, out, err = run_cli(capsys, "suite", "--n", n)
         assert code == 2
         assert out == ""
-        assert "n=3" in err
+        assert "unrecognized arguments: --n" in err
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"n": 3}))
+    code, out, err = run_cli(capsys, "suite", "--config", str(config))
+    assert (code, out, err) == (2, "", "error: unknown config field: n\n")
 
 
-@pytest.mark.parametrize("n", [None, 3])
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-9])
-def test_run_suite_rejects_bad_tolerances(n, tol):
+def test_run_suite_rejects_bad_tolerances(tol):
     with pytest.raises(ValueError, match="tol must be a finite positive number"):
-        run_suite(n=n, tol=tol)
+        run_suite(tol=tol)
 
 
 @pytest.mark.parametrize("n", ["3", "4"])
@@ -464,24 +501,25 @@ def test_retro_tolerance_reaches_every_printed_verdict(capsys, n):
     payload = json.loads(out)
     assert code == 1
     assert payload["pass"] is False
-    if n == "4":
-        assert payload["forward"] is False
-        assert [t["ok"] for t in payload["pairwise_transfers"]] == [False, False]
+    assert payload["forward"] is False
+    assert [t["ok"] for t in payload["pairwise_transfers"]] == [False] * (int(n) // 2)
     code, out, _ = run_cli(capsys, "retro", "--p", "3", "--q", "1", "--n", n)
     payload = json.loads(out)
     assert code == 0
     assert payload["pass"] is True
-    if n == "4":
-        assert [t["ok"] for t in payload["pairwise_transfers"]] == [True, True]
+    assert [t["ok"] for t in payload["pairwise_transfers"]] == [True] * (int(n) // 2)
 
 
-def test_suite_frame_hook_detects_corruption():
-    def flip_one_sign(frame: EntangledFrame) -> EntangledFrame:
+def test_suite_frame_hook_detects_corruption(monkeypatch):
+    real = suite.validate_frame
+
+    def validate_with_one_sign_flipped(frame: EntangledFrame):
         w = frame.W.copy()
         w[0, -1] = -w[0, -1]
-        return EntangledFrame(N=frame.N, labels=frame.labels, W=w)
+        return real(EntangledFrame(N=frame.N, labels=frame.labels, W=w))
 
-    report = run_suite(frame_hook=flip_one_sign)
+    monkeypatch.setattr(suite, "validate_frame", validate_with_one_sign_flipped)
+    report = run_suite()
     assert not report.all_passed
     assert [r.name for r in report.failures()] == ["frame_validation"]
 
@@ -505,7 +543,7 @@ FIELD_VALUES = {
         "p": (3, False), "q": (1, 1.5), "k": (0.5, [0]), "n": (4, 2.0), "variant": ("semi", True),
         "tol": (1e-6, False),
     },
-    "suite": {"n": (3, 3.0), "json": ("summary.json", {"path": "summary.json"}), "tol": (1e-6, [1])},
+    "suite": {"json": ("summary.json", {"path": "summary.json"}), "tol": (1e-6, [1])},
 }
 FIELDS = [(command, field) for command, fields in FIELD_VALUES.items() for field in fields]
 

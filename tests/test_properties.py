@@ -18,7 +18,6 @@ from pythcpt.retrograde import (
     basic_cpts,
     check_equivalence,
     general_recipe,
-    odd_dim_demo,
     ordered_propagator,
     pythagorean_pulse,
     time_independent_conditions,
@@ -210,6 +209,29 @@ def test_basic_cpts_and_recipe_match_dense_oracle(pq, k, n):
     assert abs(result.overlap - abs(np.vdot(result.initial, image))) <= 1e-12
 
 
+small_primitive_pairs = (
+    st.tuples(st.integers(0, 20), st.integers(0, 20))
+    .map(lambda t: (2 * max(t) + 1, 2 * min(t) + 1))
+    .filter(lambda pq: pq[0] > pq[1] and math.gcd(*pq) == 1)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pq=small_primitive_pairs, k=st.floats(-2.0, 2.0, allow_nan=False), n=st.integers(2, 12))
+@example(pq=(3, 1), k=0.0, n=3)
+@example(pq=(5, 3), k=-2.0, n=12)
+def test_basic_cpts_serves_every_n(pq, k, n):
+    # Y_n^2 = (-1)^(n-1) I: both parities take one path, and only odd n leaves V(I) and V(Y) overlapping
+    report = basic_cpts(n, *pq, k)
+    assert report.all_ok
+    assert report.equivalence.is_cpt == (n % 2 == 0)
+    assert abs(abs(report.equivalence.trace_y) / n - (n % 2) / n) <= 1e-12
+    pulse, T = _pulse_case(pq, k, n)
+    half = kron(*RetrogradeSystem(pulse, "retrograde").factors(T / 2.0))
+    for r in report.records:
+        assert abs(r.orthogonality_residual - abs(np.vdot(r.initial, half @ r.initial))) <= 1e-12
+
+
 def test_doubled_space_reports_never_form_the_dense_propagator(monkeypatch):
     def refuse(a, b):
         raise AssertionError("an n^2 x n^2 doubled matrix was formed")
@@ -223,7 +245,8 @@ def test_doubled_space_reports_never_form_the_dense_propagator(monkeypatch):
     pulse = pythagorean_pulse(3, 1, 0.4, n=4)
     assert check_equivalence(pulse, y_matrix(4)).as_pair() == (True, True)
     assert basic_cpts(4, 3, 1, 0.4).all_ok
-    assert odd_dim_demo(3, 1, 0.4).action_matches
+    odd = basic_cpts(3, 3, 1, 0.4)
+    assert odd.all_ok and odd.equivalence.propagator_matches
     u_full = ordered_propagator(pulse, 0.0, pulse.T)
     u_half = ordered_propagator(pulse, 0.0, pulse.T / 2.0)
     i_state = np.eye(4)[0]

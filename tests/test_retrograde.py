@@ -9,7 +9,6 @@ from pythcpt.retrograde import (
     basic_cpts,
     check_equivalence,
     general_recipe,
-    odd_dim_demo,
     ordered_propagator,
     pythagorean_pulse,
     time_independent_conditions,
@@ -360,7 +359,7 @@ def test_intertwining_is_checked_on_the_half_period_propagators():
     [
         lambda: check_equivalence(pythagorean_pulse(7, 3, 0.3, n=4), y_matrix(4)),
         lambda: basic_cpts(4, 7, 3, 0.3),
-        lambda: odd_dim_demo(7, 3, 0.3),
+        lambda: basic_cpts(3, 7, 3, 0.3),  # the odd-dimension demo is basic_cpts at n = 3
     ],
     ids=["check_equivalence", "basic_cpts", "odd_dim_demo"],
 )
@@ -504,31 +503,42 @@ def test_basic_cpts_two_level_is_universal():
     assert np.max(np.abs(report.uniform_final - vectorize(Y2) / np.sqrt(2))) < 1e-9
 
 
-def test_basic_cpts_rejects_odd():
-    with pytest.raises(ValueError, match="even"):
-        basic_cpts(3, 3, 1, 0.0)
-
-
 def test_odd_dim_demo_action():
-    rep = odd_dim_demo(3, 1, 0.0)
-    assert rep.action_matches
-    assert rep.action_residual < 1e-9
+    # the odd-dimension demo is basic_cpts at n = 3: U(T, 0) = Y with the sign +1, so no phase
+    rep = basic_cpts(3, 3, 1, 0.0)
+    assert rep.equivalence.propagator_matches
+    assert abs(rep.sign - 1.0) < 1e-8
+    assert rep.equivalence.propagator_residual < 1e-9
     # |1> -> |3>, |2> -> -|2>, |3> -> |1>
     pulse = pythagorean_pulse(3, 1, 0.0, n=3)
     u = ordered_propagator(pulse, 0.0, pulse.T)
+    assert np.max(np.abs(u - y_matrix(3))) < 1e-9
     assert np.max(np.abs(u @ ket(3, 1) - ket(3, 3))) < 1e-9
     assert np.max(np.abs(u @ ket(3, 2) + ket(3, 2))) < 1e-9
     assert np.max(np.abs(u @ ket(3, 3) - ket(3, 1))) < 1e-9
 
 
 def test_odd_dim_demo_overlap_and_basic():
-    rep = odd_dim_demo(3, 1, 0.0)
-    assert abs(rep.vi_vy_overlap - 1.0 / 3.0) < 1e-12
-    assert rep.basic.orthogonality_residual < 1e-9
-    expected_initial = (-ket(3, 1, 1) + ket(3, 3, 3)) / np.sqrt(2)
-    assert np.max(np.abs(rep.basic.initial - expected_initial)) < 1e-12
-    assert not rep.is_cpt
-    assert rep.vi_to_vy_residual < 1e-9  # scalar still reaches V(Y), just not orthogonally
+    rep = basic_cpts(3, 3, 1, 0.0)
+    assert abs(abs(rep.equivalence.trace_y) / 3 - 1.0 / 3.0) < 1e-12  # V(I)/V(Y) overlap
+    # the middle level is its own mirror, so levels 1 and 3 form the one pair
+    assert len(rep.records) == 1
+    assert rep.records[0].orthogonality_residual < 1e-9
+    expected_initial = (ket(3, 1, 1) - ket(3, 3, 3)) / np.sqrt(2)
+    assert np.max(np.abs(rep.records[0].initial - expected_initial)) < 1e-12
+    assert not rep.equivalence.is_cpt
+    assert rep.all_ok
+    # the scalar state V(I)/sqrt(3) still reaches V(Y)/sqrt(3), just not orthogonally
+    assert np.max(np.abs(rep.uniform_initial - vectorize(np.eye(3)) / np.sqrt(3))) < 1e-15
+    assert rep.uniform_target_residual < 1e-9
+    assert rep.equivalence.doubled_state_residual < 1e-9
+
+
+def test_odd_dim_demo_large_c_is_rejected():
+    # at c near 1e9 the lifted pulse keeps Y only to ~3e-7, at odd n as at even n
+    for n in (3, 4):
+        with pytest.raises(ValueError, match="intertwine"):
+            basic_cpts(n, 999999937, 1, 0.5)
 
 
 BAD_TOLERANCES = [float("nan"), float("inf"), -float("inf"), 0.0, -1e-9]
@@ -540,7 +550,7 @@ BAD_TOLERANCES = [float("nan"), float("inf"), -float("inf"), 0.0, -1e-9]
     [
         lambda tol: check_equivalence(pythagorean_pulse(3, 1), y_matrix(2), tol=tol),
         lambda tol: basic_cpts(4, 3, 1, 0.0, tol=tol),
-        lambda tol: odd_dim_demo(3, 1, 0.0, tol=tol),
+        lambda tol: basic_cpts(3, 3, 1, 0.0, tol=tol),
     ],
     ids=["check_equivalence", "basic_cpts", "odd_dim_demo"],
 )
@@ -559,11 +569,13 @@ def test_pairwise_verdicts_read_the_given_tolerance():
 
 
 def test_odd_dimension_verdicts_read_the_given_tolerance():
-    strict = odd_dim_demo(3, 1, 0.0, tol=1e-300)
-    assert not strict.action_matches and not strict.basic.ok and not strict.is_cpt
-    # the 1/3 overlap of V(I) and V(Y) counts as orthogonal only at a tolerance above it
-    loose = odd_dim_demo(3, 1, 0.0, tol=0.5)
-    assert loose.action_matches and loose.basic.ok and loose.is_cpt
+    strict = basic_cpts(3, 3, 1, 0.0, tol=1e-300)
+    assert not strict.equivalence.propagator_matches and not strict.records[0].ok
+    assert not strict.equivalence.is_cpt and not strict.all_ok
+    # |trace(Y_3)| = 1 counts as orthogonal only at a tolerance above it
+    loose = basic_cpts(3, 3, 1, 0.0, tol=1.5)
+    assert loose.equivalence.propagator_matches and loose.records[0].ok
+    assert loose.equivalence.is_cpt and loose.all_ok
 
 
 def test_equivalence_is_cpt_reads_the_given_tolerance():
