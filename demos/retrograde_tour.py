@@ -44,6 +44,8 @@ for p, q in ((3, 1), (5, 1)):
     report = basic_cpts(4, p, q, 0.0)
     residuals = ", ".join(f"{r.orthogonality_residual:.1e}" for r in report.records)
     print(f"  ({p},{q}): sign {report.sign.real:+.0f}, orthogonality residuals [{residuals}]")
+    print(f"          every unit combination of the pairs overlaps its image by at most "
+          f"{report.combination_bound:.1e}")
     print(f"          uniform-combination final state deviation from the universal "
           f"target: {report.uniform_target_residual:.1e}")
 

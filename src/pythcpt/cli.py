@@ -188,7 +188,7 @@ _FIELDS = {
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Each field from its flag, else the config file, else its default; given values converted."""
+    """Each field from its flag, else the config file, else its default; ``source`` names each given one."""
     fields = _FIELDS[args.command][1]
     file_values = {}
     if args.config:
@@ -199,13 +199,15 @@ def _merge_config(args: argparse.Namespace) -> dict:
         unknown = set(file_values) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config field: {sorted(unknown)[0]}")
-    merged = {}
+    merged = {"source": {}}
     for key, (convert, default, *_) in fields.items():
         default = default() if callable(default) else default
         if getattr(args, key) is not None:
-            merged[key] = convert(getattr(args, key), _flag(key))
+            merged["source"][key] = _flag(key)
+            merged[key] = convert(getattr(args, key), merged["source"][key])
         elif file_values.get(key) is not None:  # JSON null counts as absent
-            merged[key] = convert(file_values[key], f"config field {key!r}")
+            merged["source"][key] = f"config field {key!r}"
+            merged[key] = convert(file_values[key], merged["source"][key])
         elif default is _REQUIRED:
             raise ConfigError(f"missing required field: {key}")
         else:
@@ -248,7 +250,8 @@ def _cmd_simulate(cfg: dict) -> int:
     try:
         result = simulate(spec, cfg["t_max"], cfg["steps"])
     except MemoryError as exc:  # numpy refuses a table larger than the machine can map
-        raise ConfigError(f"--steps {cfg['steps']} needs more memory than can be allocated: {exc}") from None
+        source = cfg["source"].get("steps", "steps")  # the flag or the config field it came from
+        raise ConfigError(f"{source} {cfg['steps']} needs more memory than can be allocated: {exc}") from None
     times = result.times * spec.params.tau if cfg["absolute_time"] else result.times
     header = ("t" if cfg["absolute_time"] else "t_over_tau") + "," + ",".join(
         f"pop_{i + 1}" for i in range(result.populations.shape[1])

@@ -20,8 +20,10 @@ against y, plus trace(y); ``basic_cpts`` takes its sign, "proportional
 to Y" gate and (rev, fwd) from that one computation, at every n >= 2:
 the (2m)^2- and (2m+1)^2-level cases differ only in the lift, through
 Y_n^2 = (-1)^(n-1) I, and at odd n the report measures why the
-transfer is incomplete (|trace(Y)|/n = 1/n). ``general_recipe`` is the
-two-state transfer; each sampled family member of
+transfer is incomplete (|trace(Y)|/n = 1/n); its pairwise and
+combination verdicts all read one bilinear form G = D^T (fwd o rev) D
+of the pair vectors D, combinations through the bound ||G||_2.
+``general_recipe`` is the two-state transfer; each sampled family member of
 ``time_independent_conditions`` is a call to it. ``ordered_propagator``
 multiplies the segments of an interval in one pass and returns the
 adjoint for a reversed one, so ``factors`` costs two calls.
@@ -194,8 +196,9 @@ def check_equivalence(
     such u has to satisfy u y u^T = y for the retrograde variant
     (u y u^dagger = y for the semi variant), to 1e-9 in max-entry
     distance; anything else is rejected since the equivalence is
-    meaningless there. Also reports whether |trace(y)| <= tol, i.e.
-    whether the doubled-space transfer is between orthogonal states.
+    meaningless there. Also reports whether the overlap |trace(y)|/n of
+    V(I)/sqrt(n) and V(y)/sqrt(n) is <= tol, i.e. whether the
+    doubled-space transfer is between orthogonal states.
     ``tol`` must be finite and positive.
     """
     require_tol(tol)
@@ -236,7 +239,7 @@ def _equivalence(
         doubled_phase=state_phase,
         propagator_residual=prop_resid,
         doubled_state_residual=state_resid,
-        is_cpt=abs(trace_y) <= tol,
+        is_cpt=abs(trace_y) / dim <= tol,
         trace_y=trace_y,
     )
     return report, rev, fwd
@@ -395,8 +398,9 @@ class BasicCptReport:
 
     Final states are reported with the measured global sign of
     U(T, 0) divided out, so different (p, q) produce directly
-    comparable vectors; the raw sign sits in ``sign``. The uniform
-    state V(I)/sqrt(n) reaches the universal V(Y)/sqrt(n) independently
+    comparable vectors; the raw sign sits in ``sign``. No unit combination
+    of the pairwise initial states overlaps its image by more than
+    ``combination_bound``. The uniform state V(I)/sqrt(n) reaches the universal V(Y)/sqrt(n) independently
     of the drive; at even n it is the uniform combination of the
     pairwise initial states. ``equivalence`` is the
     :func:`check_equivalence` report of the pulse against Y that the
@@ -411,7 +415,7 @@ class BasicCptReport:
     sign: complex
     equivalence: EquivalenceReport
     records: tuple[BasicCptRecord, ...]
-    family_samples: tuple[tuple[tuple[complex, ...], float], ...]
+    combination_bound: float
     uniform_initial: np.ndarray
     uniform_final: np.ndarray
     uniform_target_residual: float
@@ -421,7 +425,7 @@ class BasicCptReport:
     def all_ok(self) -> bool:
         return (
             all(r.ok for r in self.records)
-            and all(res <= self.tolerance for _, res in self.family_samples)
+            and self.combination_bound <= self.tolerance
             and self.uniform_target_residual <= self.tolerance
         )
 
@@ -431,13 +435,14 @@ def basic_cpts(n: int, p: int, q: int, k: float = 0.0, tol: float = CPT_TOL) -> 
 
     Y_n^2 = (-1)^(n-1) I, so level i and its mirror n+1-i pair into the
     initial state (|ii> + (-1)^n |n+1-i,n+1-i>)/sqrt(2); at odd n the
-    middle level is its own mirror and forms no pair. Each of the n // 2
-    initial states is propagated to T/2 in the doubled space and
-    certified orthogonal to its image; 20 random unit combinations of
-    them (seeded, so reports repeat) are sampled as well. The uniform
-    state V(I)/sqrt(n) is compared against the universal target
-    V(Y)/sqrt(n). Every such state is V(diag(d)), moved to
-    V(fwd diag(d) rev^T). The verdicts ``ok`` and ``all_ok`` read the
+    middle level is its own mirror and forms no pair. A state V(diag(b))
+    moves to V(fwd diag(b) rev^T) at T/2, and its overlap with V(diag(a))
+    is a^T (fwd o rev) b, o the elementwise product. So with D the
+    n x (n // 2) matrix of pair vectors, G = D^T (fwd o rev) D holds every
+    overlap: pair i is orthogonal to its image to |G_ii|, and every unit
+    combination c to |c^dagger G c| <= ||G||_2 = ``combination_bound``.
+    The uniform state V(I)/sqrt(n) is compared against the universal
+    target V(Y)/sqrt(n). The verdicts ``ok`` and ``all_ok`` read the
     finite positive ``tol``.
     """
     require_tol(tol)
@@ -448,34 +453,20 @@ def basic_cpts(n: int, p: int, q: int, k: float = 0.0, tol: float = CPT_TOL) -> 
         raise ValueError(f"pulse propagator for (p, q, k)=({p}, {q}, {k}) is not proportional to Y")
     sign = equiv.propagator_phase
 
-    def moved(d: np.ndarray) -> np.ndarray:
-        return (fwd * d) @ rev.T
+    def final(d: np.ndarray) -> np.ndarray:  # V(diag(d)) at T/2, the measured sign divided out
+        return np.conj(sign) * vectorize((fwd * d) @ rev.T)
 
-    pair = np.array([1.0, (-1.0) ** n]) / np.sqrt(2.0)
-    records = []
-    diagonals = []
-    for i in range(1, n // 2 + 1):
-        d = np.zeros(n)
-        d[[i - 1, n - i]] = pair
-        initial = vectorize(np.diag(d))
-        final = np.conj(sign) * vectorize(moved(d))
-        resid = float(abs(np.vdot(initial, final)))
-        records.append(
-            BasicCptRecord(
-                index=i, initial=initial, final=final, orthogonality_residual=resid, tolerance=tol
-            )
-        )
-        diagonals.append(d)
-    rng = np.random.default_rng(7)
-    family = []
-    for _ in range(20):
-        coeffs = rng.normal(size=n // 2) + 1j * rng.normal(size=n // 2)
-        coeffs = coeffs / np.linalg.norm(coeffs)
-        d0 = sum(c * d for c, d in zip(coeffs, diagonals))
-        overlap = float(abs(np.vdot(d0, np.diag(moved(d0)))))  # <V(diag d0)| V(moved)>
-        family.append((tuple(complex(c) for c in coeffs), overlap))
+    pairs = np.arange(n // 2)
+    d = np.zeros((n, n // 2))
+    d[pairs, pairs] = 1.0 / np.sqrt(2.0)
+    d[n - 1 - pairs, pairs] = (-1.0) ** n / np.sqrt(2.0)
+    gram = d.T @ (fwd * rev) @ d
+    records = tuple(
+        BasicCptRecord(i + 1, vectorize(np.diag(col)), final(col), float(abs(gram[i, i])), tol)
+        for i, col in enumerate(d.T)
+    )
     uniform = np.full(n, 1.0 / np.sqrt(2.0)) / np.sqrt(n / 2)  # V(I)/sqrt(n) as V(diag(uniform))
-    uniform_final = np.conj(sign) * vectorize(moved(uniform))
+    uniform_final = final(uniform)
     uniform_resid = float(np.max(np.abs(uniform_final - vectorize(y) / np.sqrt(n))))
     return BasicCptReport(
         n=n,
@@ -484,8 +475,8 @@ def basic_cpts(n: int, p: int, q: int, k: float = 0.0, tol: float = CPT_TOL) -> 
         k=k,
         sign=sign,
         equivalence=equiv,
-        records=tuple(records),
-        family_samples=tuple(family),
+        records=records,
+        combination_bound=float(np.linalg.norm(gram, 2)),
         uniform_initial=vectorize(np.diag(uniform)),
         uniform_final=uniform_final,
         uniform_target_residual=uniform_resid,

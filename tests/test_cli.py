@@ -318,6 +318,25 @@ def test_simulate_unallocatable_steps_is_invalid_input(capsys):
     assert err.startswith("error: --steps 1000000000000000 ") and err.count("\n") == 1
 
 
+def test_simulate_unallocatable_steps_names_the_config_field(capsys, tmp_path):
+    config = tmp_path / "steps.json"
+    config.write_text(json.dumps({"p": 3, "q": 1, "n": 2, "steps": 1000000000000000}))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: config field 'steps' 1000000000000000 ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol, is_cpt", [("0.5", True), ("0.3", False)])
+def test_retro_is_cpt_reads_the_normalized_overlap(capsys, tol, is_cpt):
+    # at n = 3, V(I)/sqrt(3) and V(Y)/sqrt(3) overlap by |trace(Y_3)|/3 = 1/3
+    code, out, err = run_cli(capsys, "retro", "--p", "3", "--q", "1", "--n", "3", "--tol", tol)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["is_cpt"] is is_cpt
+    assert payload["pass"] is True
+
+
 def test_frame_output(capsys):
     code, out, _ = run_cli(capsys, "frame", "--N", "2", "--matrix")
     assert code == 0

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pythcpt import linalg, retrograde
@@ -191,9 +191,9 @@ def test_basic_cpts_and_recipe_match_dense_oracle(pq, k, n):
     unsign = np.conj(report.sign)
     for r in report.records:
         assert np.max(np.abs(r.final - unsign * (half @ r.initial))) <= 1e-12
-    for coeffs, overlap in report.family_samples:
-        psi0 = sum(c * r.initial for c, r in zip(coeffs, report.records))
-        assert abs(overlap - abs(np.vdot(psi0, half @ psi0))) <= 1e-12
+    # every overlap of a pair state with a pair state's image: the bound is their spectral norm
+    gram = np.array([[np.vdot(a.initial, half @ b.initial) for b in report.records] for a in report.records])
+    assert abs(report.combination_bound - np.linalg.norm(gram, 2)) <= 1e-12
     assert np.max(np.abs(report.uniform_final - unsign * (half @ report.uniform_initial))) <= 1e-12
 
     u_full = ordered_propagator(pulse, 0.0, T)
@@ -216,12 +216,17 @@ small_primitive_pairs = (
 )
 
 
+unit_parts = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=6, max_size=6)
+
+
 @settings(max_examples=40, deadline=None)
-@given(pq=small_primitive_pairs, k=st.floats(-2.0, 2.0, allow_nan=False), n=st.integers(2, 12))
-@example(pq=(3, 1), k=0.0, n=3)
-@example(pq=(5, 3), k=-2.0, n=12)
-def test_basic_cpts_serves_every_n(pq, k, n):
+@given(pq=small_primitive_pairs, k=st.floats(-2.0, 2.0, allow_nan=False), n=st.integers(2, 12), parts=unit_parts)
+@example(pq=(3, 1), k=0.0, n=3, parts=[(1.0, 0.0)] * 6)
+@example(pq=(5, 3), k=-2.0, n=12, parts=[(0.3, -0.7), (1.0, 0.2), (-0.5, 0.5), (0.0, 1.0), (0.9, 0.1), (-1.0, -1.0)])
+def test_basic_cpts_serves_every_n(pq, k, n, parts):
     # Y_n^2 = (-1)^(n-1) I: both parities take one path, and only odd n leaves V(I) and V(Y) overlapping
+    c = np.array([complex(*z) for z in parts[: n // 2]])
+    assume(np.linalg.norm(c) > 1e-3)
     report = basic_cpts(n, *pq, k)
     assert report.all_ok
     assert report.equivalence.is_cpt == (n % 2 == 0)
@@ -230,6 +235,9 @@ def test_basic_cpts_serves_every_n(pq, k, n):
     half = kron(*RetrogradeSystem(pulse, "retrograde").factors(T / 2.0))
     for r in report.records:
         assert abs(r.orthogonality_residual - abs(np.vdot(r.initial, half @ r.initial))) <= 1e-12
+    # a unit combination c of the pair states, V(diag(D c)), overlaps its image by at most the bound
+    psi0 = sum(ci * r.initial for ci, r in zip(c / np.linalg.norm(c), report.records))
+    assert abs(np.vdot(psi0, half @ psi0)) <= report.combination_bound + 1e-15
 
 
 def test_doubled_space_reports_never_form_the_dense_propagator(monkeypatch):

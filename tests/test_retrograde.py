@@ -469,7 +469,7 @@ def test_basic_cpts_four_level():
     assert np.max(np.abs(report.records[1].initial - init1)) < 1e-12
     for r in report.records:
         assert r.orthogonality_residual < 1e-9
-    assert all(res < 1e-9 for _, res in report.family_samples)
+    assert report.combination_bound < 1e-9  # every unit combination of the two pairs
     target = (ket(4, 4, 1) - ket(4, 3, 2) + ket(4, 2, 3) - ket(4, 1, 4)) / 2.0
     assert np.max(np.abs(report.uniform_final - target)) < 1e-9
     assert report.all_ok
@@ -572,14 +572,24 @@ def test_odd_dimension_verdicts_read_the_given_tolerance():
     strict = basic_cpts(3, 3, 1, 0.0, tol=1e-300)
     assert not strict.equivalence.propagator_matches and not strict.records[0].ok
     assert not strict.equivalence.is_cpt and not strict.all_ok
-    # |trace(Y_3)| = 1 counts as orthogonal only at a tolerance above it
+    # V(I)/sqrt(3) and V(Y)/sqrt(3) overlap by |trace(Y_3)|/3 = 1/3, orthogonal only at a tolerance above it
     loose = basic_cpts(3, 3, 1, 0.0, tol=1.5)
     assert loose.equivalence.propagator_matches and loose.records[0].ok
     assert loose.equivalence.is_cpt and loose.all_ok
 
 
+@pytest.mark.parametrize("tol, is_cpt", [(0.5, True), (0.3, False)])
+def test_is_cpt_reads_the_normalized_overlap(tol, is_cpt):
+    # at n = 3 the V(I)/V(Y) overlap is |trace(Y_3)|/3 = 1/3, not |trace(Y_3)| = 1
+    report = basic_cpts(3, 3, 1, 0.0, tol=tol)
+    assert report.equivalence.is_cpt is is_cpt
+    assert report.all_ok  # the pairwise and combination verdicts do not read the overlap
+    assert check_equivalence(pythagorean_pulse(3, 1, 0.0, n=3), y_matrix(3), tol=tol) == report.equivalence
+
+
 def test_equivalence_is_cpt_reads_the_given_tolerance():
-    # trace(I_2) = 2: orthogonal only at a tolerance of at least 2
+    # |trace(I_2)|/2 = 1: V(I) is its own image, orthogonal only at a tolerance of at least 1
     pulse = pythagorean_pulse(3, 1)
     assert not check_equivalence(pulse, np.eye(2), "semi").is_cpt
-    assert check_equivalence(pulse, np.eye(2), "semi", tol=3.0).is_cpt
+    assert not check_equivalence(pulse, np.eye(2), "semi", tol=0.99).is_cpt
+    assert check_equivalence(pulse, np.eye(2), "semi", tol=1.0).is_cpt
