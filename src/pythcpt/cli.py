@@ -57,6 +57,7 @@ class ConfigError(ValueError):
 
 _REQUIRED = object()
 _MAX_LEVELS = 2 ** MAX_N  # largest n that build_w serves
+_MAX_TABLE_C = 10**7  # largest triples --max-c: 1,591,579 pairs, about 0.5 GB at peak
 
 
 def _flag(field: str) -> str:
@@ -76,10 +77,12 @@ def _real(value, source: str, positive: bool = False) -> float:
 
 
 def _max_c(value, source: str) -> float:
-    """A hypotenuse bound: a finite number >= MIN_C, else a ConfigError naming its source."""
+    """A hypotenuse bound from MIN_C to _MAX_TABLE_C (triples sorts its table in memory), else a ConfigError."""
     bound = _real(value, source)
     if bound < MIN_C:
         raise ConfigError(f"{source} must be >= {MIN_C}, got {value!r}")
+    if bound > _MAX_TABLE_C:
+        raise ConfigError(f"{source} must be <= {_MAX_TABLE_C:.0e}: the table is held in memory, got {value!r}")
     return bound
 
 
@@ -252,6 +255,10 @@ def _cmd_simulate(cfg: dict) -> int:
     except MemoryError as exc:  # numpy refuses a table larger than the machine can map
         source = cfg["source"].get("steps", "steps")  # the flag or the config field it came from
         raise ConfigError(f"{source} {cfg['steps']} needs more memory than can be allocated: {exc}") from None
+    except ValueError as exc:  # past its sign rules, simulate refuses only a phase that a large t_max overflows
+        if cfg["t_max"] < 0 or cfg["steps"] < 0:
+            raise
+        raise ConfigError(f"{cfg['source'].get('t_max', 't_max')} {cfg['t_max']!r} (in units of tau): {exc}") from None
     times = result.times * spec.params.tau if cfg["absolute_time"] else result.times
     header = ("t" if cfg["absolute_time"] else "t_over_tau") + "," + ",".join(
         f"pop_{i + 1}" for i in range(result.populations.shape[1])

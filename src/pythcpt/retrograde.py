@@ -23,10 +23,12 @@ Y_n^2 = (-1)^(n-1) I, and at odd n the report measures why the
 transfer is incomplete (|trace(Y)|/n = 1/n); its pairwise and
 combination verdicts all read one bilinear form G = D^T (fwd o rev) D
 of the pair vectors D, combinations through the bound ||G||_2.
-``general_recipe`` is the two-state transfer; each sampled family member of
-``time_independent_conditions`` is a call to it. ``ordered_propagator``
-multiplies the segments of an interval in one pass and returns the
-adjoint for a reversed one, so ``factors`` costs two calls.
+``general_recipe`` is the two-state transfer; ``time_independent_conditions``
+is one call to it, and with a constant H every U(s) (x) U(s)-translate
+of its state has the measured overlap and 2-norm residual.
+``ordered_propagator`` multiplies the segments of an interval in one
+pass and returns the adjoint for a reversed one, so ``factors`` costs
+two calls.
 
 ``check_equivalence`` and ``basic_cpts`` each take a ``tol`` (default
 CPT_TOL), reject one that is not finite and positive, and judge every
@@ -251,9 +253,10 @@ class RecipeResult:
 
     When the preconditions hold the normalized initial and final
     doubled states are populated, and ``ok`` certifies that the doubled
-    half step carries initial to final (``transfer_residual``) and that
-    this image is orthogonal to initial (``overlap``); otherwise
-    ``violated`` names the failed preconditions and the states are None.
+    half step carries initial to final (``transfer_residual``, the 2-norm
+    ||image - final||_2) and that this image is orthogonal to initial
+    (``overlap``); otherwise ``violated`` names the failed preconditions
+    and the states are None.
     """
 
     ok: bool
@@ -265,11 +268,7 @@ class RecipeResult:
 
 
 def general_recipe(
-    u_full: np.ndarray,
-    u_half: np.ndarray,
-    i_state: np.ndarray,
-    f_state: np.ndarray,
-    phi: float,
+    u_full: np.ndarray, u_half: np.ndarray, i_state: np.ndarray, f_state: np.ndarray, phi: float
 ) -> RecipeResult:
     """Complete-transfer recipe for any system with a two-state cycle.
 
@@ -304,12 +303,11 @@ def general_recipe(
     # U(T/2, T) = (U(T, T/2))^dagger with U(T, T/2) = U(T,0) U(T/2,0)^dagger
     u_rev = (u_full @ u_half.conj().T).conj().T
     image = u_half @ initial @ u_rev.T
-    residual = float(np.max(np.abs(image - final)))
+    residual = float(np.linalg.norm(image - final))
     # measured on the image: <initial|final> vanishes by symmetry alone
     overlap = float(abs(np.vdot(initial, image)))
-    ok = residual <= CPT_TOL and overlap <= CPT_TOL
     return RecipeResult(
-        ok=ok,
+        ok=residual <= CPT_TOL and overlap <= CPT_TOL,
         violated=(),
         initial=vectorize(initial),
         final=vectorize(final),
@@ -320,60 +318,51 @@ def general_recipe(
 
 @dataclass(frozen=True)
 class TimeIndependentReport:
-    """Conditions for the recipe with a constant Hamiltonian.
+    """The recipe for (i, U(T)i) under a constant H; both conditions read ``recipe.violated``.
 
-    With a constant H the requirements collapse to
-    U(2T)|i> = e^{i phi}|i> and |<i|U(T)|i>| < 1, and then every
-    (U(t) (x) U(t))-translate of the recipe's initial state transfers
-    as well; ``samples`` holds (t, orthogonality residual) pairs for
-    the sampled family.
+    The phase cycle U(2T)|i> = e^{i phi}|i> is the precondition
+    ``u_full_does_not_map_f_back_to_i``, the partial overlap
+    |<i|U(T)|i>| < 1 is ``overlap_not_below_one``. ``phi`` is None when
+    the cycle fails; ``return_residual`` and ``half_overlap`` are measured
+    either way.
     """
 
-    condition_phase_cycle: bool
-    condition_partial_overlap: bool
     phi: float | None
     return_residual: float
     half_overlap: float
-    samples: tuple[tuple[float, float], ...]
+    recipe: RecipeResult
+
+    @property
+    def condition_phase_cycle(self) -> bool:
+        return "u_full_does_not_map_f_back_to_i" not in self.recipe.violated
+
+    @property
+    def condition_partial_overlap(self) -> bool:
+        return "overlap_not_below_one" not in self.recipe.violated
 
     @property
     def both_hold(self) -> bool:
         return self.condition_phase_cycle and self.condition_partial_overlap
 
 
-def time_independent_conditions(
-    h: np.ndarray,
-    i_state: np.ndarray,
-    T: float,
-) -> TimeIndependentReport:
-    """Check the constant-Hamiltonian transfer conditions and sample 8 family members.
+def time_independent_conditions(h: np.ndarray, i_state: np.ndarray, T: float) -> TimeIndependentReport:
+    """The recipe for (i, f = U(T)i) from U(T) and U(T/2), with phi from matching U(T)f to i.
 
-    The U(t) (x) U(t)-translate of the recipe state for (i, U(T)i) is the
-    recipe state for (U(t)i, U(t)U(T)i): each sample is one recipe call.
+    U(s) (x) U(s) is unitary, commutes with the constant-H doubled step
+    and maps the recipe state for (i, f) to the one for (U(s)i, U(s)f):
+    every translate, s real, has ``recipe``'s overlap and 2-norm residual.
     """
     i_state = require_normalized(i_state, "state")
-    u_2t = matexp_unitary(h, 2.0 * T)
-    cond1, phase, return_residual = _phase_match(u_2t @ i_state, i_state, CPT_TOL)
-    phi = float(np.angle(phase)) if cond1 else None
     u_t = matexp_unitary(h, T)
-    half_overlap = float(abs(np.vdot(i_state, u_t @ i_state)))
-    cond2 = half_overlap < PARTIAL_OVERLAP_MAX
-    samples = []
-    if cond1 and cond2:
-        f_state = u_t @ i_state
-        u_half = matexp_unitary(h, T / 2.0)
-        for t in np.linspace(0.0, T, 8):
-            shift = matexp_unitary(h, t)
-            member = general_recipe(u_t, u_half, shift @ i_state, shift @ f_state, phi)
-            # a translate rejected only by rounding at the tolerance edge counts as failed
-            samples.append((float(t), float("inf") if member.overlap is None else member.overlap))
+    f_state = u_t @ i_state
+    _, phase, return_residual = _phase_match(u_t @ f_state, i_state, CPT_TOL)
+    phi = float(np.angle(phase))
+    recipe = general_recipe(u_t, matexp_unitary(h, T / 2.0), i_state, f_state, phi)
     return TimeIndependentReport(
-        condition_phase_cycle=cond1,
-        condition_partial_overlap=cond2,
-        phi=phi,
+        phi=None if "u_full_does_not_map_f_back_to_i" in recipe.violated else phi,
         return_residual=return_residual,
-        half_overlap=half_overlap,
-        samples=tuple(samples),
+        half_overlap=float(abs(np.vdot(i_state, f_state))),
+        recipe=recipe,
     )
 
 

@@ -310,6 +310,22 @@ def test_simulate_huge_t_max_is_invalid_input(capsys, recwarn):
     assert not recwarn.list
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_simulate_overflowing_t_max_names_its_source(capsys, tmp_path, source):
+    argv = ["simulate", "--p", "3", "--q", "1", "--n", "2", "--steps", "2"]
+    if source == "flag":
+        argv += ["--t-max", "1e308"]
+    else:
+        (tmp_path / "t.json").write_text(json.dumps({"t_max": 1e308}))
+        argv += ["--config", str(tmp_path / "t.json")]
+    code, out, err = run_cli(capsys, *argv)
+    named = "--t-max" if source == "flag" else "config field 't_max'"
+    assert code == 2
+    assert out == ""
+    # the value as given, in units of tau, then simulate's own finiteness message
+    assert err.startswith(f"error: {named} 1e+308 (in units of tau): factor phase ") and err.count("\n") == 1
+
+
 def test_simulate_unallocatable_steps_is_invalid_input(capsys):
     # a (n^2, 10^15 + 1) table is far beyond any address space, so numpy refuses it without touching memory
     code, out, err = run_cli(capsys, "simulate", "--p", "3", "--q", "1", "--n", "2", "--steps", "1000000000000000")
@@ -665,6 +681,32 @@ def test_config_values_are_not_coerced(capsys, tmp_path, command, config, field)
     assert code == 2
     assert out == ""
     assert f"config field {field!r}" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("max_c", ["1e300", "10000001"])
+def test_triples_refuses_a_table_too_large_to_hold_before_enumerating(capsys, tmp_path, monkeypatch, source, max_c):
+    def refuse(limit_c):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(cli, "enumerate_primitive_pairs", refuse)
+    if source == "flag":
+        argv = ["triples", "--max-c", max_c]
+    else:
+        (tmp_path / "c.json").write_text(json.dumps({"max_c": float(max_c)}))
+        argv = ["triples", "--config", str(tmp_path / "c.json")]
+    code, out, err = run_cli(capsys, *argv)
+    named = "--max-c" if source == "flag" else "config field 'max_c'"
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {named} must be <= 1e+07: ") and err.count("\n") == 1
+
+
+def test_triples_largest_table_bound_is_accepted(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "enumerate_primitive_pairs", lambda limit_c: [])
+    code, out, _ = run_cli(capsys, "triples", "--max-c", "1e7")
+    assert code == 0
+    assert out.startswith("   p    q")
 
 
 def test_verify_huge_k_certifies(capsys, recwarn):

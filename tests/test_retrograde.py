@@ -441,7 +441,7 @@ def test_time_independent_two_level():
     # U(2T) = exp(-i pi sz) = -I, so the cycle phase is pi (mod 2 pi)
     assert abs(np.exp(1j * report.phi) + 1.0) < 1e-9
     assert report.half_overlap < 1e-12
-    assert all(res < 1e-9 for _, res in report.samples)
+    assert report.recipe.ok and report.recipe.overlap < 1e-9
 
 
 def test_time_independent_eigenvector_fails():
@@ -449,6 +449,7 @@ def test_time_independent_eigenvector_fails():
     assert report.condition_phase_cycle
     assert not report.condition_partial_overlap
     assert abs(report.half_overlap - 1.0) < 1e-12
+    assert report.recipe.violated == ("overlap_not_below_one",) and report.recipe.initial is None
 
 
 def test_time_independent_commensurate_four_level():
@@ -457,7 +458,58 @@ def test_time_independent_commensurate_four_level():
     i_state[0] = i_state[1] = 1.0 / np.sqrt(2)
     report = time_independent_conditions(h, i_state, np.pi)
     assert report.both_hold
-    assert all(res < 1e-9 for _, res in report.samples)
+    assert report.recipe.ok and report.recipe.overlap < 1e-9
+
+
+def _random_hermitian(seed, dim):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (m + m.conj().T) / 2
+
+
+# (h, state, T): the cases above, then an eigenvector and a generic state of random generators
+_CONSTANT_H_CASES = {
+    "two_level": (SZ, np.array([1.0, 1.0]) / np.sqrt(2), np.pi / 2),
+    "two_level_eigenvector": (SZ, np.array([1.0, 0.0]), 0.7),
+    "commensurate_four_level": (np.diag([0.0, 1.0, 2.0, 4.0]), np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2), np.pi),
+    "random_eigenvector": (_random_hermitian(5, 5), np.linalg.eigh(_random_hermitian(5, 5))[1][:, 2], 1.3),
+    "random_generic": (_random_hermitian(6, 4), np.full(4, 0.5), 0.9),
+    "two_level_generic": (SZ, np.array([0.6, 0.8]), 0.7),
+}
+
+
+@pytest.mark.parametrize("case", list(_CONSTANT_H_CASES))
+def test_time_independent_conditions_match_the_separately_measured_ones(case):
+    # the conditions read as preconditions of the recipe equal U(2T) and U(T) measured on their own
+    h, i_state, T = _CONSTANT_H_CASES[case]
+    cycle, phase, _ = retrograde._phase_match(matexp_unitary(h, 2 * T) @ i_state, i_state, retrograde.CPT_TOL)
+    partial = abs(np.vdot(i_state, matexp_unitary(h, T) @ i_state)) < retrograde.PARTIAL_OVERLAP_MAX
+    report = time_independent_conditions(h, i_state, T)
+    assert (report.condition_phase_cycle, report.condition_partial_overlap) == (cycle, partial)
+    assert report.both_hold == (cycle and partial)
+    assert (report.phi is None) == (not cycle)
+    if cycle:
+        assert abs(np.exp(1j * report.phi) - phase) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["two_level", "two_level_eigenvector", "two_level_generic"])
+def test_time_independent_conditions_is_one_recipe_call_on_two_propagators(monkeypatch, case):
+    h, i_state, T = _CONSTANT_H_CASES[case]
+    times, recipes = [], []
+
+    def counting_exp(h, t):
+        times.append(t)
+        return matexp_unitary(h, t)
+
+    def counting_recipe(*args):
+        recipes.append(general_recipe(*args))
+        return recipes[-1]
+
+    monkeypatch.setattr(retrograde, "matexp_unitary", counting_exp)
+    monkeypatch.setattr(retrograde, "general_recipe", counting_recipe)
+    report = time_independent_conditions(h, i_state, T)
+    assert times == [T, T / 2.0]
+    assert len(recipes) == 1 and recipes[0] is report.recipe
 
 
 def test_basic_cpts_four_level():
