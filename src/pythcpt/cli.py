@@ -20,10 +20,11 @@ flag's value may start with a dash in any form (``--k -1e-3``). The
 environment variable ``PYTHCPT_TOL`` overrides the default
 certification tolerance (1e-9); a tolerance from any source must be a
 finite positive number. Exit codes: 0 success, 1 verification failure,
-2 invalid input, with a message naming the flag or config field (each
-subcommand's rule on n is its converter of ``n``; still 2 when stderr
-cannot take the message), 141 when the reader
-closes stdout early (``| head``), as for a process that SIGPIPE ended.
+2 invalid input, with a message naming the flag or config field (a rule
+on a value, such as each subcommand's n or the sign of ``simulate``'s
+t_max and steps, is its field's converter; still 2 when stderr cannot
+take the message), 141 when the reader closes stdout early (``| head``),
+as for a process that SIGPIPE ended.
 ``simulate`` writes its CSV row by row; it never holds the table as text.
 """
 
@@ -128,16 +129,21 @@ def _one_of(*choices: str):
     return convert
 
 
+def _where(convert, allowed, rule: str):
+    """``convert``, then a rule on the value: one that fails ``allowed`` is a ConfigError stating ``rule``."""
+
+    def checked(value, source: str):
+        number = convert(value, source)
+        if not allowed(number):
+            raise ConfigError(f"{source}: {rule}, got {number!r}")
+        return number
+
+    return checked
+
+
 def _levels(allowed, rule: str):
     """A converter of one subcommand's n: an integer that satisfies ``allowed``, described by ``rule``."""
-
-    def convert(value, source: str) -> int:
-        n = _integer(value, source)
-        if not allowed(n):
-            raise ConfigError(f"{source}: n must be {rule}, got {n}")
-        return n
-
-    return convert
+    return _where(_integer, allowed, f"n must be {rule}")
 
 
 def _default_tol() -> float:
@@ -145,13 +151,14 @@ def _default_tol() -> float:
     return CPT_TOL if raw is None else _positive_tol(raw, "PYTHCPT_TOL")
 
 
-# each subcommand's n: verify leaves odd n and n < 2 to the library's messages
-_SIMULATE_N = _levels(lambda n: n % 2 == 0 and 2 <= n <= _MAX_LEVELS, f"even with 2 <= n <= {_MAX_LEVELS}")
-_VERIFY_N = _levels(lambda n: n <= _MAX_LEVELS, f"<= {_MAX_LEVELS}")
+# each subcommand's n (verify and simulate read the same lab frame), and simulate's sign rules
+_LAB_N = _levels(lambda n: n % 2 == 0 and 2 <= n <= _MAX_LEVELS, f"even with 2 <= n <= {_MAX_LEVELS}")
 _GRAPH_N = _levels(
     lambda n: 2 <= n <= _MAX_LEVELS and not n & (n - 1), f"a power of two with 2 <= n <= {_MAX_LEVELS}"
 )
 _RETRO_N = _levels(lambda n: 2 <= n <= _MAX_LEVELS, f"2 <= n <= {_MAX_LEVELS}")
+_T_MAX = _where(_real, lambda t: t >= 0, "t_max must be non-negative")
+_STEPS = _where(_integer, lambda steps: steps >= 0, "steps must be non-negative")
 
 # {subcommand: (help, {field: (converter, default[, help])})}; a callable default is evaluated per run.
 _PQK = {"p": (_integer, _REQUIRED), "q": (_integer, _REQUIRED), "k": (_real, 0.0)}
@@ -167,10 +174,10 @@ _FIELDS = {
     ),
     "simulate": (
         "lab-frame population traces as CSV",
-        {**_PQK, "n": (_SIMULATE_N, 4), "t_max": (_real, 2.0), "steps": (_integer, 400), "out": (_text, "-"),
+        {**_PQK, "n": (_LAB_N, 4), "t_max": (_T_MAX, 2.0), "steps": (_STEPS, 400), "out": (_text, "-"),
          "absolute_time": (_switch, False)},
     ),
-    "verify": ("transfer certificate as JSON", {**_PQK, "n": (_VERIFY_N, 4), **_TOL}),
+    "verify": ("transfer certificate as JSON", {**_PQK, "n": (_LAB_N, 4), **_TOL}),
     "graph": (
         "coupling graph as DOT or JSON",
         {**_PQK, "n": (_GRAPH_N, 4), "format": (_one_of("dot", "json"), "dot")},
@@ -255,9 +262,7 @@ def _cmd_simulate(cfg: dict) -> int:
     except MemoryError as exc:  # numpy refuses a table larger than the machine can map
         source = cfg["source"].get("steps", "steps")  # the flag or the config field it came from
         raise ConfigError(f"{source} {cfg['steps']} needs more memory than can be allocated: {exc}") from None
-    except ValueError as exc:  # past its sign rules, simulate refuses only a phase that a large t_max overflows
-        if cfg["t_max"] < 0 or cfg["steps"] < 0:
-            raise
+    except ValueError as exc:  # the converters hold the sign rules, so this is a phase that a large t_max overflows
         raise ConfigError(f"{cfg['source'].get('t_max', 't_max')} {cfg['t_max']!r} (in units of tau): {exc}") from None
     times = result.times * spec.params.tau if cfg["absolute_time"] else result.times
     header = ("t" if cfg["absolute_time"] else "t_over_tau") + "," + ",".join(

@@ -290,9 +290,9 @@ def forbidden_scan(spec: SystemSpec) -> ForbiddenScanReport:
     there are still aliased samples, and rounding the grid or the phases
     differently moves them by a few 1e-7 at p = 10^8 + 1. Their phases
     come from :func:`simulate`'s small tables, so angles near 1e10 cost
-    no more time than small ones, but they still carry c and lose
-    precision as eps * c. See ROADMAP items 3 (exact triple
-    angles, which take c out of the phases) and 4 (a closed-form bound).
+    no more time than small ones, but they come from floats and lose precision
+    as eps * p, about eps * sqrt(2c). See ROADMAP items 3 (exact triple angles,
+    which take c out of the phases) and 4 (a closed-form bound).
 
     Each scan is one 10^4-point :func:`simulate` call at n = 2, whose
     peak memory is about three times its 320 kB of populations.

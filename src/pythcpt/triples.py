@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -98,11 +97,17 @@ def enumerate_primitive_pairs(limit_c: float) -> list[OddPair]:
 def coupling_params(triple: PythTriple, k: float = 0.0) -> CouplingParams:
     """Coupling parameters realizing the transfer for a given triple.
 
-    The four outputs are generically nonzero; special values of k can
-    zero one of them, which is reported as a warning because the
-    formulas remain well defined there. With s = hypot(1, k) the weights
-    k/s and 1/s stay finite for every finite k; as k -> +-inf the axes
-    (delta1, omega1) and (delta2, omega2) tend to +-(q, -p) and +-(p, q).
+    Every finite k is served, the four values that zero delta1, omega1,
+    delta2 or omega2 included. With s = hypot(1, k), (delta1, omega1) and
+    (delta2, omega2) are one orthogonal map, with entries k/s and 1/s,
+    applied to (c - a, b)/2 and (c + a, -b)/2. So at every k the two
+    axes are orthogonal, delta1*delta2 + omega1*omega2 = (c² - a² - b²)/4
+    = 0, and their norms times tau are pi*sqrt(c - a)/2 and
+    pi*sqrt(c + a)/2: pi*q/2 and pi*p/2 for a > 0, swapped for a < 0,
+    odd multiples of pi/2 either way. The transfer needs only these two
+    facts, and neither asks any one coupling to be nonzero. The weights
+    stay finite for every finite k; for a > 0, as k -> +-inf the axes
+    tend to +-q(q, -p)/2 and +-p(p, q)/2.
     For an integer triple c - a and c + a are exact, each rounded once
     to a float where it meets a weight.
     """
@@ -121,18 +126,6 @@ def coupling_params(triple: PythTriple, k: float = 0.0) -> CouplingParams:
     params = CouplingParams(delta1=d1, omega1=o1, delta2=d2, omega2=o2, tau=tau)
     if not all(math.isfinite(v) for v in params.as_tuple()):
         raise ValueError(f"c={float(c)} overflows the couplings or the transfer time: {params}")
-    scale = max(abs(v) for v in params.as_tuple())
-    zeros = [
-        name
-        for name, v in zip(("delta1", "omega1", "delta2", "omega2"), params.as_tuple())
-        if abs(v) <= 1e-12 * max(scale, 1.0)
-    ]
-    if zeros:
-        warnings.warn(
-            f"k={k} zeroes {', '.join(zeros)}; the transfer condition assumes "
-            "all four parameters nonzero",
-            stacklevel=2,
-        )
     return params
 
 

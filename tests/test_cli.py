@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pythcpt import cli, retrograde, suite
+from pythcpt import cli, reference_tables, retrograde, suite
 from pythcpt.cli import main
 from pythcpt.dynamics import SystemSpec, simulate, verify_cpt
 from pythcpt.frames import EntangledFrame
@@ -414,10 +414,12 @@ def test_verify_n_bound_from_config(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
     assert code == 2
     assert out == ""
-    assert "n must be <= 32, got 64" in err
+    assert "n must be even with 2 <= n <= 32, got 64" in err
 
 
-@pytest.mark.parametrize("command, n", [("simulate", 3), ("verify", 34), ("graph", 6), ("retro", 33)])
+@pytest.mark.parametrize(
+    "command, n", [("simulate", 3), ("verify", 34), ("verify", 3), ("verify", 1), ("graph", 6), ("retro", 33)]
+)
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_n_rule_message_names_its_source(capsys, tmp_path, command, n, source):
     if source == "flag":
@@ -559,6 +561,40 @@ def test_suite_frame_hook_detects_corruption(monkeypatch):
     assert [r.name for r in report.failures()] == ["frame_validation"]
 
 
+def test_exact_suite_checks_report_zero_error():
+    assert suite._check_sixteen_level_tables() == (True, "max table deviation 0.000e+00")
+    assert suite._check_vectorization_identity() == (True, "max identity error 0.000e+00")
+
+
+def _row_major_vectorize(x):
+    return np.asarray(x).reshape(-1)
+
+
+def _swapped_kron(a, b):
+    return np.kron(b, a)
+
+
+@pytest.mark.parametrize("name, defect", [("vectorize", _row_major_vectorize), ("kron", _swapped_kron)])
+def test_vectorization_identity_detects_a_planted_defect(monkeypatch, name, defect):
+    monkeypatch.setattr(suite, name, defect)
+    passed, detail = suite._check_vectorization_identity()
+    assert not passed, detail
+
+
+def test_sixteen_level_tables_detect_a_planted_lab_term(monkeypatch):
+    real = reference_tables.sixteen_level_lab
+
+    def lab_with_an_extra_term(v12, v23, v34, v14):
+        h = real(v12, v23, v34, v14).copy()
+        h[0, 1] += 1e-9 * v23
+        h[1, 0] += 1e-9 * v23
+        return h
+
+    monkeypatch.setattr(reference_tables, "sixteen_level_lab", lab_with_an_extra_term)
+    passed, detail = suite._check_sixteen_level_tables()
+    assert not passed, detail
+
+
 def test_unknown_subcommand_exit_code(capsys):
     assert main(["nonsense"]) == 2
 
@@ -646,8 +682,8 @@ def test_flag_destinations_are_config_keys():
         (["simulate", "--p", "3", "--q", "1", "--t-max", "nan"], "--t-max"),
         (["graph", "--p", "3", "--q", "1", "--k", "nan", "--format", "json"], "--k"),
         (["retro", "--p", "3", "--q", "1", "--k", "nan"], "--k"),
-        (["simulate", "--p", "3", "--q", "1", "--steps", "-1"], "steps"),
-        (["simulate", "--p", "3", "--q", "1", "--n", "2", "--steps", "2", "--t-max", "-1"], "t_max"),
+        (["simulate", "--p", "3", "--q", "1", "--steps", "-1"], "--steps"),
+        (["simulate", "--p", "3", "--q", "1", "--n", "2", "--steps", "2", "--t-max", "-1"], "--t-max"),
         (["triples", "--max-c", "4"], "--max-c"),
     ],
     ids=[
@@ -660,6 +696,15 @@ def test_bad_numeric_flag_rejected(capsys, argv, name):
     assert code == 2
     assert out == ""
     assert name in err
+
+
+@pytest.mark.parametrize("field, value", [("steps", -1), ("t_max", -1.0)])
+def test_negative_simulate_config_value_names_its_field(capsys, tmp_path, field, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 3, "q": 1, "n": 2, "steps": 2, field: value}))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: config field {field!r}: {field} must be non-negative, got {value!r}\n"
 
 
 @pytest.mark.parametrize(
@@ -713,7 +758,26 @@ def test_verify_huge_k_certifies(capsys, recwarn):
     code, out, err = run_cli(capsys, "verify", "--p", "3", "--q", "1", "--n", "2", "--k", "1e300")
     assert code == 0, err
     assert json.loads(out)["pass"] is True
-    assert not [w for w in recwarn if "zeroes" in str(w.message)]
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--p", "3", "--q", "1", "--n", "4", "--k", "0.3333333333333333"],  # omega1 = 0
+        ["retro", "--p", "5", "--q", "1", "--n", "4", "--k", "0.2"],  # omega1 = 0
+    ],
+)
+def test_a_k_that_zeroes_a_coupling_passes_with_nothing_on_stderr(argv):
+    # a process of its own, so stderr holds whatever a user would see, warnings included
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pythcpt.cli", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads(proc.stdout)["pass"] is True
 
 
 def test_config_null_counts_as_absent(capsys, tmp_path):

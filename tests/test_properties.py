@@ -3,6 +3,7 @@ evolution and the doubled-space reports against dense oracles."""
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from pythcpt.retrograde import (
     time_independent_conditions,
 )
 from pythcpt.su2 import y_matrix
-from pythcpt.triples import params_from_pair
+from pythcpt.triples import OddPair, coupling_params, params_from_pair, triple_from_pair
 
 from dense_oracle import dense_propagator, dense_simulate
 
@@ -116,12 +117,37 @@ pairs_to_1e9 = (
 @given(pq=pairs_to_1e9, k=st.floats(-3.0, 3.0, allow_nan=False), n=st.sampled_from(range(2, 17, 2)))
 @example(pq=(10**8 + 1, 1), k=0.5, n=8)
 @example(pq=(999999999, 7), k=0.3, n=16)
-@pytest.mark.filterwarnings("ignore:k=.* zeroes")  # the law holds where k zeroes a coupling too
 def test_certificate_error_grows_as_eps_p(pq, k, n):
     p, q = pq
     cert = verify_cpt(SystemSpec(n=n, params=params_from_pair(p, q, k)))
     assert abs(cert.phase - (-1) ** ((p + q) // 2)) <= LAW_C * n * EPS * p
     assert 1.0 - cert.fidelity <= LAW_C2 * n**2 * (EPS * p) ** 2 + LAW_FLOOR
+
+
+@settings(max_examples=20, deadline=None)
+@given(pq=coprime_pairs_c_1e4)
+@example(pq=(3, 1))
+def test_a_k_that_zeroes_a_coupling_keeps_the_transfer_exact(pq):
+    """Each k zeroing delta1, omega1, delta2 or omega2, at every sign choice: certified, and nothing warns.
+
+    The axes stay orthogonal and their angles odd multiples of pi/2 at every finite k (see coupling_params).
+    """
+    p, q = pq
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for signs in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+            t = triple_from_pair(OddPair(p, q), *signs)
+            a, b, c = t.a, t.b, t.c
+            for zeroed, k in enumerate((-b / (c - a), (c - a) / b, b / (c + a), -(c + a) / b)):
+                params = coupling_params(t, k)
+                assert abs(params.as_tuple()[zeroed]) <= 1e-12 * c
+                for n in (2, 4, 6, 8):
+                    assert verify_cpt(SystemSpec(n=n, params=params)).passed, (signs, k, n)
+                if signs == (1, 1):
+                    assert basic_cpts(4, p, q, k).all_ok, k
+                    rep = check_equivalence(pythagorean_pulse(p, q, k), y_matrix(2))
+                    assert rep.as_pair() == (True, True), k
+                    assert abs(rep.propagator_phase - (-1) ** ((p + q) // 2)) <= 1e-8, k
 
 
 @settings(max_examples=60, deadline=None)

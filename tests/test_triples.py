@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pythcpt.dynamics import SystemSpec, verify_cpt
 from pythcpt.triples import (
     CouplingParams,
     OddPair,
@@ -157,11 +158,13 @@ def test_scaling_by_odd_squares():
         assert abs(base.tau / scaled.tau - factor) < 1e-12
 
 
-def test_zero_parameter_warns():
+def test_a_k_that_zeroes_a_coupling_certifies_without_a_warning():
     t = triple_from_pair(OddPair(3, 1))
     k_zero = (t.c - t.a) / t.b  # makes omega1 vanish
-    with pytest.warns(UserWarning, match="omega1"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         params = coupling_params(t, k_zero)
+        assert verify_cpt(SystemSpec(n=4, params=params)).passed
     assert abs(params.omega1) < 1e-12
 
 
@@ -173,7 +176,7 @@ def test_huge_k_keeps_couplings_finite(recwarn, k):
     sign = math.copysign(1.0, k)
     expected = (sign * q * q / 2, -sign * p * q / 2, sign * p * p / 2, sign * p * q / 2)
     assert params.as_tuple() == pytest.approx(expected, rel=1e-15)
-    assert not [w for w in recwarn if "zeroes" in str(w.message)]
+    assert not recwarn.list
 
 
 def test_sign_flip_gives_inequivalent_parameters():
@@ -251,7 +254,5 @@ def test_integer_triples_below_2_53_give_the_float_triples_params(pq, k, signs):
     # below 2^53 every entry is an exact float and c -+ a rounds once either way
     t = triple_from_pair(OddPair(*pq), *signs)
     as_floats = PythTriple(a=float(t.a), b=float(t.b), c=float(t.c), primitive=t.primitive)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a k that zeroes a coupling warns on both paths
-        got, want = coupling_params(t, k), coupling_params(as_floats, k)
+    got, want = coupling_params(t, k), coupling_params(as_floats, k)
     assert (*got.as_tuple(), got.tau) == (*want.as_tuple(), want.tau)
