@@ -16,8 +16,9 @@ of all T grid points come from two small tables per factor, about
 n^2 complex exponentials per point. Each eigen-index folds with its
 mirror, so the populations come from two real GEMMs of inner dimension
 n^2/2, one for Re psi and one for Im psi, each squared in place: no
-(2 n^2, T) array is formed, and the peak memory is about three times
-the returned (T, n^2) populations. :func:`verify_cpt` still
+(2 n^2, T) array is formed. The grid is evaluated in blocks of about
+48 KiB of phi, so the peak memory is the returned (T, n^2)
+populations and times plus a few such blocks. :func:`verify_cpt` still
 diagonalizes the real n^2 x n^2 ``build_h_tp`` once, but reads its one
 amplitude straight from the spectral decomposition
 (:func:`pythcpt.linalg.propagator_elements`), so it forms no n^2 x n^2
@@ -43,6 +44,12 @@ FORBIDDEN_MAX_POP = 1.0 - 1e-6
 # signs (+ +, + -, - +, - -) of mu1 and mu2. exp(-i mu theta) = cos(|mu| theta) - i sign(mu) sin(|mu| theta),
 # so each row gives Re psi (first two) or -Im psi (last two) from the coefficients of the four mirrored terms.
 _MIRROR_SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])
+# Bytes of phi per time block of :func:`simulate`. Each of a block's arrays (complex feature products, phi, the two
+# GEMM outputs) then stays below glibc's default 128 KiB mmap threshold, comes from the heap and is reused by the next
+# block and the next call instead of being mapped and faulted in afresh. At 64 KiB the free heap top a 10^4-point
+# forbidden_scan leaves grows from 0.53 to 0.64 MB, at glibc's trim threshold, and its pages can be returned and
+# refaulted on every call; 32 KiB leaves no less heap in use and only adds per-block overhead.
+_BLOCK_BYTES = 48 * 1024
 
 
 @dataclass(frozen=True)
@@ -147,36 +154,40 @@ def _rows_times_kron(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.T @ x.reshape(-1, n, n) @ b).reshape(len(x), -1)
 
 
-def _features(n: int, omega: float, dt: float, points: int) -> np.ndarray:
-    """exp(i h omega dt j) for the harmonics h = 1, 3, ..., n - 1 and j < points, as a complex (n/2, points) table.
+def _features(n: int, omegas: list[float], dt: float, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coarse and fine tables of exp(i h omega dt j), h = 1, 3, ..., n - 1 and j < points, for both factors' omegas.
 
-    Its real and imaginary parts are the (cos, sin) features of
-    :func:`simulate`. With j = a * B + b and B = ceil(sqrt(points)),
-    exp(i h omega dt j) is exp(i h omega dt B a) * exp(i h omega dt b): a
-    coarse table over a and a fine table over b, about n * sqrt(points)
-    complex exponentials in all, then one complex product per harmonic
-    and point.
+    The real and imaginary parts of exp(i h omega dt j) are the (cos,
+    sin) features of :func:`simulate`. With j = a * B + b and
+    B = ceil(sqrt(points)), exp(i h omega dt j) is
+    exp(i h omega dt B a) * exp(i h omega dt b): the complex
+    (2, n/2, ceil(points / B)) coarse table over a and the (2, n/2, B)
+    fine table over b, about 2 n sqrt(points) complex exponentials in
+    all. :func:`_feature_products` multiplies them out one block of
+    coarse rows at a time.
     """
     block = math.isqrt(points - 1) + 1
-    rate = np.arange(1, n, 2)[:, None] * (omega * dt)
+    rate = np.arange(1, n, 2)[:, None] * (np.array(omegas)[:, None, None] * dt)
     coarse = np.exp(1j * rate * (block * np.arange(-(-points // block))))
     fine = np.exp(1j * rate * np.arange(block))
-    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(rate), -1)[:, :points]
+    return coarse, fine
 
 
-def _feature_products(n: int, omegas: list[float], dt: float, points: int) -> np.ndarray:
-    """The cos cos, sin sin, cos sin and sin cos blocks of the two factors' :func:`_features`, as (n^2, points).
+def _feature_products(coarse: np.ndarray, fine: np.ndarray, rows: slice, points: int) -> np.ndarray:
+    """phi for the first ``points`` grid points of the coarse ``rows`` of :func:`_features`, as (n^2, points).
 
-    Each block is written straight into phi, and the two complex tables
-    are freed when this returns.
+    One complex product per factor, harmonic and point gives the
+    features, read in place as a real (factor, cos | sin, h, j) view;
+    its cos cos, sin sin, cos sin and sin cos blocks are written
+    straight into phi.
     """
-    half = n // 2
-    phi = np.empty((4, half, half, points))
-    w1, w2 = (_features(n, omega, dt, points) for omega in omegas)
-    pairs = ((w1.real, w2.real), (w1.imag, w2.imag), (w1.real, w2.imag), (w1.imag, w2.real))
-    for block, (f1, f2) in zip(phi, pairs):
-        np.multiply(f1[:, None], f2, out=block)
-    return phi.reshape(n * n, points)
+    w = coarse[:, :, rows, None] * fine[:, :, None, :]
+    f1, f2 = w.view(np.float64).reshape(*w.shape[:2], -1, 2).transpose(0, 3, 1, 2)[..., :points]
+    half = coarse.shape[1]
+    phi = np.empty((2, 2, half, half, points))
+    np.multiply(f1[:, :, None], f2[:, None], out=phi[0])  # cos cos, sin sin
+    np.multiply(f1[:, :, None], f2[::-1, None], out=phi[1])  # cos sin, sin cos
+    return phi.reshape(-1, points)
 
 
 def _squared_moduli(same: np.ndarray, mixed: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -218,8 +229,16 @@ def simulate(spec: SystemSpec, t_max_tau: float, steps: int) -> SimulationResult
     factor. Per time point that leaves n complex
     products, n^2 real products and two real matrix-vector products of
     inner dimension n^2/2 (:func:`_squared_moduli`); no complex matrix,
-    no n^2 x n^2 Hamiltonian and no (2 n^2, T) array is formed, and the
-    peak memory is about three times the returned populations.
+    no n^2 x n^2 Hamiltonian and no (2 n^2, T) array is formed.
+
+    The (n^2, T) populations are allocated once, and the grid is
+    evaluated in blocks of whole coarse-table rows, each holding about
+    48 KiB of phi (at least the size of the two maps, from n = 10 on).
+    Each block forms its own features, phi and GEMM outputs and writes
+    its slice of the populations, so only the populations and times
+    grow with T: the peak traced memory is theirs plus about 150 kB at
+    n = 2 with 10^4 points and 230 kB at n = 8 with 5001 points, 1.73x
+    and 1.11x the populations.
     """
     if not (math.isfinite(t_max_tau) and t_max_tau >= 0):
         raise ValueError(f"t_max must be finite and non-negative, got {t_max_tau}")
@@ -234,6 +253,7 @@ def simulate(spec: SystemSpec, t_max_tau: float, steps: int) -> SimulationResult
     if not all(math.isfinite((n - 1) * omega * t_max) for omega in omegas):
         raise ValueError(f"factor phase (n - 1) * omega * |t| is not finite at |t| = {t_max!r}")
     points = steps + 1
+    times = np.linspace(0.0, t_max_tau, points)  # first, so linspace's temporary is freed before the populations exist
     dt = t_max / max(steps, 1)
     half = n // 2
     mirrored = np.r_[half:n, half - 1:-1:-1]  # mu = 1, 3, ..., n - 1, then -1, -3, ..., 1 - n
@@ -241,8 +261,19 @@ def simulate(spec: SystemSpec, t_max_tau: float, steps: int) -> SimulationResult
     e = _rows_times_kron(w, v1, v2)
     terms = (e * e[0]).reshape(n * n, 2, half, 2, half).transpose(0, 1, 3, 2, 4).reshape(n * n, 4, -1)
     same, mixed = (_MIRROR_SIGNS @ terms).reshape(n * n, 2, -1).transpose(1, 0, 2)
-    populations = _squared_moduli(same, mixed, _feature_products(n, omegas, dt, points))  # (n^2, T)
-    return SimulationResult(times=np.linspace(0.0, t_max_tau, points), populations=populations.T)
+    coarse, fine = _features(n, omegas, dt, points)
+    width = fine.shape[-1]
+    # every GEMM packs same and mixed afresh, so from n = 10 on a block's phi is at least their size
+    block_bytes = max(_BLOCK_BYTES, same.nbytes + mixed.nbytes)
+    rows = max(1, block_bytes // (8 * n * n * width))
+    populations = np.empty((n * n, points))
+    for first in range(0, coarse.shape[-1], rows):
+        start, stop = first * width, min((first + rows) * width, points)
+        # one statement, so each block's phi is freed before the next block's is built
+        populations[:, start:stop] = _squared_moduli(
+            same, mixed, _feature_products(coarse, fine, slice(first, first + rows), stop - start)
+        )
+    return SimulationResult(times=times, populations=populations.T)
 
 
 def verify_cpt(spec: SystemSpec, tol: float = CPT_TOL) -> CptCertificate:
@@ -295,7 +326,8 @@ def forbidden_scan(spec: SystemSpec) -> ForbiddenScanReport:
     which take c out of the phases) and 4 (a closed-form bound).
 
     Each scan is one 10^4-point :func:`simulate` call at n = 2, whose
-    peak memory is about three times its 320 kB of populations.
+    peak memory is its 320 kB of populations and 80 kB of times plus
+    about 150 kB of block arrays.
     """
     if spec.n != 2:
         raise ValueError(f"forbidden state scan applies to n=2 only, got n={spec.n}")

@@ -219,10 +219,11 @@ def test_simulate_rejects_a_grid_end_that_overflows(couplings, recwarn):
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
-@pytest.mark.parametrize("steps", [0, 1, 2, 3, 14, 15, 16, 17, 9_999])
+@pytest.mark.parametrize("steps", [0, 1, 2, 3, 14, 15, 16, 17, 9_999, 12_344])
 @pytest.mark.parametrize("t_max_tau", [0.0, 3.0])
 def test_simulate_grid_split_matches_dense_oracle(n, steps, t_max_tau):
-    # steps + 1 points around the perfect square 16 exercise the coarse/fine phase tables' edges
+    # steps + 1 points around the perfect square 16 exercise the coarse/fine phase tables' edges; 10^4 and 12345
+    # points span several time blocks at every n, and 12345 = 110 * 112 + 25 ends them on a partial coarse row
     spec = SystemSpec(n=n, params=params_from_pair(7, 3, 0.3))
     times = np.linspace(0.0, t_max_tau * spec.params.tau, steps + 1)
     dense = dense_simulate(lab_hamiltonian(spec), np.eye(n * n)[0], times)
@@ -232,9 +233,9 @@ def test_simulate_grid_split_matches_dense_oracle(n, steps, t_max_tau):
     assert np.max(np.abs(result.populations.sum(axis=1) - 1.0)) <= 1e-12
 
 
-@pytest.mark.parametrize("n, steps", [(2, 9_999), (8, 5_000)])
-def test_simulate_peak_memory_is_about_three_outputs(n, steps):
-    # phi and two real GEMM outputs of the populations' size; no (2 n^2, T) array, no stacked features
+@pytest.mark.parametrize("n, steps", [(2, 9_999), (8, 5_000), (2, 99_999)])
+def test_simulate_peak_memory_is_output_plus_384_kib(n, steps):
+    # the grid is evaluated in blocks of about 48 KiB of phi, so only the populations and times grow with the grid
     spec = SystemSpec(n=n, params=params_from_pair(13, 3, 0.7))
     simulate(spec, 20.0, steps)  # builds the cached per-n constants outside the measurement
     tracemalloc.start()
@@ -243,7 +244,7 @@ def test_simulate_peak_memory_is_about_three_outputs(n, steps):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * result.populations.nbytes
+    assert peak <= result.populations.nbytes + result.times.nbytes + 384 * 1024
 
 
 @pytest.mark.parametrize("n", [2, 8])
@@ -284,7 +285,7 @@ def test_simulate_forms_no_dense_hamiltonian(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_simulate_folds_its_constant_into_two_real_half_maps(monkeypatch, n):
-    # each eigen-index pairs with its mirror, so both products are real with inner dimension n^2 / 2
+    # each eigen-index pairs with its mirror, so every block's products are real with inner dimension n^2 / 2
     kron_calls, products = [], []
     real_kron, real_moduli = dynamics._rows_times_kron, dynamics._squared_moduli
 
@@ -293,17 +294,27 @@ def test_simulate_folds_its_constant_into_two_real_half_maps(monkeypatch, n):
         return real_kron(*args)
 
     def moduli_spy(same, mixed, phi):
-        products.append((same, mixed, phi))
-        return real_moduli(same, mixed, phi)
+        block = real_moduli(same, mixed, phi)
+        products.append((same, mixed, phi, block))
+        return block
 
     monkeypatch.setattr(dynamics, "_rows_times_kron", kron_spy)
     monkeypatch.setattr(dynamics, "_squared_moduli", moduli_spy)
-    simulate(SystemSpec(n=n, params=params_from_pair(7, 3, 0.3)), 2.0, 7)
-    assert len(kron_calls) == 1
-    [(same, mixed, phi)] = products
-    assert same.dtype == mixed.dtype == phi.dtype == np.float64
-    assert same.shape == mixed.shape == (n * n, n * n // 2)
-    assert phi.shape == (n * n, 8)
+    for steps in (7, 9_999):  # one time block, then several
+        kron_calls.clear()
+        products.clear()
+        result = simulate(SystemSpec(n=n, params=params_from_pair(7, 3, 0.3)), 2.0, steps)
+        assert len(kron_calls) == 1
+        assert (len(products) > 1) == (steps == 9_999)
+        for same, mixed, phi, block in products:
+            assert same.dtype == mixed.dtype == phi.dtype == np.float64
+            assert same.shape == mixed.shape == (n * n, n * n // 2)
+            assert phi.shape == block.shape == (n * n, phi.shape[1])
+            # below glibc's default mmap threshold, so a block reuses heap memory
+            assert phi.nbytes < 128 * 1024
+        # the blocks' columns tile the grid once, in order
+        assert sum(phi.shape[1] for _, _, phi, _ in products) == steps + 1
+        assert np.array_equal(np.concatenate([block for *_, block in products], axis=1), result.populations.T)
 
 
 def test_verify_cpt_reads_one_amplitude(monkeypatch):
