@@ -27,6 +27,7 @@ propagator and runs no n^2 x n^2 complex product.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from .frames import lab_frame
 from .linalg import kron, propagator_elements, require_hermitian
-from .su2 import spin_generators
+from .su2 import SPIN_CACHE_SIZE, spin_generators
 from .triples import CouplingParams
 
 CPT_TOL = 1e-9
@@ -154,6 +155,22 @@ def _rows_times_kron(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.T @ x.reshape(-1, n, n) @ b).reshape(len(x), -1)
 
 
+@functools.lru_cache(maxsize=SPIN_CACHE_SIZE)
+def _ladder_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only per-n constants of :func:`simulate`: the mirrored eigen-order and the harmonic ranks.
+
+    The order lists the eigen-indices with ladder values
+    mu = 1, 3, ..., n - 1, then -1, -3, ..., 1 - n; the ranks are the
+    column (1, 3, ..., n - 1) of :func:`_features` as floats.
+    """
+    half = n // 2
+    mirrored = np.r_[half:n, half - 1:-1:-1]
+    ranks = np.arange(1.0, n, 2)[:, None]
+    for a in (mirrored, ranks):
+        a.flags.writeable = False
+    return mirrored, ranks
+
+
 def _features(n: int, omegas: list[float], dt: float, points: int) -> tuple[np.ndarray, np.ndarray]:
     """The coarse and fine tables of exp(i h omega dt j), h = 1, 3, ..., n - 1 and j < points, for both factors' omegas.
 
@@ -163,14 +180,14 @@ def _features(n: int, omegas: list[float], dt: float, points: int) -> tuple[np.n
     exp(i h omega dt B a) * exp(i h omega dt b): the complex
     (2, n/2, ceil(points / B)) coarse table over a and the (2, n/2, B)
     fine table over b, about 2 n sqrt(points) complex exponentials in
-    all. :func:`_feature_products` multiplies them out one block of
-    coarse rows at a time.
+    all, from one ``np.exp`` call. :func:`_feature_products` multiplies
+    them out one block of coarse rows at a time.
     """
     block = math.isqrt(points - 1) + 1
-    rate = np.arange(1, n, 2)[:, None] * (np.array(omegas)[:, None, None] * dt)
-    coarse = np.exp(1j * rate * (block * np.arange(-(-points // block))))
-    fine = np.exp(1j * rate * np.arange(block))
-    return coarse, fine
+    rows = -(-points // block)
+    rate = _ladder_indices(n)[1] * (np.array(omegas)[:, None, None] * dt)
+    tables = np.exp(1j * rate * np.concatenate((block * np.arange(rows), np.arange(block))))
+    return tables[..., :rows], tables[..., rows:]
 
 
 def _feature_products(coarse: np.ndarray, fine: np.ndarray, rows: slice, points: int) -> np.ndarray:
@@ -248,15 +265,23 @@ def simulate(spec: SystemSpec, t_max_tau: float, steps: int) -> SimulationResult
     t_max = t_max_tau * p.tau
     w = lab_frame(n)
     drives = ((p.delta1, p.omega1), (p.delta2, p.omega2))
-    omegas = [float(np.hypot(delta, omega)) for delta, omega in drives]
+    omegas = np.hypot((p.delta1, p.delta2), (p.omega1, p.omega2)).tolist()
     # Python floats overflow to inf without a warning, so this raises before numpy sees the product
     if not all(math.isfinite((n - 1) * omega * t_max) for omega in omegas):
         raise ValueError(f"factor phase (n - 1) * omega * |t| is not finite at |t| = {t_max!r}")
     points = steps + 1
-    times = np.linspace(0.0, t_max_tau, points)  # first, so linspace's temporary is freed before the populations exist
+    step = t_max_tau / steps if steps else 0.0
+    # linspace's own arithmetic for a nonzero step, bit for bit, without its Python overhead; a zero step
+    # (t_max_tau = 0, steps = 0 or an underflow) keeps linspace, whose signed zeros this does not repeat
+    if step:
+        times = np.arange(points, dtype=float)
+        times *= step
+        times[-1] = t_max_tau
+    else:
+        times = np.linspace(0.0, t_max_tau, points)
     dt = t_max / max(steps, 1)
     half = n // 2
-    mirrored = np.r_[half:n, half - 1:-1:-1]  # mu = 1, 3, ..., n - 1, then -1, -3, ..., 1 - n
+    mirrored = _ladder_indices(n)[0]
     v1, v2 = (np.linalg.eigh(build_h_single(n, delta, omega))[1][:, mirrored] for delta, omega in drives)
     e = _rows_times_kron(w, v1, v2)
     terms = (e * e[0]).reshape(n * n, 2, half, 2, half).transpose(0, 1, 3, 2, 4).reshape(n * n, 4, -1)
@@ -333,8 +358,8 @@ def forbidden_scan(spec: SystemSpec) -> ForbiddenScanReport:
         raise ValueError(f"forbidden state scan applies to n=2 only, got n={spec.n}")
     result = simulate(spec, 20.0, 9_999)
     return ForbiddenScanReport(
-        max_pop_2=float(np.max(result.populations[:, 1])),
-        max_pop_4=float(np.max(result.populations[:, 3])),
+        max_pop_2=float(result.populations[:, 1].max()),
+        max_pop_4=float(result.populations[:, 3].max()),
         n_points=len(result.times),
         t_max=20.0 * spec.params.tau,
         threshold=FORBIDDEN_MAX_POP,

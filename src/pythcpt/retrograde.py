@@ -89,19 +89,26 @@ def ordered_propagator(schedule: PulseSchedule, t0: float, t1: float) -> np.ndar
     partial segments exactly; ``t1 < t0`` returns the adjoint of that
     product, so the group property U(t3, t2) U(t2, t1) = U(t3, t1)
     holds for any ordering of times, and ``t1 == t0`` gives the identity.
+    The product starts from the first overlapped segment's exponential,
+    and the segment starts are summed as :meth:`PulseSchedule.boundaries`
+    sums them.
     """
     T = schedule.T
     for t in (t0, t1):
         if not -1e-12 <= t <= T + 1e-12:  # NaN fails this too
             raise ValueError(f"time {t} outside schedule range [0, {T}]")
     t_lo, t_hi = min(t0, t1), max(t0, t1)
-    u = np.eye(schedule.dim, dtype=complex)
-    start = schedule.boundaries()[:-1]
-    for (h, d), s in zip(schedule.segments, start):
+    u = None
+    s = 0.0
+    for h, d in schedule.segments:
         lo = max(t_lo, s)
         hi = min(t_hi, s + d)
         if hi - lo > 1e-15:
-            u = matexp_unitary(h, hi - lo) @ u
+            step = matexp_unitary(h, hi - lo)
+            u = step if u is None else step @ u
+        s += d
+    if u is None:
+        return np.eye(schedule.dim, dtype=complex)
     return u.conj().T if t1 < t0 else u
 
 
@@ -157,7 +164,7 @@ def _phase_match(u: np.ndarray, target: np.ndarray, tol: float) -> tuple[bool, c
     inner = np.vdot(target, u) / (np.linalg.norm(target) ** 2)
     measurable = bool(abs(inner) >= 1e-6)
     phase = inner / abs(inner) if measurable else inner
-    residual = float(np.max(np.abs(u - phase * target)))
+    residual = float(np.abs(u - phase * target).max())
     return measurable and residual <= tol, complex(phase), residual
 
 
@@ -223,17 +230,18 @@ def _equivalence(
     rev, fwd = RetrogradeSystem(base=base, variant=variant).factors(base.T / 2.0)
     back = rev.T if variant == "semi" else rev.conj().T  # U(T, T/2)
     u_full = back @ fwd
-    for u in (fwd, back, u_full):
-        resid = np.max(np.abs(u @ y @ (u.T if variant == "retrograde" else u.conj().T) - y))
+    us = np.array((fwd, back, u_full))
+    adjoint = us.transpose(0, 2, 1) if variant == "retrograde" else us.conj().transpose(0, 2, 1)
+    for resid in np.abs(us @ y @ adjoint - y).max(axis=(1, 2)):
         if not resid <= 1e-9:
             raise ValueError(
                 f"y does not intertwine the schedule's unitaries (residual {resid:.3e})"
             )
     prop_ok, prop_phase, prop_resid = _phase_match(u_full, y, tol)
-    root = np.sqrt(dim)
+    root = math.sqrt(dim)
     # V(I)/sqrt(n) moved to T/2 is V(fwd rev^T)/sqrt(n)
     state_ok, state_phase, state_resid = _phase_match(fwd @ rev.T / root, y / root, tol)
-    trace_y = complex(np.trace(y))
+    trace_y = complex(y.trace())
     report = EquivalenceReport(
         propagator_matches=prop_ok,
         doubled_state_matches=state_ok,

@@ -498,6 +498,35 @@ def test_coupling_graph_sixteen_level_pattern():
     assert np.max(np.abs(graph.diagonal)) < 1e-12
 
 
+def _assert_a_1e8_coupling_keeps_its_edges(n):
+    # V14 = k c / hypot(1, k) and V12 = c / hypot(1, k): at k = 1e-8, V14 is 1e-8 of the largest coupling
+    small, generic = params_from_pair(7, 3, 1e-8), params_from_pair(7, 3, 0.7)
+    couplings = lab_couplings(small)
+    assert abs(couplings[3]) == pytest.approx(1e-8 * max(map(abs, couplings)), rel=1e-6)
+    weights = {(i, j): w for i, j, w in coupling_graph(lab_hamiltonian(SystemSpec(n=n, params=small))).edges}
+    want = {(i, j) for i, j, _ in coupling_graph(lab_hamiltonian(SystemSpec(n=n, params=generic))).edges}
+    assert set(weights) == want
+    if n == 2:
+        assert weights[(1, 4)] == pytest.approx(couplings[3], rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_coupling_graph_keeps_a_coupling_1e8_of_the_largest(n):
+    _assert_a_1e8_coupling_keeps_its_edges(n)
+
+
+def test_a_1e6_edge_threshold_fails_the_small_coupling_check(monkeypatch):
+    graph_type = dynamics.CouplingGraph
+
+    def thresholded(edges, diagonal):
+        scale = max([abs(w) for *_, w in edges] + np.abs(diagonal).tolist())
+        return graph_type(tuple(e for e in edges if abs(e[2]) > 1e-6 * scale), diagonal)
+
+    monkeypatch.setattr(dynamics, "CouplingGraph", thresholded)
+    with pytest.raises(AssertionError):
+        _assert_a_1e8_coupling_keeps_its_edges(2)
+
+
 def test_coupling_graph_zero_matrix():
     graph = coupling_graph(np.zeros((4, 4)))
     assert graph.edges == ()

@@ -1,9 +1,16 @@
+import functools
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pythcpt import linalg
 from pythcpt.frames import entanglement_entropy
 from pythcpt.linalg import (
     complete_orthogonal,
+    hermiticity_deviation,
     kron,
     matexp_unitary,
     propagator_elements,
@@ -13,7 +20,7 @@ from pythcpt.linalg import (
     unvectorize,
     vectorize,
 )
-from pythcpt.retrograde import general_recipe, time_independent_conditions
+from pythcpt.retrograde import PulseSchedule, general_recipe, ordered_propagator, time_independent_conditions
 
 from dense_oracle import dense_simulate
 
@@ -171,6 +178,127 @@ def test_unitarity_gate_threshold():
     require_unitary(np.diag([np.sqrt(1.0 + 5e-11), 1.0j]), "u")  # UNITARITY_TOL = 1e-10
     with pytest.raises(ValueError, match="u is not unitary"):
         require_unitary(np.diag([np.sqrt(1.0 + 2e-10), 1.0j]), "u")
+
+
+def _strided_copy(a):
+    big = np.zeros((2 * a.shape[0], 3 * a.shape[1]), dtype=a.dtype)
+    big[::2, ::3] = a
+    return big[::2, ::3]
+
+
+# The layouts a gate may receive: C- and F-ordered arrays, a strided view and a transposed view.
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    "strided": _strided_copy,
+    "transposed": lambda a: np.ascontiguousarray(a.T).T,
+}
+
+
+def _near(kind, d, seed, log_scale, log_eps, complex_entries):
+    """A Hermitian (times 10**log_scale) or unitary d x d matrix plus noise of size 10**log_eps."""
+    rng = np.random.default_rng(seed)
+
+    def sample():
+        m = rng.normal(size=(d, d))
+        return m + 1j * rng.normal(size=(d, d)) if complex_entries else m
+
+    m = sample()
+    base = (m + m.conj().T) / 2 * 10.0**log_scale if kind == "hermitian" else np.linalg.qr(m)[0]
+    return base + 10.0**log_eps * sample()
+
+
+gate_inputs = dict(
+    d=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-2.0, 6.0),
+    log_eps=st.floats(-17.0, -7.0),
+    complex_entries=st.booleans(),
+    layout=st.sampled_from(sorted(LAYOUTS)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**gate_inputs)
+def test_hermitian_gate_residuals_equal_the_reference_expressions(d, seed, log_scale, log_eps, complex_entries, layout):
+    h = LAYOUTS[layout](_near("hermitian", d, seed, log_scale, log_eps, complex_entries))
+    dev = float(np.max(np.abs(h - h.conj().T)))
+    scale = max(1.0, float(np.max(np.abs(h))))
+    assert hermiticity_deviation(h) == dev
+    # the gate raises exactly when the reference deviation exceeds the tolerance, at the tolerance in use
+    # and at tolerances that put the reference on either side of the bound
+    bound = dev / scale
+    for tol in (linalg.HERMITICITY_TOL, bound, np.nextafter(bound, -np.inf), np.nextafter(bound, np.inf)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "HERMITICITY_TOL", tol)
+            if dev <= tol * scale:
+                require_hermitian(h, "h")
+            else:
+                with pytest.raises(ValueError, match=re.escape(f"= {dev:.3e} exceeds")):
+                    require_hermitian(h, "h")
+
+
+@settings(max_examples=150, deadline=None)
+@given(**gate_inputs)
+def test_unitary_gate_residual_equals_the_reference_expression(d, seed, log_scale, log_eps, complex_entries, layout):
+    u = LAYOUTS[layout](_near("unitary", d, seed, log_scale, log_eps, complex_entries))
+    err = float(np.max(np.abs(u @ u.conj().T - np.eye(len(u)))))
+    # passing at tol = err and raising just below it pins the gate's residual to err bit for bit
+    for tol in (linalg.UNITARITY_TOL, err, np.nextafter(err, -np.inf)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "UNITARITY_TOL", tol)
+            if err <= tol:
+                require_unitary(u, "u")
+            else:
+                with pytest.raises(ValueError, match=re.escape(f"= {err:.3e} exceeds")):
+                    require_unitary(u, "u")
+
+
+def test_hermiticity_deviation_of_an_empty_matrix_is_zero():
+    assert hermiticity_deviation(np.zeros((0, 0))) == 0.0
+    require_hermitian(np.zeros((0, 0)), "h")
+
+
+def _segment_product(schedule, t0, t1):
+    """U(t1, t0) as the ordered product of each overlapped segment's matexp_unitary, the adjoint for t1 < t0."""
+    lo, hi = sorted((t0, t1))
+    steps = []
+    for (h, d), s in zip(schedule.segments, schedule.boundaries()[:-1]):
+        part = min(hi, s + d) - max(lo, s)
+        if part > 1e-15:
+            steps.append(matexp_unitary(h, part))
+    u = functools.reduce(lambda acc, step: step @ acc, steps[1:], steps[0])
+    return u.conj().T if t1 < t0 else u
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    durations=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    complex_entries=st.booleans(),
+    picks=st.tuples(st.integers(0, 4), st.integers(0, 4), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+def test_ordered_propagator_is_the_exact_segment_product(d, durations, seed, complex_entries, picks):
+    rng = np.random.default_rng(seed)
+    segments = []
+    for dur in durations:
+        m = rng.normal(size=(d, d)) + (1j * rng.normal(size=(d, d)) if complex_entries else 0.0)
+        segments.append(((m + m.conj().T) / 2, dur))
+    schedule = PulseSchedule(tuple(segments))
+    bounds = schedule.boundaries()
+    # a segment boundary or an interior point for each end, in either order
+    i, j, x, y = picks
+    t0 = float(bounds[min(i, len(durations))]) if x < 0.3 else x * schedule.T
+    t1 = float(bounds[min(j, len(durations))]) if y < 0.3 else y * schedule.T
+    got = ordered_propagator(schedule, t0, t1)
+    if abs(t1 - t0) <= 1e-15:
+        assert np.array_equal(got, np.eye(d))
+    else:
+        assert np.array_equal(got, _segment_product(schedule, t0, t1))
+    for t in (t0, t1):
+        empty = ordered_propagator(schedule, t, t)
+        assert empty.dtype == complex and np.array_equal(empty, np.eye(d))
 
 
 NAN = float("nan")

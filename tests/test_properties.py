@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pythcpt import linalg, retrograde
+from pythcpt import dynamics, linalg, retrograde
 from pythcpt.dynamics import CPT_TOL, SystemSpec, build_h_single, build_h_tp, lab_hamiltonian, simulate, verify_cpt
 from pythcpt.frames import lab_frame
 from pythcpt.linalg import kron, matexp_unitary, propagator_elements, vectorize
@@ -23,8 +23,8 @@ from pythcpt.retrograde import (
     pythagorean_pulse,
     time_independent_conditions,
 )
-from pythcpt.su2 import y_matrix
-from pythcpt.triples import OddPair, coupling_params, params_from_pair, triple_from_pair
+from pythcpt.su2 import spin_generators, y_matrix
+from pythcpt.triples import OddPair, coupling_params, params_from_lab_couplings, params_from_pair, triple_from_pair
 
 from dense_oracle import dense_propagator, dense_simulate
 
@@ -65,6 +65,39 @@ def test_verify_cpt_amplitude_matches_dense_oracle(pq, k, n):
     assert abs(cert.phase - dense) <= 1e-12
     assert abs(cert.fidelity - abs(dense) ** 2) <= 1e-12
     assert cert.passed
+
+
+def _off_cpt_case(couplings, tau, n):
+    """verify_cpt and the dense lab-frame population of state n^2 - n + 1 at tau, for any lab couplings."""
+    spec = SystemSpec(n=n, params=params_from_lab_couplings(couplings, tau))
+    population = dense_simulate(lab_hamiltonian(spec), np.eye(n * n)[0], [tau]).populations[0, n * n - n]
+    return verify_cpt(spec), population
+
+
+def _assert_fidelity_is_the_population(cert, population):
+    assert abs(cert.fidelity - population) <= 1e-12
+    assert cert.passed == (population >= 1.0 - cert.tolerance)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    couplings=st.tuples(*[st.floats(-3.0, 3.0)] * 4),
+    tau=st.floats(0.1, 2.0),
+    n=st.sampled_from([2, 4, 6]),
+)
+def test_verify_cpt_off_cpt_matches_the_dense_population(couplings, tau, n):
+    # couplings from no triple: the transfer is partial, so |amp|^2 and |amp| differ
+    cert, population = _off_cpt_case(couplings, tau, n)
+    assume(1e-3 < population < 1.0 - 1e-3)
+    _assert_fidelity_is_the_population(cert, population)
+
+
+def test_a_fidelity_read_as_the_modulus_fails_the_off_cpt_comparison(monkeypatch):
+    certificate = dynamics.CptCertificate
+    monkeypatch.setattr(dynamics, "CptCertificate", lambda **kw: certificate(**{**kw, "fidelity": kw["tp_overlap"]}))
+    cert, population = _off_cpt_case((1.0, -0.4, 0.7, 0.2), 0.9, 4)  # population 0.0085
+    with pytest.raises(AssertionError):
+        _assert_fidelity_is_the_population(cert, population)
 
 
 @pytest.mark.parametrize("n", range(2, 13, 2))
@@ -323,6 +356,67 @@ def test_basic_cpts_serves_every_n(pq, k, n, parts):
     assert abs(np.vdot(psi0, half @ psi0)) <= report.combination_bound + 1e-15
 
 
+def _detuned_basic_cpts(monkeypatch, n, seed):
+    """basic_cpts of a pulse with U(T, 0) = exp(-i eps h) Y, eps = 5e-9, and its pair Gram from the dense half step.
+
+    The pulse is Y itself, exp(i pi J2), then a kick by a random h that
+    keeps Y, h Y + Y h^T = 0 (Y^T = -Y at even n), so every unitary of
+    the pulse intertwines Y as the report demands. The half step is a
+    quarter turn, not a Pythagorean half step, and the kick moves
+    U(T, 0) off Y by about eps, inside the 1e-8 gate. The pair Gram
+    matrix G is then about eps in size, and ||G||_2 exceeds max|G_ii|.
+    """
+    rng = np.random.default_rng(seed)
+    y = y_matrix(n)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a = m + m.conj().T
+    h = a - y @ a.T @ y.T
+    h /= np.abs(h).max()
+    flip = -np.pi * spin_generators(n).J2  # exp(-i flip) = Y
+    pulse = retrograde.PulseSchedule(((flip, 1.0), (h, 5e-9)))
+    monkeypatch.setattr(retrograde, "pythagorean_pulse", lambda p, q, k=0.0, n=2: pulse)
+    report = basic_cpts(n, 3, 1)
+    half = kron(*RetrogradeSystem(pulse, "retrograde").factors(pulse.T / 2.0))
+    gram = np.array([[np.vdot(r.initial, half @ s.initial) for s in report.records] for r in report.records])
+    return report, gram
+
+
+def _assert_bound_is_the_largest_combination_overlap(report, gram, seed):
+    # unit combinations c of the pair states overlap their images by |c^dagger G c|, at most ||G||_2
+    # and, somewhere, at least ||G||_2 / 2 (the numerical radius)
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(4000, len(gram))) + 1j * rng.normal(size=(4000, len(gram)))
+    c /= np.linalg.norm(c, axis=1)[:, None]
+    largest = np.abs(np.einsum("ki,ij,kj->k", c.conj(), gram, c)).max()
+    bound = report.combination_bound
+    assert largest <= bound * (1.0 + 1e-6)
+    assert bound <= 2.0 * largest
+    assert abs(bound - np.linalg.norm(gram, 2)) <= 1e-6 * bound
+
+
+@pytest.mark.parametrize("n, seed", [(4, 0), (4, 1), (6, 2), (8, 3)])
+def test_combination_bound_is_the_norm_of_a_detuned_pair_gram(monkeypatch, n, seed):
+    report, gram = _detuned_basic_cpts(monkeypatch, n, seed)
+    assert report.equivalence.propagator_residual <= 1e-8
+    # so a bound read from the diagonal alone falls short
+    assert np.linalg.norm(gram, 2) >= 1.5 * np.abs(np.diag(gram)).max()
+    for r, g in zip(report.records, np.diag(gram)):
+        assert abs(r.orthogonality_residual - abs(g)) <= 1e-6 * abs(g) + 1e-15
+    _assert_bound_is_the_largest_combination_overlap(report, gram, seed)
+
+
+def test_a_combination_bound_read_from_the_diagonal_fails(monkeypatch):
+    report_type = retrograde.BasicCptReport
+
+    def diagonal_bound(**fields):
+        return report_type(**{**fields, "combination_bound": max(r.orthogonality_residual for r in fields["records"])})
+
+    monkeypatch.setattr(retrograde, "BasicCptReport", diagonal_bound)
+    report, gram = _detuned_basic_cpts(monkeypatch, 4, 0)
+    with pytest.raises(AssertionError):
+        _assert_bound_is_the_largest_combination_overlap(report, gram, 0)
+
+
 def test_doubled_space_reports_never_form_the_dense_propagator(monkeypatch):
     def refuse(a, b):
         raise AssertionError("an n^2 x n^2 doubled matrix was formed")
@@ -375,6 +469,18 @@ def test_equivalence_equals_segment_product_oracle(pq, k, n, variant):
     assert rep.propagator_phase == prop_phase
     assert rep.propagator_residual == prop_resid
     assert rep.doubled_state_residual == state_resid
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t_max_tau=st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-320, 1.0]), st.floats(0.0, 1e6)),
+    steps=st.integers(0, 40),
+)
+@example(t_max_tau=20.0, steps=9_999)
+def test_simulate_times_are_linspace_bit_for_bit(t_max_tau, steps):
+    # a zero, negative-zero or underflowing step included
+    result = simulate(SystemSpec(n=2, params=params_from_pair(3, 1, 0.5)), t_max_tau, steps)
+    assert result.times.tobytes() == np.linspace(0.0, t_max_tau, steps + 1).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
