@@ -60,7 +60,7 @@ ti = time_independent_conditions(h, i_state, T)
 print(f"  constant-H conditions hold: {ti.both_hold} "
       f"(cycle phase {ti.phi:+.4f}, half overlap {ti.half_overlap:.2e})")
 print(f"  recipe certified: {ti.recipe.ok} (transfer residual {ti.recipe.transfer_residual:.1e}, "
-      f"initial/final overlap {ti.recipe.overlap:.1e}),")
+      f"initial/image overlap {ti.recipe.overlap:.1e}),")
 print("  and so is every (U(s) x U(s))-translate of its state: that map commutes with the doubled step")
 
 print()

@@ -156,10 +156,14 @@ def _closed_form_frame(N: int) -> EntangledFrame:
 
 
 def _alternating(column: np.ndarray, scale: float) -> bool:
+    """Do the nonzeros of column read +scale, -scale, ... to 1e-12?
+
+    This also bounds every nonzero's magnitude: |a - (+-scale)| >=
+    ||a| - scale|, and rounding keeps that order, so each nonzero is
+    within 1e-12 of scale in modulus.
+    """
     nz = column[np.abs(column) > 1e-14]
     if nz.size == 0:
-        return False
-    if np.max(np.abs(np.abs(nz) - scale)) > 1e-12:
         return False
     expected = scale * (-1.0) ** np.arange(nz.size)
     return bool(np.max(np.abs(nz - expected)) <= 1e-12)

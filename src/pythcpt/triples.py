@@ -81,6 +81,8 @@ def triple_from_pair(pair: OddPair, sign_a: int = 1, sign_b: int = 1) -> PythTri
 
 def enumerate_primitive_pairs(limit_c: float) -> list[OddPair]:
     """All coprime odd pairs with (p²+q²)/2 <= limit_c, ordered by c then p."""
+    if not math.isfinite(limit_c):
+        raise ValueError(f"limit_c must be finite, got {limit_c}")
     if limit_c < MIN_C:
         raise ValueError(f"limit_c must be >= {MIN_C}, got {limit_c}")
     pairs = []
@@ -112,6 +114,8 @@ def coupling_params(triple: PythTriple, k: float = 0.0) -> CouplingParams:
     to a float where it meets a weight.
     """
     a, b, c = triple.a, triple.b, triple.c
+    if not math.isfinite(k):
+        raise ValueError(f"k must be finite, got {k!r}")
     if c <= 0:
         raise ValueError(f"triple must have c > 0, got c={c}")
     tau = math.pi / math.sqrt(2.0 * c)

@@ -595,6 +595,118 @@ def test_sixteen_level_tables_detect_a_planted_lab_term(monkeypatch):
     assert not passed, detail
 
 
+def _odd_report_claims_cpt(real):
+    def basic_cpts(*args):
+        report = real(*args)
+        return dataclasses.replace(report, equivalence=dataclasses.replace(report.equivalence, is_cpt=True))
+
+    return basic_cpts
+
+
+def _odd_frame_accepted(real):
+    return lambda n: np.eye(n * n)
+
+
+def _every_pulse_is_3_1(real):
+    return lambda n, p, q, k, tol: real(n, 3, 1, k, tol)
+
+
+def _phase_flipped(real):
+    def check_equivalence(base, y, **kw):
+        report = real(base, y, **kw)
+        return dataclasses.replace(report, propagator_phase=-report.propagator_phase)
+
+    return check_equivalence
+
+
+def _control_matches(real):
+    def check_equivalence(base, y, **kw):
+        report = real(base, y, **kw)
+        if len(base.segments) > 1:
+            return report
+        return dataclasses.replace(report, propagator_matches=True, doubled_state_matches=True)
+
+    return check_equivalence
+
+
+def _state_2_fills(real):
+    return lambda spec: dataclasses.replace(real(spec), max_pop_2=1.0)
+
+
+def _no_revival(real):
+    def simulate(*args, **kw):
+        result = real(*args, **kw)
+        populations = result.populations.copy()
+        populations[-1, 0] = 0.5
+        return dataclasses.replace(result, populations=populations)
+
+    return simulate
+
+
+def _lift_loses_fidelity(real):
+    def verify_cpt(spec, tol):
+        cert = real(spec, tol)
+        return dataclasses.replace(cert, fidelity=0.5) if spec.n == 8 else cert
+
+    return verify_cpt
+
+
+def _entropy_in_bits(real):
+    return lambda column, n: real(column, n) / np.log(2.0)
+
+
+def _one_edge_lost(real):
+    def coupling_graph(h):
+        graph = real(h)
+        return dataclasses.replace(graph, edges=graph.edges[1:])
+
+    return coupling_graph
+
+
+def _tau_not_scaled(real):
+    def params_from_pair(p, q, k=0.0):
+        params = real(p, q, k)
+        return dataclasses.replace(params, tau=params.tau * 1.001) if p == 9 else params
+
+    return params_from_pair
+
+
+# each defect breaks one condition of one check, and the check must fail on it
+@pytest.mark.parametrize(
+    "check, name, defect",
+    [
+        (lambda: suite._check_odd_dimension(1e-9), "basic_cpts", _odd_report_claims_cpt),
+        (lambda: suite._check_odd_dimension(1e-9), "general_even_frame", _odd_frame_accepted),
+        (lambda: suite._check_pairwise_transfers(1e-9), "basic_cpts", _every_pulse_is_3_1),
+        (lambda: suite._check_doubled_space_equivalence(1e-9), "check_equivalence", _phase_flipped),
+        (lambda: suite._check_doubled_space_equivalence(1e-9), "check_equivalence", _control_matches),
+        (lambda: suite._check_two_level_family(1e-9), "forbidden_scan", _state_2_fills),
+        (lambda: suite._check_sixteen_level_transfer(1e-9), "simulate", _no_revival),
+        (lambda: suite._check_representation_lift(1e-9), "verify_cpt", _lift_loses_fidelity),
+        (suite._check_entanglement, "entanglement_entropy", _entropy_in_bits),
+        (suite._check_sixteen_level_tables, "coupling_graph", _one_edge_lost),
+        (suite._check_scaling, "params_from_pair", _tau_not_scaled),
+    ],
+    ids=[
+        "odd_dimension-is_cpt",
+        "odd_dimension-odd_frame",
+        "pairwise_transfers-basic_gap",
+        "doubled_space_equivalence-phase",
+        "doubled_space_equivalence-control",
+        "two_level_family-leak",
+        "sixteen_level_transfer-revival",
+        "representation_lift-fidelity",
+        "entanglement_entropy-bound",
+        "sixteen_level_tables-coupling_pattern",
+        "scaling-tau_ratio",
+    ],
+)
+def test_suite_check_detects_a_planted_defect(monkeypatch, check, name, defect):
+    monkeypatch.setattr(suite, name, defect(getattr(suite, name)))
+    passed, detail = check()
+    assert not passed, detail
+
+
 def test_unknown_subcommand_exit_code(capsys):
     assert main(["nonsense"]) == 2
 

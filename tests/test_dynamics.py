@@ -19,7 +19,7 @@ from pythcpt.dynamics import (
 from pythcpt.frames import build_w
 from pythcpt.linalg import kron, matexp_unitary
 from pythcpt.reference_tables import sixteen_level_lab, sixteen_level_tp
-from pythcpt.triples import CouplingParams, lab_couplings, params_from_pair
+from pythcpt.triples import CouplingParams, lab_couplings, params_from_lab_couplings, params_from_pair
 
 from dense_oracle import dense_simulate
 
@@ -471,6 +471,15 @@ def test_forbidden_scan_reads_simulate(monkeypatch):
     spec = SystemSpec(n=2, params=params_from_pair(3, 1, 0.0))
     forbidden_scan(spec)
     assert calls == [(spec, 20.0, 9_999)]
+
+
+@pytest.mark.parametrize("couplings, filled", [((1.0, 0.0, 0.0, 0.0), "max_pop_2"), ((0.0, 0.0, 0.0, 1.0), "max_pop_4")])
+def test_forbidden_scan_fails_when_either_state_fills(couplings, filled):
+    # a lone V12 (V14) drives state 1 fully into state 2 (4) and leaves the other forbidden state empty
+    report = forbidden_scan(SystemSpec(n=2, params=params_from_lab_couplings(couplings, 1.0)))
+    assert getattr(report, filled) >= report.threshold
+    assert min(report.max_pop_2, report.max_pop_4) < 1e-20
+    assert not report.passed
 
 
 def test_forbidden_scan_rejects_other_dims():

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pythcpt import frames
 from pythcpt.dynamics import SystemSpec, simulate, verify_cpt
 from pythcpt.frames import (
     MAX_N,
+    ORTHOGONALITY_TOL,
+    SYMMETRY_TOL,
     EntangledFrame,
     build_w,
     entanglement_entropy,
@@ -123,6 +128,96 @@ def test_validate_frame_detects_sign_flip():
     v = validate_frame(bad)
     assert v.symmetry_residual > 1e-3 or v.orthogonality_residual > 1e-3
     assert not v.all_pass
+
+
+def _validate_edited(N, edit):
+    frame = build_w(N)
+    w = frame.W.copy()
+    edit(w, frame.n)
+    return validate_frame(EntangledFrame(N=N, labels=frame.labels, W=w))
+
+
+def _flip_first_nonzero_of_last_column(w, n):
+    i = np.flatnonzero(w[:, -1])[0]
+    w[i, -1] = -w[i, -1]
+
+
+def _nudge_a_nonzero_magnitude(w, n):
+    i, j = np.argwhere(w[:, n:-1] != 0)[0]
+    w[i, n + j] *= 1.0 + 1e-10
+
+
+def _flip_a_second_half_diagonal_entry(w, n):
+    i = w.shape[0] // 2
+    w[i, i] = -w[i, i]
+
+
+@pytest.mark.parametrize("N", ALL_N)
+@pytest.mark.parametrize(
+    "edit, demand",
+    [
+        (_flip_first_nonzero_of_last_column, "last_column_alternating"),
+        (_nudge_a_nonzero_magnitude, "entry_magnitudes_ok"),
+        (_flip_a_second_half_diagonal_entry, "diagonal_split_signs"),
+    ],
+)
+def test_validate_frame_detects_each_broken_demand(N, edit, demand):
+    assert not getattr(_validate_edited(N, edit), demand)
+
+
+@pytest.mark.parametrize("N", ALL_N)
+def test_first_columns_tolerate_rounding_below_the_floor_only(N):
+    def set_a_zero(value):
+        def edit(w, n):
+            i, j = np.argwhere(w[:, :n] == 0)[0]
+            w[i, j] = value
+
+        return edit
+
+    assert _validate_edited(N, set_a_zero(-1e-15)).first_columns_nonnegative
+    assert not _validate_edited(N, set_a_zero(-1e-13)).first_columns_nonnegative
+
+
+def test_all_pass_reads_symmetry_and_orthogonality():
+    frame = build_w(3)
+    middle = range(frame.n, frame.dim - 1)
+
+    def validate_swapped(j, k):
+        w = frame.W.copy()
+        w[:, [j, k]] = w[:, [k, j]]
+        return validate_frame(EntangledFrame(N=3, labels=frame.labels, W=w))
+
+    def meets_every_demand(v):
+        return v.first_columns_nonnegative and v.diagonal_split_signs and v.last_column_alternating and v.entry_magnitudes_ok
+
+    # a column swap keeps W orthogonal, and some swap of two middle columns keeps every demand but not the symmetry
+    unsymmetric = next(
+        v
+        for v in (validate_swapped(j, k) for j in middle for k in middle if j < k)
+        if meets_every_demand(v) and v.symmetry_residual > SYMMETRY_TOL
+    )
+    assert unsymmetric.orthogonality_residual <= ORTHOGONALITY_TOL
+    assert not unsymmetric.all_pass
+    # flipping a mirrored pair of middle entries keeps W symmetric and every demand, but not the orthogonality
+    i, j = next((i, j) for i in middle for j in middle if i < j and frame.W[i, j] != 0)
+
+    def flip_pair(w, n):
+        w[i, j], w[j, i] = -w[i, j], -w[j, i]
+
+    skewed = _validate_edited(3, flip_pair)
+    assert meets_every_demand(skewed) and skewed.symmetry_residual == 0.0
+    assert skewed.orthogonality_residual > ORTHOGONALITY_TOL
+    assert not skewed.all_pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(N=st.integers(1, MAX_N), offsets=st.lists(st.floats(-2e-12, 2e-12), min_size=1, max_size=8))
+def test_alternation_bounds_every_nonzero_magnitude(N, offsets):
+    # |a - (+-s)| >= ||a| - s|, and rounding keeps that order, so alternating to 1e-12 bounds each magnitude too
+    scale = 1.0 / np.sqrt(2.0**N)
+    column = scale * (-1.0) ** np.arange(len(offsets)) + np.array(offsets)
+    if frames._alternating(column, scale):
+        assert np.max(np.abs(np.abs(column) - scale)) <= 1e-12
 
 
 def test_frame_columns_match_labels():

@@ -1,6 +1,7 @@
 """Property tests: the lab frame, the certificate, the factorized
 evolution and the doubled-space reports against dense oracles."""
 
+import dataclasses
 import math
 import sys
 import warnings
@@ -325,6 +326,30 @@ def test_time_independent_recipe_stands_for_every_translate(dim, seed, odd, thet
     assert abs(member.transfer_residual - report.recipe.transfer_residual) <= 1e-13
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.floats(0.05, np.pi / 2 - 0.05),
+    log_kick=st.floats(-17.0, 0.0),
+)
+def test_recipe_overlap_is_within_its_transfer_residual(dim, seed, theta, log_kick):
+    # initial is symmetric and final antisymmetric, so <initial|final> is rounding alone, and by Cauchy-Schwarz
+    # |<initial|image>| <= ||image - final||_2 + that rounding: ok needs no overlap verdict. A u_half kicked off
+    # a unitary by 10^log_kick spreads the residual from rounding to order one.
+    rng = np.random.default_rng(seed)
+    v, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    lam = rng.uniform(-3.0, 3.0, dim)
+    lam[1] = lam[0] + np.pi  # U(T)^2 is the phase e^{2 i lam0} on span(v0, v1)
+    u_full = (v * np.exp(1j * lam)) @ v.conj().T
+    i_state = np.cos(theta) * v[:, 0] + np.sin(theta) * v[:, 1]
+    w, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    u_half = w + 10.0**log_kick * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    result = general_recipe(u_full, u_half, i_state, u_full @ i_state, 2.0 * lam[0])
+    assert result.violated == ()
+    assert result.overlap <= result.transfer_residual + 8 * EPS
+
+
 small_primitive_pairs = (
     st.tuples(st.integers(0, 20), st.integers(0, 20))
     .map(lambda t: (2 * max(t) + 1, 2 * min(t) + 1))
@@ -351,20 +376,43 @@ def test_basic_cpts_serves_every_n(pq, k, n, parts):
     half = kron(*RetrogradeSystem(pulse, "retrograde").factors(T / 2.0))
     for r in report.records:
         assert abs(r.orthogonality_residual - abs(np.vdot(r.initial, half @ r.initial))) <= 1e-12
+    # |G_ii| = |e_i^T G e_i| <= ||G||_2, so all_ok reads combination_bound and no per-pair verdict
+    assert max(r.orthogonality_residual for r in report.records) <= report.combination_bound * (1.0 + 8 * EPS)
     # a unit combination c of the pair states, V(diag(D c)), overlaps its image by at most the bound
     psi0 = sum(ci * r.initial for ci, r in zip(c / np.linalg.norm(c), report.records))
     assert abs(np.vdot(psi0, half @ psi0)) <= report.combination_bound + 1e-15
 
 
-def _detuned_basic_cpts(monkeypatch, n, seed):
-    """basic_cpts of a pulse with U(T, 0) = exp(-i eps h) Y, eps = 5e-9, and its pair Gram from the dense half step.
+@settings(max_examples=60, deadline=None)
+@given(
+    pq=pairs_to_1e9,
+    k=st.floats(-3.0, 3.0, allow_nan=False),
+    n=st.integers(2, 24),
+    variant=st.sampled_from(["retrograde", "semi"]),
+)
+@example(pq=(10**8 + 1, 1), k=0.5, n=16, variant="retrograde")
+@example(pq=(999999937, 1), k=0.5, n=24, variant="retrograde")
+def test_full_propagator_intertwining_is_within_the_half_steps(pq, k, n, variant):
+    # with u y u^T = y + E for u = fwd, back: back fwd y (back fwd)^T - y = E2 + back E1 back^T, whose largest
+    # entry is at most max|E2| + ||E1||_2 <= r_back + n r_fwd, so check_equivalence gates fwd and back alone
+    pulse = pythagorean_pulse(*pq, k, n=n)
+    rev, fwd = RetrogradeSystem(pulse, variant).factors(pulse.T / 2.0)
+    back = rev.T if variant == "semi" else rev.conj().T  # U(T, T/2)
+    y = y_matrix(n) if variant == "retrograde" else np.eye(n)
+    adjoint = np.transpose if variant == "retrograde" else (lambda u: u.conj().T)
+    r_fwd, r_back, r_full = (float(np.abs(u @ y @ adjoint(u) - y).max()) for u in (fwd, back, back @ fwd))
+    assert r_full <= r_back + n * r_fwd + 8 * EPS
+
+
+def _detuned_basic_cpts(monkeypatch, n, seed, kick=5e-9):
+    """basic_cpts of a pulse with U(T, 0) = exp(-i kick h) Y, and its pair Gram from the dense half step.
 
     The pulse is Y itself, exp(i pi J2), then a kick by a random h that
     keeps Y, h Y + Y h^T = 0 (Y^T = -Y at even n), so every unitary of
     the pulse intertwines Y as the report demands. The half step is a
-    quarter turn, not a Pythagorean half step, and the kick moves
-    U(T, 0) off Y by about eps, inside the 1e-8 gate. The pair Gram
-    matrix G is then about eps in size, and ||G||_2 exceeds max|G_ii|.
+    quarter turn, not a Pythagorean half step, and the default kick
+    moves U(T, 0) off Y by about 5e-9, inside the 1e-8 gate. The pair
+    Gram matrix G is then about that size, and ||G||_2 exceeds max|G_ii|.
     """
     rng = np.random.default_rng(seed)
     y = y_matrix(n)
@@ -373,7 +421,7 @@ def _detuned_basic_cpts(monkeypatch, n, seed):
     h = a - y @ a.T @ y.T
     h /= np.abs(h).max()
     flip = -np.pi * spin_generators(n).J2  # exp(-i flip) = Y
-    pulse = retrograde.PulseSchedule(((flip, 1.0), (h, 5e-9)))
+    pulse = retrograde.PulseSchedule(((flip, 1.0), (h, kick)))
     monkeypatch.setattr(retrograde, "pythagorean_pulse", lambda p, q, k=0.0, n=2: pulse)
     report = basic_cpts(n, 3, 1)
     half = kron(*RetrogradeSystem(pulse, "retrograde").factors(pulse.T / 2.0))
@@ -402,7 +450,18 @@ def test_combination_bound_is_the_norm_of_a_detuned_pair_gram(monkeypatch, n, se
     assert np.linalg.norm(gram, 2) >= 1.5 * np.abs(np.diag(gram)).max()
     for r, g in zip(report.records, np.diag(gram)):
         assert abs(r.orthogonality_residual - abs(g)) <= 1e-6 * abs(g) + 1e-15
+    assert max(r.orthogonality_residual for r in report.records) <= report.combination_bound * (1.0 + 8 * EPS)
     _assert_bound_is_the_largest_combination_overlap(report, gram, seed)
+    # all_ok reads the bound itself: at a tolerance between the uniform residual and the bound it fails
+    between = dataclasses.replace(report, tolerance=(report.uniform_target_residual + report.combination_bound) / 2)
+    assert between.uniform_target_residual <= between.tolerance
+    assert not between.all_ok
+
+
+def test_a_pulse_off_y_beyond_the_gate_is_rejected(monkeypatch):
+    # a kick of 1e-5 keeps every unitary intertwining Y but moves U(T, 0) off it by ~1e-5 > 1e-8
+    with pytest.raises(ValueError, match="not proportional to Y"):
+        _detuned_basic_cpts(monkeypatch, 4, 0, kick=1e-5)
 
 
 def test_a_combination_bound_read_from_the_diagonal_fails(monkeypatch):

@@ -410,6 +410,18 @@ def test_general_recipe_random_five_level():
     assert abs(np.linalg.norm(result.final) - 1.0) < 1e-12
 
 
+def test_general_recipe_fails_a_half_step_that_misses_the_final_state():
+    # the preconditions read u_full alone; a half step scaled off unitarity carries initial past final
+    pulse = pythagorean_pulse(3, 1, 0.0)
+    u_full = ordered_propagator(pulse, 0.0, pulse.T)
+    u_half = 1.001 * ordered_propagator(pulse, 0.0, pulse.T / 2.0)
+    i_state = np.array([1.0, 0.0], dtype=complex)
+    result = general_recipe(u_full, u_half, i_state, u_full @ i_state, phi=np.pi)
+    assert result.violated == ()
+    assert result.transfer_residual > 1e-3
+    assert not result.ok
+
+
 def test_general_recipe_rejects_equal_states():
     i_state = np.array([1.0, 0.0], dtype=complex)
     result = general_recipe(np.eye(2, dtype=complex), np.eye(2, dtype=complex), i_state, i_state, 0.0)
@@ -618,6 +630,25 @@ def test_pairwise_verdicts_read_the_given_tolerance():
     assert 0.0 < max(r.orthogonality_residual for r in strict.records) < 1e-12
     assert not any(r.ok for r in strict.records)
     assert not strict.all_ok
+
+
+def test_all_ok_reads_the_uniform_target_residual():
+    # at p ~ 1e5 the uniform image drifts from V(Y)/sqrt(n) by ~eps p, while every pair stays orthogonal to ~1e-15
+    report = basic_cpts(4, 100001, 3, 0.0, tol=1e-12)
+    assert report.combination_bound <= 1e-12 < report.uniform_target_residual
+    assert all(r.ok for r in report.records)
+    assert not report.all_ok
+
+
+def test_phase_is_normalized_only_for_a_measurable_overlap():
+    # semi against I: the overlap is trace(U(T, 0))/n, rounding at n = 4, where the raw overlap is reported,
+    # and |trace(Y_3)|/3 = 1/3 at n = 3, where it is divided to a unit phase
+    even = check_equivalence(pythagorean_pulse(3, 1, n=4), np.eye(4), "semi")
+    assert abs(even.propagator_phase) < 1e-6 and not even.propagator_matches
+    # without a measurable overlap there is no match, even at a tolerance the residual max|U| meets
+    assert not check_equivalence(pythagorean_pulse(3, 1, n=4), np.eye(4), "semi", tol=1.5).propagator_matches
+    odd = check_equivalence(pythagorean_pulse(3, 1, n=3), np.eye(3), "semi")
+    assert abs(abs(odd.propagator_phase) - 1.0) <= 1e-12 and not odd.propagator_matches
 
 
 def test_odd_dimension_verdicts_read_the_given_tolerance():

@@ -53,6 +53,15 @@ def test_enumerate_small_limits():
     ]
 
 
+@pytest.mark.parametrize("limit_c", [math.nan, math.inf, -math.inf])
+def test_enumerate_rejects_a_limit_that_is_not_finite(limit_c):
+    with pytest.raises(ValueError, match="^limit_c must be finite"):
+        enumerate_primitive_pairs(limit_c)
+    # a finite limit below the smallest triple keeps its own message
+    with pytest.raises(ValueError, match=r"^limit_c must be >= 5, got 4.9$"):
+        enumerate_primitive_pairs(4.9)
+
+
 def test_enumerate_against_exhaustive_scan():
     limit = 200.0
     brute = []
@@ -177,6 +186,14 @@ def test_huge_k_keeps_couplings_finite(recwarn, k):
     expected = (sign * q * q / 2, -sign * p * q / 2, sign * p * p / 2, sign * p * q / 2)
     assert params.as_tuple() == pytest.approx(expected, rel=1e-15)
     assert not recwarn.list
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+def test_coupling_params_rejects_a_k_that_is_not_finite(k):
+    with pytest.raises(ValueError, match="^k must be finite"):
+        coupling_params(triple_from_pair(OddPair(3, 1)), k)
+    # while the largest finite k still certifies
+    assert verify_cpt(SystemSpec(n=4, params=params_from_pair(3, 1, 1e300))).passed
 
 
 def test_sign_flip_gives_inequivalent_parameters():
