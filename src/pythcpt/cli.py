@@ -18,7 +18,7 @@ one of the listed strings for ``format`` and ``variant``; JSON null
 counts as an absent key. NaN and infinite numbers are rejected. A
 flag's value may start with a dash in any form (``--k -1e-3``). The
 environment variable ``PYTHCPT_TOL`` overrides the default
-certification tolerance (1e-9); a tolerance from any source must be a
+certification tolerance (``CPT_TOL``); a tolerance from any source must be a
 finite positive number. Exit codes: 0 success, 1 verification failure,
 2 invalid input, with a message naming the flag or config field (a rule
 on a value, such as each subcommand's n or the sign of ``simulate``'s
@@ -39,10 +39,11 @@ import sys
 
 import numpy as np
 
-from .dynamics import CPT_TOL, SystemSpec, coupling_graph, lab_hamiltonian, simulate, verify_cpt
+from .dynamics import SystemSpec, coupling_graph, lab_hamiltonian, simulate, verify_cpt
 from .frames import MAX_N, build_w
 from .retrograde import basic_cpts, check_equivalence, pythagorean_pulse
 from .suite import run_suite
+from .tolerances import CPT_TOL, GRAPH_LABEL_TOL
 from .triples import (
     MIN_C,
     enumerate_primitive_pairs,
@@ -151,12 +152,13 @@ def _default_tol() -> float:
     return CPT_TOL if raw is None else _positive_tol(raw, "PYTHCPT_TOL")
 
 
-# each subcommand's n (verify and simulate read the same lab frame), and simulate's sign rules
+# each subcommand's n (verify and simulate read the same lab frame), frame's N, and simulate's sign rules
 _LAB_N = _levels(lambda n: n % 2 == 0 and 2 <= n <= _MAX_LEVELS, f"even with 2 <= n <= {_MAX_LEVELS}")
 _GRAPH_N = _levels(
     lambda n: 2 <= n <= _MAX_LEVELS and not n & (n - 1), f"a power of two with 2 <= n <= {_MAX_LEVELS}"
 )
 _RETRO_N = _levels(lambda n: 2 <= n <= _MAX_LEVELS, f"2 <= n <= {_MAX_LEVELS}")
+_FRAME_N = _where(_integer, lambda N: 1 <= N <= MAX_N, f"N must be in 1..{MAX_N}")
 _T_MAX = _where(_real, lambda t: t >= 0, "t_max must be non-negative")
 _STEPS = _where(_integer, lambda steps: steps >= 0, "steps must be non-negative")
 
@@ -170,7 +172,7 @@ _FIELDS = {
     ),
     "frame": (
         "entangled frame labels and matrix",
-        {"N": (_integer, _REQUIRED), "matrix": (_switch, False)},
+        {"N": (_FRAME_N, _REQUIRED), "matrix": (_switch, False)},
     ),
     "simulate": (
         "lab-frame population traces as CSV",
@@ -306,11 +308,11 @@ def _symbolic_basis(n: int) -> list[np.ndarray]:
 
 def _coeff_str(c: float) -> str | None:
     for value, text in ((1.0, ""), (-1.0, "-"), (2.0, "2"), (-2.0, "-2")):
-        if abs(c - value) < 1e-9:
+        if abs(c - value) < GRAPH_LABEL_TOL:
             return text
     s3 = np.sqrt(3.0)
     for value, text in ((s3, "sqrt(3)"), (-s3, "-sqrt(3)")):
-        if abs(c - value) < 1e-9:
+        if abs(c - value) < GRAPH_LABEL_TOL:
             return text
     return None
 
@@ -319,7 +321,7 @@ def _symbolic_label(i: int, j: int, basis: list[np.ndarray]) -> str:
     terms = []
     for name, mat in zip(_SYMBOLIC_NAMES, basis):
         c = float(mat[i - 1, j - 1])
-        if abs(c) < 1e-9:
+        if abs(c) < GRAPH_LABEL_TOL:
             continue
         prefix = _coeff_str(c)
         terms.append(f"{prefix}{name}" if prefix is not None else f"{c:.6g}{name}")

@@ -36,11 +36,9 @@ import numpy as np
 from .frames import lab_frame
 from .linalg import kron, propagator_elements, require_hermitian
 from .su2 import SPIN_CACHE_SIZE, spin_generators
+from .tolerances import COUPLING_ZERO_REL, CPT_TOL, FORBIDDEN_MAX_POP, require_tol
 from .triples import CouplingParams
 
-CPT_TOL = 1e-9
-# sampled populations of lab states 2 and 4 must stay below this
-FORBIDDEN_MAX_POP = 1.0 - 1e-6
 # Rows: the (cos cos, sin sin, cos sin, sin cos) feature blocks of :func:`_feature_products`; columns: the
 # signs (+ +, + -, - +, - -) of mu1 and mu2. exp(-i mu theta) = cos(|mu| theta) - i sign(mu) sin(|mu| theta),
 # so each row gives Re psi (first two) or -Im psi (last two) from the coefficients of the four mirrored terms.
@@ -114,12 +112,6 @@ class CouplingGraph:
 
     edges: tuple[tuple[int, int, float], ...]  # 1-based (i, j, weight), i < j
     diagonal: np.ndarray
-
-
-def require_tol(tol: float) -> None:
-    """Raise ValueError unless a certification tolerance is a finite positive number."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
 
 
 def build_h_single(n: int, delta: float, omega: float) -> np.ndarray:
@@ -369,12 +361,12 @@ def forbidden_scan(spec: SystemSpec) -> ForbiddenScanReport:
 def coupling_graph(h_lab: np.ndarray) -> CouplingGraph:
     """Undirected edge list of a Hermitian Hamiltonian's couplings.
 
-    Entries up to 1e-10 times the largest entry magnitude count as
-    zero. Indices are 1-based to match the usual state labelling.
+    Entries up to COUPLING_ZERO_REL times the largest entry magnitude
+    count as zero. Indices are 1-based to match the usual state labelling.
     """
     h_lab = np.asarray(h_lab)
     require_hermitian(h_lab, "Hamiltonian")
-    tol = 1e-10 * float(np.max(np.abs(h_lab))) if h_lab.size else 0.0
+    tol = COUPLING_ZERO_REL * float(np.max(np.abs(h_lab))) if h_lab.size else 0.0
     rows, cols = np.nonzero(np.triu(np.abs(h_lab) > tol, k=1))  # row-major order
     weights = np.real(h_lab[rows, cols]).astype(float)
     edges = tuple(zip((rows + 1).tolist(), (cols + 1).tolist(), weights.tolist()))

@@ -51,9 +51,8 @@ import numpy as np
 
 from .linalg import complete_orthogonal, kron, require_normalized, unvectorize, vectorize
 from .su2 import sigma_set, y_matrix
+from .tolerances import FRAME_MAGNITUDE_TOL, FRAME_ZERO_FLOOR, ORTHOGONALITY_TOL, SYMMETRY_TOL
 
-SYMMETRY_TOL = 1e-13
-ORTHOGONALITY_TOL = 1e-12
 # W is 4^N x 4^N: N = 5 is 1024^2 (8 MB); N = 6 would mean a 4096^2 eigh downstream
 MAX_N = 5
 
@@ -156,17 +155,17 @@ def _closed_form_frame(N: int) -> EntangledFrame:
 
 
 def _alternating(column: np.ndarray, scale: float) -> bool:
-    """Do the nonzeros of column read +scale, -scale, ... to 1e-12?
+    """Do the nonzeros of column read +scale, -scale, ... to FRAME_MAGNITUDE_TOL?
 
     This also bounds every nonzero's magnitude: |a - (+-scale)| >=
     ||a| - scale|, and rounding keeps that order, so each nonzero is
-    within 1e-12 of scale in modulus.
+    within FRAME_MAGNITUDE_TOL of scale in modulus.
     """
-    nz = column[np.abs(column) > 1e-14]
+    nz = column[np.abs(column) > FRAME_ZERO_FLOOR]
     if nz.size == 0:
         return False
     expected = scale * (-1.0) ** np.arange(nz.size)
-    return bool(np.max(np.abs(nz - expected)) <= 1e-12)
+    return bool(np.max(np.abs(nz - expected)) <= FRAME_MAGNITUDE_TOL)
 
 
 def validate_frame(frame: EntangledFrame) -> FrameValidation:
@@ -182,12 +181,12 @@ def validate_frame(frame: EntangledFrame) -> FrameValidation:
     dim = w.shape[0]
     n = frame.n
     scale = 1.0 / np.sqrt(2.0 ** frame.N)
-    demand_a = bool(np.min(w[:, :n]) > -1e-14)
+    demand_a = bool(np.min(w[:, :n]) > -FRAME_ZERO_FLOOR)
     diag = np.diag(w)
-    demand_b = bool(np.all(diag[: dim // 2] > 1e-14) and np.all(diag[dim // 2:] < -1e-14))
+    demand_b = bool(np.all(diag[: dim // 2] > FRAME_ZERO_FLOOR) and np.all(diag[dim // 2:] < -FRAME_ZERO_FLOOR))
     demand_c = _alternating(w[:, -1], scale)
     mags = np.abs(w)
-    entry_ok = bool(np.all((mags < 1e-14) | (np.abs(mags - scale) < 1e-12)))
+    entry_ok = bool(np.all((mags < FRAME_ZERO_FLOOR) | (np.abs(mags - scale) < FRAME_MAGNITUDE_TOL)))
     sym = float(np.max(np.abs(w - w.T)))
     orth = float(np.max(np.abs(w.T @ w - np.eye(dim))))
     return FrameValidation(

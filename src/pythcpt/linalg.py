@@ -1,9 +1,9 @@
 """Dense matrix utilities: Kronecker products, vectorization, exact
 unitary propagators for Hermitian generators, orthogonal completion
 of partial real frames, and one gate per invariant:
-``require_hermitian`` (HERMITICITY_TOL = 1e-12, relative to
-max(1, max|h|)), ``require_normalized`` (NORMALIZATION_TOL = 1e-10)
-and ``require_unitary`` (UNITARITY_TOL = 1e-10).
+``require_hermitian`` (HERMITICITY_TOL, relative to max(1, max|h|)),
+``require_normalized`` (NORMALIZATION_TOL) and ``require_unitary``
+(UNITARITY_TOL), each threshold from :mod:`pythcpt.tolerances`.
 
 Each gate makes one elementwise pass and reads its maximum with the
 ``.max()`` method: ``require_unitary`` subtracts 1 from the diagonal of
@@ -36,10 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-12  # relative to max(1, max|h|), see require_hermitian
-UNITARITY_TOL = 1e-10
-NORMALIZATION_TOL = 1e-10
-ORTHONORMALITY_TOL = 1e-10
+from .tolerances import COMPLETION_NONZERO, HERMITICITY_TOL, NORMALIZATION_TOL, ORTHONORMALITY_TOL, UNITARITY_TOL
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -203,6 +200,6 @@ def complete_orthogonal(rows: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.n
         )
     q, _ = np.linalg.qr(seed.T, mode="complete")
     rest = q[:, k:].T
-    first = np.argmax(np.abs(rest) > 1e-12, axis=1)
+    first = np.argmax(np.abs(rest) > COMPLETION_NONZERO, axis=1)
     rest = rest * np.sign(rest[np.arange(dim - k), first])[:, None]
     return np.vstack([seed, rest])

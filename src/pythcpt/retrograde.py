@@ -37,8 +37,8 @@ two calls.
 CPT_TOL), reject one that is not finite and positive, and judge every
 verdict of their reports with it: the two sides of the equivalence,
 ``is_cpt``, the pairwise ``ok`` and ``all_ok``. The preconditions of
-``general_recipe`` and the 1e-9 intertwining and 1e-8 "proportional to
-Y" gates stay fixed.
+``general_recipe``, the intertwining gate (INTERTWINING_TOL) and the
+"proportional to Y" gate (PROPORTIONAL_TO_Y_TOL) stay fixed.
 """
 
 from __future__ import annotations
@@ -48,12 +48,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CPT_TOL, build_h_single, require_tol
+from .dynamics import build_h_single
 from .linalg import matexp_unitary, require_hermitian, require_normalized, require_unitary, vectorize
 from .su2 import y_matrix
+from .tolerances import (
+    CPT_TOL, INTERTWINING_TOL, MIN_SEGMENT_OVERLAP, PARTIAL_OVERLAP_MAX, PHASE_MEASURABLE_MIN, PROPORTIONAL_TO_Y_TOL,
+    TIME_SLACK, require_tol,
+)
 from .triples import params_from_pair
-
-PARTIAL_OVERLAP_MAX = 1.0 - 1e-12  # |<i|f>| below this: the recipe's two states are distinct
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ def ordered_propagator(schedule: PulseSchedule, t0: float, t1: float) -> np.ndar
     """
     T = schedule.T
     for t in (t0, t1):
-        if not -1e-12 <= t <= T + 1e-12:  # NaN fails this too
+        if not -TIME_SLACK <= t <= T + TIME_SLACK:  # NaN fails this too
             raise ValueError(f"time {t} outside schedule range [0, {T}]")
     t_lo, t_hi = min(t0, t1), max(t0, t1)
     u = None
@@ -106,7 +108,7 @@ def ordered_propagator(schedule: PulseSchedule, t0: float, t1: float) -> np.ndar
     for h, d in schedule.segments:
         lo = max(t_lo, s)
         hi = min(t_hi, s + d)
-        if hi - lo > 1e-15:
+        if hi - lo > MIN_SEGMENT_OVERLAP:
             step = matexp_unitary(h, hi - lo)
             u = step if u is None else step @ u
         s += d
@@ -165,7 +167,7 @@ def _phase_match(u: np.ndarray, target: np.ndarray, tol: float) -> tuple[bool, c
     raw overlap stands in for the phase and the match fails.
     """
     inner = np.vdot(target, u) / (np.linalg.norm(target) ** 2)
-    measurable = bool(abs(inner) >= 1e-6)
+    measurable = bool(abs(inner) >= PHASE_MEASURABLE_MIN)
     phase = inner / abs(inner) if measurable else inner
     residual = float(np.abs(u - phase * target).max())
     return measurable and residual <= tol, complex(phase), residual
@@ -206,8 +208,8 @@ def check_equivalence(
     ``y`` must be unitary and must intertwine the two half steps the
     equivalence is built from, fwd = U(T/2, 0) and back = U(T, T/2):
     each such u has to satisfy u y u^T = y for the retrograde variant
-    (u y u^dagger = y for the semi variant), to 1e-9 in max-entry
-    distance r; anything else is rejected since the equivalence is
+    (u y u^dagger = y for the semi variant), to INTERTWINING_TOL in
+    max-entry distance r; anything else is rejected since the equivalence is
     meaningless there. The full propagator U(T, 0) = back fwd then
     intertwines y too: with u y u^T = y + E for u = fwd, back (errors
     E1, E2), back fwd y (back fwd)^T - y = E2 + back E1 back^T, and
@@ -240,7 +242,7 @@ def _equivalence(
     us = np.array((fwd, back))
     adjoint = us.transpose(0, 2, 1) if variant == "retrograde" else us.conj().transpose(0, 2, 1)
     for resid in np.abs(us @ y @ adjoint - y).max(axis=(1, 2)):
-        if not resid <= 1e-9:
+        if not resid <= INTERTWINING_TOL:
             raise ValueError(
                 f"y does not intertwine the schedule's unitaries (residual {resid:.3e})"
             )
@@ -455,7 +457,7 @@ def basic_cpts(n: int, p: int, q: int, k: float = 0.0, tol: float = CPT_TOL) -> 
     base = pythagorean_pulse(p, q, k, n=n)
     y = y_matrix(n)
     equiv, rev, fwd = _equivalence(base, y, "retrograde", tol)
-    if equiv.propagator_residual > 1e-8:
+    if equiv.propagator_residual > PROPORTIONAL_TO_Y_TOL:
         raise ValueError(f"pulse propagator for (p, q, k)=({p}, {q}, {k}) is not proportional to Y")
     sign = equiv.propagator_phase
 

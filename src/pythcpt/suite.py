@@ -16,22 +16,15 @@ from typing import Callable
 import numpy as np
 
 from . import reference_tables
-from .dynamics import (
-    CPT_TOL,
-    FORBIDDEN_MAX_POP,
-    SystemSpec,
-    build_h_tp,
-    coupling_graph,
-    forbidden_scan,
-    lab_hamiltonian,
-    require_tol,
-    simulate,
-    verify_cpt,
-)
+from .dynamics import SystemSpec, build_h_tp, coupling_graph, forbidden_scan, lab_hamiltonian, simulate, verify_cpt
 from .frames import build_w, entanglement_entropy, general_even_frame, validate_frame
 from .linalg import kron, vectorize
 from .retrograde import PulseSchedule, basic_cpts, check_equivalence, pythagorean_pulse
 from .su2 import y_matrix
+from .tolerances import (
+    CPT_TOL, ENTROPY_TOL, FORBIDDEN_MAX_POP, ODD_OVERLAP_TOL, PAIRWISE_GAP_MIN, SCALING_TOL, SIGN_TOL,
+    TABLE_COUPLING_FLOOR, TABLE_DEVIATION_TOL, require_tol,
+)
 from .triples import CouplingParams, enumerate_primitive_pairs, lab_couplings, params_from_pair
 
 
@@ -112,11 +105,11 @@ def _check_sixteen_level_tables() -> tuple[bool, str]:
             (i + 1, j + 1)
             for i in range(16)
             for j in range(i + 1, 16)
-            if abs(expected_lab[i, j]) > 1e-12
+            if abs(expected_lab[i, j]) > TABLE_COUPLING_FLOOR
         }
         if got != want:
             return False, "coupling pattern differs from the explicit table"
-    return worst <= 1e-12, f"max table deviation {worst:.3e}"
+    return worst <= TABLE_DEVIATION_TOL, f"max table deviation {worst:.3e}"
 
 
 def _check_vectorization_identity() -> tuple[bool, str]:
@@ -138,7 +131,7 @@ def _check_doubled_space_equivalence(tol: float) -> tuple[bool, str]:
     for p, q in ((3, 1), (5, 1)):
         rep = check_equivalence(pythagorean_pulse(p, q, 0.0), y_matrix(2), tol=tol)
         sign = (-1) ** ((p + q) // 2)
-        good = rep.as_pair() == (True, True) and abs(rep.propagator_phase - sign) <= 1e-8
+        good = rep.as_pair() == (True, True) and abs(rep.propagator_phase - sign) <= SIGN_TOL
         ok = ok and good
         details.append(f"({p},{q}): {rep.as_pair()}, phase {rep.propagator_phase.real:+.6f}")
     control = PulseSchedule(segments=((np.diag([1.0, -1.0]).astype(complex), 1.0),))
@@ -158,7 +151,7 @@ def _check_pairwise_transfers(tol: float) -> tuple[bool, str]:
         float(np.max(np.abs(a.final - b.final)))
         for a, b in zip(reports[(3, 1)].records, reports[(5, 1)].records)
     )
-    ok = ok and uniform_gap <= tol and basic_gap > 0.1
+    ok = ok and uniform_gap <= tol and basic_gap > PAIRWISE_GAP_MIN
     return ok, f"uniform final gap {uniform_gap:.3e}, pairwise final gap {basic_gap:.3f}"
 
 
@@ -170,8 +163,8 @@ def _check_odd_dimension(tol: float) -> tuple[bool, str]:
         equiv = rep.equivalence
         overlap = abs(equiv.trace_y) / n  # of V(I)/sqrt(n) and V(Y)/sqrt(n)
         # the sign is +1 at odd n, so U(T, 0) = Y holds without a phase
-        action = equiv.propagator_matches and abs(rep.sign - 1.0) <= 1e-8
-        ok = ok and action and rep.all_ok and abs(overlap - 1.0 / n) <= 1e-12 and not equiv.is_cpt
+        action = equiv.propagator_matches and abs(rep.sign - 1.0) <= SIGN_TOL
+        ok = ok and action and rep.all_ok and abs(overlap - 1.0 / n) <= ODD_OVERLAP_TOL and not equiv.is_cpt
         details.append(f"n={n}: action residual {equiv.propagator_residual:.3e}, overlap {overlap:.12f}")
     try:
         general_even_frame(3)
@@ -189,7 +182,7 @@ def _check_scaling() -> tuple[bool, str]:
     vals_scaled = np.array(scaled.as_tuple())
     err = float(np.max(np.abs(vals_scaled - 9.0 * vals)) / np.max(np.abs(9.0 * vals)))
     tau_ratio = base.tau / scaled.tau
-    ok = err <= 1e-12 and abs(tau_ratio - 3.0) <= 1e-12
+    ok = err <= SCALING_TOL and abs(tau_ratio - 3.0) <= SCALING_TOL
     return ok, f"relative parameter error {err:.3e}, tau ratio {tau_ratio:.12f}"
 
 
@@ -200,7 +193,7 @@ def _check_entanglement() -> tuple[bool, str]:
         target = np.log(frame.n)
         for j in range(frame.dim):
             worst = max(worst, abs(entanglement_entropy(frame.W[:, j], frame.n) - target))
-    return worst <= 1e-10, f"max entropy deviation {worst:.3e}"
+    return worst <= ENTROPY_TOL, f"max entropy deviation {worst:.3e}"
 
 
 def _check_frame_validation() -> tuple[bool, str]:

@@ -379,10 +379,17 @@ def test_frame_output_sixteen_levels(capsys):
     "argv, message",
     [(["--N", "0"], "1..5"), (["--N", "6"], "1..5"), (["--N", "2", "--budget", "5"], "--budget")],
 )
-def test_frame_rejects_bad_input(capsys, argv, message):
+def test_frame_rejects_bad_input(capsys, tmp_path, argv, message):
     code, _, err = run_cli(capsys, "frame", *argv)
     assert code == 2
     assert message in err
+    if message == "1..5":  # the range rule names its flag, or its config field when N comes from a file
+        assert err.startswith("error: --N: ")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"N": int(argv[1])}))
+        code, _, err = run_cli(capsys, "frame", "--config", str(config))
+        assert code == 2
+        assert err.startswith("error: config field 'N': ") and message in err
 
 
 def test_simulate_sixteen_levels_per_factor(capsys):
@@ -547,7 +554,7 @@ def test_retro_tolerance_reaches_every_printed_verdict(capsys, n):
     assert [t["ok"] for t in payload["pairwise_transfers"]] == [True] * (int(n) // 2)
 
 
-def test_suite_frame_hook_detects_corruption(monkeypatch):
+def test_suite_frame_validation_detects_corruption(monkeypatch):
     real = suite.validate_frame
 
     def validate_with_one_sign_flipped(frame: EntangledFrame):

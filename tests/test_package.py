@@ -43,6 +43,11 @@ def test_triples_import_loads_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_tolerances_import_loads_no_numpy():
+    proc = run_fresh("import sys, pythcpt.tolerances; assert 'numpy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_layer_read_from_the_package_imports_it():
     proc = run_fresh("import pythcpt; print(pythcpt.frames.MAX_N)")
     assert proc.returncode == 0, proc.stderr

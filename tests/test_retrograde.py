@@ -123,6 +123,19 @@ def test_propagator_equal_times_and_range():
         ordered_propagator(sched, 0.0, sched.T + 1.0)
 
 
+def test_propagator_time_slack_admits_rounding_only():
+    # T = 0.6; the same durations summed from the other end, or cumsum'd, round to 0.6000000000000001
+    sched = PulseSchedule(segments=((SZ, 0.3), (SZ, 0.2), (SZ, 0.1)))
+    T, slack = sched.T, retrograde.TIME_SLACK
+    full = ordered_propagator(sched, 0.0, T)
+    for t in (-slack / 2, T + slack / 2, 0.1 + 0.2 + 0.3, float(sched.boundaries()[-1])):
+        assert np.array_equal(ordered_propagator(sched, min(t, 0.0), max(t, T)), full)
+        assert np.array_equal(ordered_propagator(sched, max(t, T), min(t, 0.0)), full.conj().T)
+    for t in (-2 * slack, T + 2 * slack):
+        with pytest.raises(ValueError, match="outside"):
+            ordered_propagator(sched, 0.0, t)
+
+
 @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
 def test_propagator_rejects_non_finite_times(t):
     sched = PulseSchedule(segments=((SZ, 1.0),))
@@ -359,9 +372,9 @@ def test_intertwining_is_checked_on_the_half_period_propagators():
     [
         lambda: check_equivalence(pythagorean_pulse(7, 3, 0.3, n=4), y_matrix(4)),
         lambda: basic_cpts(4, 7, 3, 0.3),
-        lambda: basic_cpts(3, 7, 3, 0.3),  # the odd-dimension demo is basic_cpts at n = 3
+        lambda: basic_cpts(3, 7, 3, 0.3),  # odd n: the middle level forms no pair
     ],
-    ids=["check_equivalence", "basic_cpts", "odd_dim_demo"],
+    ids=["check_equivalence", "basic_cpts", "basic_cpts_odd_n"],
 )
 def test_doubled_space_report_exponentiates_each_segment_once(monkeypatch, report):
     calls = []
@@ -567,8 +580,8 @@ def test_basic_cpts_two_level_is_universal():
     assert np.max(np.abs(report.uniform_final - vectorize(Y2) / np.sqrt(2))) < 1e-9
 
 
-def test_odd_dim_demo_action():
-    # the odd-dimension demo is basic_cpts at n = 3: U(T, 0) = Y with the sign +1, so no phase
+def test_basic_cpts_odd_n_action():
+    # at n = 3, U(T, 0) = Y with the sign +1, so no phase
     rep = basic_cpts(3, 3, 1, 0.0)
     assert rep.equivalence.propagator_matches
     assert abs(rep.sign - 1.0) < 1e-8
@@ -582,7 +595,7 @@ def test_odd_dim_demo_action():
     assert np.max(np.abs(u @ ket(3, 3) - ket(3, 1))) < 1e-9
 
 
-def test_odd_dim_demo_overlap_and_basic():
+def test_basic_cpts_odd_n_overlap_and_pair():
     rep = basic_cpts(3, 3, 1, 0.0)
     assert abs(abs(rep.equivalence.trace_y) / 3 - 1.0 / 3.0) < 1e-12  # V(I)/V(Y) overlap
     # the middle level is its own mirror, so levels 1 and 3 form the one pair
@@ -598,7 +611,7 @@ def test_odd_dim_demo_overlap_and_basic():
     assert rep.equivalence.doubled_state_residual < 1e-9
 
 
-def test_odd_dim_demo_large_c_is_rejected():
+def test_basic_cpts_large_c_is_rejected():
     # at c near 1e9 the lifted pulse keeps Y only to ~3e-7, at odd n as at even n
     for n in (3, 4):
         with pytest.raises(ValueError, match="intertwine"):
@@ -616,7 +629,7 @@ BAD_TOLERANCES = [float("nan"), float("inf"), -float("inf"), 0.0, -1e-9]
         lambda tol: basic_cpts(4, 3, 1, 0.0, tol=tol),
         lambda tol: basic_cpts(3, 3, 1, 0.0, tol=tol),
     ],
-    ids=["check_equivalence", "basic_cpts", "odd_dim_demo"],
+    ids=["check_equivalence", "basic_cpts", "basic_cpts_odd_n"],
 )
 def test_entry_points_reject_bad_tolerances(entry, tol):
     with pytest.raises(ValueError, match="tol must be a finite positive number"):
