@@ -22,9 +22,9 @@ certification tolerance (``CPT_TOL``); a tolerance from any source must be a
 finite positive number. Exit codes: 0 success, 1 verification failure,
 2 invalid input, with a message naming the flag or config field (a rule
 on a value, such as each subcommand's n or the sign of ``simulate``'s
-t_max and steps, is its field's converter; still 2 when stderr cannot
-take the message), 141 when the reader closes stdout early (``| head``),
-as for a process that SIGPIPE ended.
+t_max and steps, is its field's converter; a rejected pair (p, q) names
+both; still 2 when stderr cannot take the message), 141 when the reader
+closes stdout early (``| head``), as for a process that SIGPIPE ended.
 ``simulate`` writes its CSV row by row; it never holds the table as text.
 """
 
@@ -227,6 +227,15 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
+def _spec(cfg: dict) -> SystemSpec:
+    """The system of (p, q, k) at n; a pair (p, q) the library rejects is a ConfigError naming both sources."""
+    try:
+        params = params_from_pair(cfg["p"], cfg["q"], cfg["k"])
+    except ValueError as exc:
+        raise ConfigError(f"{cfg['source']['p']}, {cfg['source']['q']}: {exc}") from None
+    return SystemSpec(n=cfg["n"], params=params)
+
+
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
@@ -258,7 +267,7 @@ def _cmd_frame(cfg: dict) -> int:
 
 
 def _cmd_simulate(cfg: dict) -> int:
-    spec = SystemSpec(n=cfg["n"], params=params_from_pair(cfg["p"], cfg["q"], cfg["k"]))
+    spec = _spec(cfg)
     try:
         result = simulate(spec, cfg["t_max"], cfg["steps"])
     except MemoryError as exc:  # numpy refuses a table larger than the machine can map
@@ -281,7 +290,7 @@ def _cmd_simulate(cfg: dict) -> int:
 
 
 def _cmd_verify(cfg: dict) -> int:
-    spec = SystemSpec(n=cfg["n"], params=params_from_pair(cfg["p"], cfg["q"], cfg["k"]))
+    spec = _spec(cfg)
     cert = verify_cpt(spec, tol=cfg["tol"])
     _print_json(
         {
@@ -330,8 +339,7 @@ def _symbolic_label(i: int, j: int, basis: list[np.ndarray]) -> str:
 
 def _cmd_graph(cfg: dict) -> int:
     n = cfg["n"]
-    params = params_from_pair(cfg["p"], cfg["q"], cfg["k"])
-    graph = coupling_graph(lab_hamiltonian(SystemSpec(n=n, params=params)))
+    graph = coupling_graph(lab_hamiltonian(_spec(cfg)))
     symbolic = _symbolic_basis(n) if n in (2, 4) else None
     edges = []
     for i, j, weight in graph.edges:
@@ -358,6 +366,7 @@ def _cmd_graph(cfg: dict) -> int:
 
 def _cmd_retro(cfg: dict) -> int:
     p, q, k, n, tol = cfg["p"], cfg["q"], cfg["k"], cfg["n"], cfg["tol"]
+    _spec(cfg)  # the reports below build their pulse from the same (p, q, k)
     if cfg["variant"] == "semi":
         if n % 2:
             raise ConfigError(f"variant semi needs an even n, got {n}: odd n has only the retrograde report")

@@ -262,15 +262,7 @@ def simulate(spec: SystemSpec, t_max_tau: float, steps: int) -> SimulationResult
     if not all(math.isfinite((n - 1) * omega * t_max) for omega in omegas):
         raise ValueError(f"factor phase (n - 1) * omega * |t| is not finite at |t| = {t_max!r}")
     points = steps + 1
-    step = t_max_tau / steps if steps else 0.0
-    # linspace's own arithmetic for a nonzero step, bit for bit, without its Python overhead; a zero step
-    # (t_max_tau = 0, steps = 0 or an underflow) keeps linspace, whose signed zeros this does not repeat
-    if step:
-        times = np.arange(points, dtype=float)
-        times *= step
-        times[-1] = t_max_tau
-    else:
-        times = np.linspace(0.0, t_max_tau, points)
+    times = np.linspace(0.0, t_max_tau, points)
     dt = t_max / max(steps, 1)
     half = n // 2
     mirrored = _ladder_indices(n)[0]

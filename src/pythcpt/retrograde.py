@@ -29,9 +29,9 @@ transfer, judged on its 2-norm residual alone, which bounds the
 measured orthogonality overlap; ``time_independent_conditions`` is one
 call to it, and with a constant H every U(s) (x) U(s)-translate of its
 state has the measured overlap and 2-norm residual.
-``ordered_propagator`` multiplies the segments of an interval in one
-pass and returns the adjoint for a reversed one, so ``factors`` costs
-two calls.
+``ordered_propagator`` multiplies, in one pass, every segment overlap
+of positive length, compared exactly, and returns the adjoint for a
+reversed one, so ``factors`` costs two calls.
 
 ``check_equivalence`` and ``basic_cpts`` each take a ``tol`` (default
 CPT_TOL), reject one that is not finite and positive, and judge every
@@ -52,15 +52,15 @@ from .dynamics import build_h_single
 from .linalg import matexp_unitary, require_hermitian, require_normalized, require_unitary, vectorize
 from .su2 import y_matrix
 from .tolerances import (
-    CPT_TOL, INTERTWINING_TOL, MIN_SEGMENT_OVERLAP, PARTIAL_OVERLAP_MAX, PHASE_MEASURABLE_MIN, PROPORTIONAL_TO_Y_TOL,
-    TIME_SLACK, require_tol,
+    CPT_TOL, INTERTWINING_TOL, PARTIAL_OVERLAP_MAX, PHASE_MEASURABLE_MIN, PROPORTIONAL_TO_Y_TOL, TIME_SLACK,
+    require_tol,
 )
 from .triples import params_from_pair
 
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Piecewise-constant Hamiltonian: ordered (generator, duration) segments."""
+    """Piecewise-constant Hamiltonian: ordered (generator, duration) segments, their durations summed once."""
 
     segments: tuple[tuple[np.ndarray, float], ...]
 
@@ -68,12 +68,15 @@ class PulseSchedule:
         if not self.segments:
             raise ValueError("schedule needs at least one segment")
         dim = self.segments[0][0].shape[0]
+        bounds = [0.0]
         for h, d in self.segments:
             if h.shape != (dim, dim):
                 raise ValueError("all segments must share one dimension")
             if not (math.isfinite(d) and d > 0):
                 raise ValueError(f"segment durations must be finite and positive, got {d}")
             require_hermitian(h, "segment generator")
+            bounds.append(bounds[-1] + float(d))
+        object.__setattr__(self, "_bounds", tuple(bounds))  # the one sum that T, boundaries and ordered_propagator read
 
     @property
     def dim(self) -> int:
@@ -81,10 +84,10 @@ class PulseSchedule:
 
     @property
     def T(self) -> float:
-        return float(sum(d for _, d in self.segments))
+        return self._bounds[-1]
 
     def boundaries(self) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum([d for _, d in self.segments])])
+        return np.array(self._bounds)
 
 
 def ordered_propagator(schedule: PulseSchedule, t0: float, t1: float) -> np.ndarray:
@@ -94,24 +97,21 @@ def ordered_propagator(schedule: PulseSchedule, t0: float, t1: float) -> np.ndar
     partial segments exactly; ``t1 < t0`` returns the adjoint of that
     product, so the group property U(t3, t2) U(t2, t1) = U(t3, t1)
     holds for any ordering of times, and ``t1 == t0`` gives the identity.
-    The product starts from the first overlapped segment's exponential,
-    and the segment starts are summed as :meth:`PulseSchedule.boundaries`
-    sums them.
+    The product starts from the first overlapped segment's exponential.
+    Times are compared exactly with the schedule's boundaries; a time may
+    lie TIME_SLACK * T outside [0, T], and the interval is clipped to it.
     """
     T = schedule.T
     for t in (t0, t1):
-        if not -TIME_SLACK <= t <= T + TIME_SLACK:  # NaN fails this too
+        if not -TIME_SLACK * T <= t <= T + TIME_SLACK * T:  # NaN fails this too
             raise ValueError(f"time {t} outside schedule range [0, {T}]")
     t_lo, t_hi = min(t0, t1), max(t0, t1)
     u = None
-    s = 0.0
-    for h, d in schedule.segments:
-        lo = max(t_lo, s)
-        hi = min(t_hi, s + d)
-        if hi - lo > MIN_SEGMENT_OVERLAP:
+    for (h, _), start, end in zip(schedule.segments, schedule._bounds, schedule._bounds[1:]):
+        lo, hi = max(t_lo, start), min(t_hi, end)
+        if hi > lo:
             step = matexp_unitary(h, hi - lo)
             u = step if u is None else step @ u
-        s += d
     if u is None:
         return np.eye(schedule.dim, dtype=complex)
     return u.conj().T if t1 < t0 else u

@@ -51,10 +51,8 @@ FRAME_MAGNITUDE_TOL = 1e-12
 
 # |<i|f>| below this: the recipe's two states are distinct; 1 - |<i|f>| of equal unit states rounds to ~eps.
 PARTIAL_OVERLAP_MAX = 1.0 - 1e-12
-# ordered_propagator takes t in [-TIME_SLACK, T + TIME_SLACK]: durations summed in another order round off T.
+# ordered_propagator takes t within TIME_SLACK * T of [0, T]: m durations summed in another order miss T by ~m*eps*T.
 TIME_SLACK = 1e-12
-# ordered_propagator skips a segment overlap no longer than this: a rounding remnant of the segment boundaries.
-MIN_SEGMENT_OVERLAP = 1e-15
 # _phase_match makes |overlap| >= this a unit phase: rounding overlaps are ~1e-16, odd-n semi's is 1/3.
 PHASE_MEASURABLE_MIN = 1e-6
 # max|u y u^T - y| (u y u^dagger for semi) of both half steps; fixed: without it the equivalence means nothing.

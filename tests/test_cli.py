@@ -13,8 +13,9 @@ import pytest
 
 from pythcpt import cli, reference_tables, retrograde, suite
 from pythcpt.cli import main
-from pythcpt.dynamics import SystemSpec, simulate, verify_cpt
+from pythcpt.dynamics import SystemSpec, coupling_graph, lab_hamiltonian, simulate, verify_cpt
 from pythcpt.frames import EntangledFrame
+from pythcpt.retrograde import basic_cpts
 from pythcpt.suite import run_suite
 from pythcpt.triples import params_from_pair
 
@@ -63,6 +64,8 @@ def test_verify_reports_the_integer_phase(capsys, n, pqk):
     payload = json.loads(out)
     cert = verify_cpt(SystemSpec(n=int(n), params=params_from_pair(p, q, k)))
     assert payload["phase"] == [cert.phase.real, cert.phase.imag]
+    # |amp|^2 and |amp| differ in their last bits at most of these inputs
+    assert (payload["fidelity"], payload["tau"]) == (cert.fidelity, cert.tau)
     # the amplitude is (-1)^((p+q)/2), so its distance from that sign is rounding alone
     sign = (-1) ** ((p + q) // 2)
     assert payload["phase_error"] == abs(cert.phase - sign) < 1e-13
@@ -215,6 +218,96 @@ def test_graph_json(capsys):
     # k = 0 makes V14 vanish, leaving the nearest-neighbour chain
     assert labels == {(1, 2): "V12", (2, 3): "V23", (3, 4): "V34"}
     assert max(abs(x) for x in payload["diagonal"]) < 1e-12
+
+
+def test_graph_keeps_the_signs_of_the_lab_hamiltonian(capsys):
+    # at n = 4, (7, 3, 0.3): 4 of the 40 couplings and 4 diagonal entries are negative
+    h = lab_hamiltonian(SystemSpec(n=4, params=params_from_pair(7, 3, 0.3)))
+    graph = coupling_graph(h)
+    assert [w for _, _, w in graph.edges] == [h[i - 1, j - 1].real for i, j, _ in graph.edges]
+    assert sum(w < 0 for _, _, w in graph.edges) == 4 and len(graph.edges) == 40
+    # the lab diagonal is zero up to rounding, and four of its rounding residues are negative
+    assert graph.diagonal.tolist() == np.diag(h).real.tolist() and int(np.sum(graph.diagonal < 0)) == 4
+    # a diagonal entry is no edge, and a Hamiltonian's own signs stay
+    small = coupling_graph(np.array([[1.0, -0.5], [-0.5, -2.0]]))
+    assert small.edges == ((1, 2, -0.5),) and small.diagonal.tolist() == [1.0, -2.0]
+    code, out, _ = run_cli(capsys, "graph", "--p", "7", "--q", "3", "--k", "0.3", "--n", "4", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert [(e["i"], e["j"], e["weight"]) for e in payload["edges"]] == list(graph.edges)
+    assert payload["diagonal"] == graph.diagonal.tolist()
+    labels = [e["label"] for e in payload["edges"]]
+    assert labels.count("-V12") == 2 and labels.count("-V34") == 2
+    for e in payload["edges"]:
+        assert e["label"].startswith("-") == (e["weight"] < 0), e
+
+
+def test_coefficient_labels_keep_their_sign():
+    coefficients = (1.0, -1.0, 2.0, -2.0, 3.0 ** 0.5, -(3.0 ** 0.5), 0.5)
+    assert [cli._coeff_str(c) for c in coefficients] == ["", "-", "2", "-2", "sqrt(3)", "-sqrt(3)", None]
+
+
+def test_retro_payload_is_the_library_report(capsys):
+    # tol 3e-15 lies between the two sides' residuals (3.98e-15 and 1.79e-15), so it separates them
+    tol = 3e-15
+    code, out, _ = run_cli(capsys, "retro", "--p", "7", "--q", "3", "--k", "0.3", "--n", "4", "--tol", str(tol))
+    report = basic_cpts(4, 7, 3, 0.3, tol)
+    equiv = report.equivalence
+    assert equiv.doubled_state_residual < tol < equiv.propagator_residual and report.sign.imag != 0
+    assert json.loads(out) == {
+        "n": 4,
+        "variant": "retrograde",
+        "forward": False,
+        "backward": True,
+        "propagator_phase": [equiv.propagator_phase.real, equiv.propagator_phase.imag],
+        "doubled_phase": [equiv.doubled_phase.real, equiv.doubled_phase.imag],
+        "propagator_residual": equiv.propagator_residual,
+        "doubled_state_residual": equiv.doubled_state_residual,
+        "is_cpt": True,
+        "pairwise_transfers": [
+            {"index": r.index, "orthogonality_residual": r.orthogonality_residual, "ok": r.ok} for r in report.records
+        ],
+        "uniform_target_residual": report.uniform_target_residual,
+        "sign": [report.sign.real, report.sign.imag],
+        "pass": False,
+    }
+    assert code == 1
+
+
+def test_retro_pass_reads_all_ok(capsys, monkeypatch):
+    # no tol fails all_ok alone (the propagator residual is the largest), so a report is edited to fail it
+    real = cli.basic_cpts
+
+    def failing_combinations(*args):
+        return dataclasses.replace(real(*args), combination_bound=1.0)
+
+    monkeypatch.setattr(cli, "basic_cpts", failing_combinations)
+    code, out, _ = run_cli(capsys, "retro", "--p", "7", "--q", "3", "--k", "0.3", "--n", "4")
+    payload = json.loads(out)
+    assert payload["forward"] is True and payload["backward"] is True
+    assert payload["pass"] is False and code == 1
+
+
+_BAD_PAIRS = {"even_p": (4, 1), "p_not_above_q": (3, 5), "q_below_one": (3, -1), "huge_p": (10**155 + 1, 1)}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("pair", list(_BAD_PAIRS))
+@pytest.mark.parametrize("command", ["verify", "simulate", "graph", "retro"])
+def test_a_rejected_pair_names_its_sources(capsys, tmp_path, command, pair, source):
+    p, q = _BAD_PAIRS[pair]
+    with pytest.raises(ValueError) as library:
+        params_from_pair(p, q)
+    if source == "flag":
+        argv = [command, "--p", str(p), "--q", str(q)]
+        named = "--p, --q"
+    else:
+        config = tmp_path / "pair.json"
+        config.write_text(json.dumps({"p": p, "q": q}))
+        argv = [command, "--config", str(config)]
+        named = "config field 'p', config field 'q'"
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {named}: {library.value}\n")
 
 
 def test_retro_even(capsys):
@@ -531,6 +624,17 @@ def test_suite_rejects_unsupported_n(capsys, tmp_path):
     config.write_text(json.dumps({"n": 3}))
     code, out, err = run_cli(capsys, "suite", "--config", str(config))
     assert (code, out, err) == (2, "", "error: unknown config field: n\n")
+
+
+def test_suite_failure_reaches_the_json_and_the_exit_code(capsys, tmp_path):
+    path = tmp_path / "strict.json"
+    code, _, _ = run_cli(capsys, "suite", "--tol", "1e-300", "--json", str(path))
+    payload = json.loads(path.read_text())
+    expected = [r.passed for r in run_suite(tol=1e-300).results]
+    assert expected.count(False) == 5 and len(expected) == 11
+    assert [c["passed"] for c in payload["checks"]] == expected
+    assert payload["all_passed"] is False
+    assert code == 1
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-9])

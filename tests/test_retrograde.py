@@ -17,6 +17,7 @@ from pythcpt.su2 import y_matrix
 from pythcpt.triples import params_from_pair
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
+SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Y2 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
 
@@ -124,9 +125,10 @@ def test_propagator_equal_times_and_range():
 
 
 def test_propagator_time_slack_admits_rounding_only():
-    # T = 0.6; the same durations summed from the other end, or cumsum'd, round to 0.6000000000000001
+    # T = 0.6; the same durations summed from the other end round to 0.6000000000000001
     sched = PulseSchedule(segments=((SZ, 0.3), (SZ, 0.2), (SZ, 0.1)))
-    T, slack = sched.T, retrograde.TIME_SLACK
+    T = sched.T
+    slack = retrograde.TIME_SLACK * T
     full = ordered_propagator(sched, 0.0, T)
     for t in (-slack / 2, T + slack / 2, 0.1 + 0.2 + 0.3, float(sched.boundaries()[-1])):
         assert np.array_equal(ordered_propagator(sched, min(t, 0.0), max(t, T)), full)
@@ -134,6 +136,48 @@ def test_propagator_time_slack_admits_rounding_only():
     for t in (-2 * slack, T + 2 * slack):
         with pytest.raises(ValueError, match="outside"):
             ordered_propagator(sched, 0.0, t)
+
+
+def test_durations_are_summed_once_in_order():
+    # summed in order these give 1000001.2999999999; a compensated sum, as Python >= 3.12's sum, gives 1000001.3
+    durations = (0.3, 0.2, 0.1, 1e6, 0.7)
+    sched = PulseSchedule(segments=tuple((SZ, d) for d in durations))
+    running = [0.0]
+    for d in durations:
+        running.append(running[-1] + d)
+    assert sched.boundaries().tolist() == running
+    assert sched.T == running[-1] and type(sched.T) is float
+
+
+def test_large_c_propagator_keeps_a_femtosecond_of_a_segment():
+    # at c ~ 5e17 the second generator has entries ~4.5e17: 8e-16 s of it is a rotation of ~360 rad
+    pulse = pythagorean_pulse(999999937, 1, 0.5)
+    (h_a, tau), (h_b, _) = pulse.segments
+    t1 = tau + 8e-16
+    expected = matexp_unitary(h_b, t1 - tau) @ matexp_unitary(h_a, tau)
+    assert np.max(np.abs(ordered_propagator(pulse, 0.0, t1) - expected)) <= 1e-12
+    assert np.max(np.abs(ordered_propagator(pulse, t1, 0.0) - expected.conj().T)) <= 1e-12
+
+
+def test_propagator_accepts_durations_summed_in_reverse_at_large_t():
+    # T ~ 1.3e6: the reversed sum rounds one ulp (2.3e-10) above T
+    durations = (1e6, 3e5, 0.7, 0.7, 0.7)
+    sched = PulseSchedule(segments=tuple((h, d) for h, d in zip((SZ, SX) * 3, durations)))
+    reverse = 0.0
+    for d in reversed(durations):
+        reverse += d
+    assert reverse - sched.T > 2e-10
+    full = ordered_propagator(sched, 0.0, sched.T)
+    assert np.array_equal(ordered_propagator(sched, 0.0, reverse), full)
+    assert np.array_equal(ordered_propagator(sched, reverse, 0.0), full.conj().T)
+
+
+def test_propagator_slack_scales_with_a_short_schedule():
+    # T = 6.3e-9 at c ~ 5e17, so 1e-13 s past either end is 1.6e-5 T, far beyond any rounding of T
+    pulse = pythagorean_pulse(999999937, 1, 0.5)
+    for t in (pulse.T + 1e-13, -1e-13):
+        with pytest.raises(ValueError, match="outside"):
+            ordered_propagator(pulse, 0.0, t)
 
 
 @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
