@@ -354,12 +354,14 @@ def coupling_graph(h_lab: np.ndarray) -> CouplingGraph:
     """Undirected edge list of a Hermitian Hamiltonian's couplings.
 
     Entries up to COUPLING_ZERO_REL times the largest entry magnitude
-    count as zero. Indices are 1-based to match the usual state labelling.
+    count as zero, on the diagonal as off it. Indices are 1-based to match
+    the usual state labelling.
     """
     h_lab = np.asarray(h_lab)
     require_hermitian(h_lab, "Hamiltonian")
     tol = COUPLING_ZERO_REL * float(np.max(np.abs(h_lab))) if h_lab.size else 0.0
-    rows, cols = np.nonzero(np.triu(np.abs(h_lab) > tol, k=1))  # row-major order
+    kept = np.abs(h_lab) > tol
+    rows, cols = np.nonzero(np.triu(kept, k=1))  # row-major order
     weights = np.real(h_lab[rows, cols]).astype(float)
     edges = tuple(zip((rows + 1).tolist(), (cols + 1).tolist(), weights.tolist()))
-    return CouplingGraph(edges=edges, diagonal=np.real(np.diag(h_lab)).copy())
+    return CouplingGraph(edges=edges, diagonal=np.where(np.diag(kept), np.real(np.diag(h_lab)), 0.0))

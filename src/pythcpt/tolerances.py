@@ -20,7 +20,8 @@ import math
 CPT_TOL = 1e-9
 # Sampled populations of lab states 2 and 4 stay below this; 1e-6 is far above rounding, so a filled state fails.
 FORBIDDEN_MAX_POP = 1.0 - 1e-6
-# coupling_graph: |h_ij| up to this times max|h| is no edge; a lab conjugation leaves eps*max|h| in true zeros.
+# coupling_graph: |h_ij| up to this times max|h| is no edge (a 0.0 on the diagonal); a lab conjugation leaves
+# eps*max|h| in true zeros.
 COUPLING_ZERO_REL = 1e-10
 
 # Invariant gates (linalg)

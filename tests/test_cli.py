@@ -1,11 +1,14 @@
 import argparse
 import dataclasses
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +20,22 @@ from pythcpt.dynamics import SystemSpec, coupling_graph, lab_hamiltonian, simula
 from pythcpt.frames import EntangledFrame
 from pythcpt.retrograde import basic_cpts
 from pythcpt.suite import run_suite
+from pythcpt.tolerances import COUPLING_ZERO_REL
 from pythcpt.triples import params_from_pair
 
 
+def main_here(argv):
+    """``main(argv)``; a forked worker that comes back out of it ends at once, with exit code 99."""
+    parent = os.getpid()
+    try:
+        return main(argv)
+    finally:
+        if os.getpid() != parent:
+            os._exit(99)
+
+
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    code = main_here(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -166,17 +180,117 @@ def test_simulate_stdout_absolute_time(capsys):
     assert abs(last[0] - 2 * tau) < 1e-12
 
 
+def _forked_chunk_sizes(monkeypatch) -> list[int]:
+    """The row count of each chunk that simulate hands to a forked worker, in order."""
+    forks = []
+    fork_rows = cli._fork_rows
+    monkeypatch.setattr(cli, "_fork_rows", lambda times, pops: forks.append(len(times)) or fork_rows(times, pops))
+    return forks
+
+
+@pytest.mark.parametrize("cpus, can_fork", [(1, True), (2, True), (3, True), (4, True), (4, False)],
+                         ids=["1cpu", "2cpus", "3cpus", "4cpus", "4cpus_no_fork"])
+@pytest.mark.parametrize("out", ["-", "file"])
 @pytest.mark.parametrize("absolute", [False, True])
-def test_simulate_csv_is_repr_of_simulate(capsys, absolute):
+def test_simulate_csv_is_repr_of_simulate(capsys, monkeypatch, tmp_path, absolute, out, cpus, can_fork):
+    # one chunk of rows per CPU, down to a few rows each here; the bytes are those of one writer
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "_MIN_WORKER_VALUES", 35)  # 7 rows of 17 values: at most 3 chunks
+    if not can_fork:
+        monkeypatch.delattr(os, "fork")
+    forks = _forked_chunk_sizes(monkeypatch)
+    path = tmp_path / "trace.csv"
     argv = ["simulate", "--p", "5", "--q", "1", "--k", "0.3", "--n", "4", "--t-max", "2", "--steps", "6"]
-    code, out, _ = run_cli(capsys, *argv, *(["--absolute-time"] if absolute else []))
-    assert code == 0
+    argv += ["--out", "-" if out == "-" else str(path), *(["--absolute-time"] if absolute else [])]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    written = stdout if out == "-" else path.read_text(encoding="utf-8")
     spec = SystemSpec(n=4, params=params_from_pair(5, 1, 0.3))
     result = simulate(spec, 2.0, 6)
     times = result.times * spec.params.tau if absolute else result.times
     header = ["t" if absolute else "t_over_tau"] + [f"pop_{i + 1}" for i in range(16)]
     rows = [",".join(repr(float(x)) for x in [t, *pops]) for t, pops in zip(times, result.populations)]
-    assert out == "\n".join([",".join(header), *rows]) + "\n"
+    assert written == "\n".join([",".join(header), *rows]) + "\n"
+    # 7 rows in contiguous chunks of 7 // k rows or one more, the first written in this process
+    assert forks == {1: [], 2: [4], 3: [2, 3], 4: [2, 3]}[cpus if can_fork else 1]
+
+
+def _split_simulate(monkeypatch):
+    """A small simulate split in two: chunk 0 written by this process, chunk 1 by a forked worker."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_MIN_WORKER_VALUES", 20)
+    return ["simulate", "--p", "5", "--q", "1", "--n", "4", "--steps", "6"]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_simulate_worker_failure_is_a_write_error(capsys, monkeypatch):
+    parent = os.getpid()
+    write_rows = cli._write_rows
+
+    def failing_in_a_child(sink, times, populations):
+        if os.getpid() != parent:
+            raise ValueError("no row formatted")
+        write_rows(sink, times, populations)
+
+    monkeypatch.setattr(cli, "_write_rows", failing_in_a_child)
+    code, out, err = run_cli(capsys, *_split_simulate(monkeypatch))
+    _assert_no_child_left()
+    assert code == 2
+    assert len(out.splitlines()) == 1 + 3  # the header and chunk 0, written before the worker's exit was read
+    assert err.startswith("error: ") and err.count("\n") == 1 and "exited with code 1" in err
+
+
+class _ReaderGone(io.StringIO):
+    """A stdout whose reader leaves after the header: later writes raise ``error``."""
+
+    def __init__(self, error: type[BaseException], fd: int):
+        super().__init__()
+        self.error, self.fd = error, fd
+
+    def write(self, text: str) -> int:
+        if self.tell():
+            raise self.error()
+        return super().write(text)
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+@pytest.mark.parametrize("error", [BrokenPipeError, KeyboardInterrupt])
+def test_simulate_reaps_its_workers_when_the_sink_fails(monkeypatch, tmp_path, error):
+    argv = _split_simulate(monkeypatch)
+    forks = _forked_chunk_sizes(monkeypatch)
+    with open(tmp_path / "stdout", "w", encoding="utf-8") as fh:
+        monkeypatch.setattr(sys, "stdout", _ReaderGone(error, fh.fileno()))
+        if error is BrokenPipeError:
+            assert main_here(argv) == 141
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                main_here(argv)
+    _assert_no_child_left()
+    assert forks == [4]
+
+
+def test_simulate_fork_with_a_thread_alive_warns_nothing(capsys, monkeypatch):
+    # Python >= 3.12 warns at a fork in a multi-threaded process; the worker only formats rows
+    release = threading.Event()
+    helper = threading.Thread(target=release.wait, args=(60,))
+    helper.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, *_split_simulate(monkeypatch))
+    finally:
+        release.set()
+        helper.join(timeout=60)
+    assert not helper.is_alive()
+    _assert_no_child_left()
+    assert (code, err) == (0, "")
+    assert [str(w.message) for w in caught if issubclass(w.category, DeprecationWarning)] == []
 
 
 def test_simulate_csv_streams_to_its_sink(tmp_path, monkeypatch):
@@ -221,13 +335,15 @@ def test_graph_json(capsys):
 
 
 def test_graph_keeps_the_signs_of_the_lab_hamiltonian(capsys):
-    # at n = 4, (7, 3, 0.3): 4 of the 40 couplings and 4 diagonal entries are negative
+    # at n = 4, (7, 3, 0.3): 4 of the 40 couplings are negative, and 4 rounding residues on the diagonal
     h = lab_hamiltonian(SystemSpec(n=4, params=params_from_pair(7, 3, 0.3)))
     graph = coupling_graph(h)
     assert [w for _, _, w in graph.edges] == [h[i - 1, j - 1].real for i, j, _ in graph.edges]
     assert sum(w < 0 for _, _, w in graph.edges) == 4 and len(graph.edges) == 40
-    # the lab diagonal is zero up to rounding, and four of its rounding residues are negative
-    assert graph.diagonal.tolist() == np.diag(h).real.tolist() and int(np.sum(graph.diagonal < 0)) == 4
+    # the lab diagonal is zero up to residues below the cut of edges, and the graph holds exact zeros there
+    assert int(np.sum(np.diag(h).real < 0)) == 4
+    assert np.max(np.abs(np.diag(h))) <= COUPLING_ZERO_REL * np.max(np.abs(h))
+    assert graph.diagonal.tolist() == [0.0] * 16 and not np.signbit(graph.diagonal).any()
     # a diagonal entry is no edge, and a Hamiltonian's own signs stay
     small = coupling_graph(np.array([[1.0, -0.5], [-0.5, -2.0]]))
     assert small.edges == ((1, 2, -0.5),) and small.diagonal.tolist() == [1.0, -2.0]
