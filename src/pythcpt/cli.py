@@ -2,9 +2,11 @@
 
 Subcommands: ``triples`` (enumerate generating pairs), ``frame``
 (entangled-frame labels/matrix), ``simulate`` (population traces as
-CSV), ``verify`` (transfer certificate as JSON), ``graph`` (coupling
-graph as DOT or JSON), ``retro`` (doubled-space reports), ``suite``
-(the full verification battery).
+CSV), ``verify`` (transfer certificate), ``graph`` (coupling graph as
+DOT or JSON), ``retro`` (doubled-space reports), ``suite`` (the full
+verification battery). ``verify``, ``retro`` and ``suite --json`` print
+the library report's ``as_json()`` and exit on its ``passed``
+(``all_passed`` for the suite).
 
 Each subcommand's fields are declared once, in ``_FIELDS``: field
 ``x`` is the flag ``--x`` (underscores written as dashes) and the
@@ -22,9 +24,10 @@ certification tolerance (``CPT_TOL``); a tolerance from any source must be a
 finite positive number. Exit codes: 0 success, 1 verification failure,
 2 invalid input, with a message naming the flag or config field (a rule
 on a value, such as each subcommand's n or the sign of ``simulate``'s
-t_max and steps, is its field's converter; a rejected pair (p, q) names
-both; still 2 when stderr cannot take the message), 141 when the reader
-closes stdout early (``| head``), as for a process that SIGPIPE ended.
+t_max and steps, is its field's converter; a rejected pair (p, q), like
+``semi`` at an odd n, names both; still 2 when stderr cannot take the
+message), 141 when the reader closes stdout early (``| head``), as for a
+process that SIGPIPE ended.
 ``simulate`` writes its CSV row by row. Where ``os.fork`` exists, each
 CPU formats one contiguous chunk of the rows: the process writes the
 first straight to the sink, forked workers write the rest to temporary
@@ -48,8 +51,6 @@ import numpy as np
 
 from .dynamics import SystemSpec, coupling_graph, lab_hamiltonian, simulate, verify_cpt
 from .frames import MAX_N, build_w
-from .retrograde import basic_cpts, check_equivalence, pythagorean_pulse
-from .suite import run_suite
 from .tolerances import CPT_TOL, GRAPH_LABEL_TOL
 from .triples import (
     MIN_C,
@@ -243,8 +244,8 @@ def _spec(cfg: dict) -> SystemSpec:
     return SystemSpec(n=cfg["n"], params=params)
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+def _print_json(payload: dict, file=None) -> None:
+    print(json.dumps(payload, indent=2), file=file)
 
 
 def _cmd_triples(cfg: dict) -> int:
@@ -367,19 +368,9 @@ def _cmd_simulate(cfg: dict) -> int:
 
 
 def _cmd_verify(cfg: dict) -> int:
-    spec = _spec(cfg)
-    cert = verify_cpt(spec, tol=cfg["tol"])
-    _print_json(
-        {
-            "fidelity": cert.fidelity,
-            "target_index": cert.target_index,
-            "tau": cert.tau,
-            "pass": cert.passed,
-            "phase": [cert.phase.real, cert.phase.imag],
-            # the transfer amplitude is (-1)^((p+q)/2) at every even n
-            "phase_error": abs(cert.phase - (-1) ** ((cfg["p"] + cfg["q"]) // 2)),
-        }
-    )
+    cert = verify_cpt(_spec(cfg), tol=cfg["tol"])
+    # the transfer amplitude is (-1)^((p+q)/2) at every even n
+    _print_json({**cert.as_json(), "phase_error": abs(cert.phase - (-1) ** ((cfg["p"] + cfg["q"]) // 2))})
     return 0 if cert.passed else 1
 
 
@@ -442,42 +433,24 @@ def _cmd_graph(cfg: dict) -> int:
 
 
 def _cmd_retro(cfg: dict) -> int:
+    from .retrograde import basic_cpts, check_equivalence, pythagorean_pulse  # here, so no other command compiles it
+
     p, q, k, n, tol = cfg["p"], cfg["q"], cfg["k"], cfg["n"], cfg["tol"]
     _spec(cfg)  # the reports below build their pulse from the same (p, q, k)
     if cfg["variant"] == "semi":
         if n % 2:
-            raise ConfigError(f"variant semi needs an even n, got {n}: odd n has only the retrograde report")
-        report, equiv = None, check_equivalence(pythagorean_pulse(p, q, k, n=n), np.eye(n), variant="semi", tol=tol)
+            raise ConfigError(f"{cfg['source']['variant']}, {cfg['source']['n']}: variant semi needs an even n, "
+                              f"got {n}: odd n has only the retrograde report")
+        report = check_equivalence(pythagorean_pulse(p, q, k, n=n), np.eye(n), variant="semi", tol=tol)
     else:  # basic_cpts measures the equivalence against Y on its one half step
         report = basic_cpts(n, p, q, k, tol)
-        equiv = report.equivalence
-    payload = {
-        "n": n,
-        "variant": cfg["variant"],
-        # the two sides of the equivalence, each measured
-        "forward": equiv.propagator_matches,
-        "backward": equiv.doubled_state_matches,
-        "propagator_phase": [equiv.propagator_phase.real, equiv.propagator_phase.imag],
-        "doubled_phase": [equiv.doubled_phase.real, equiv.doubled_phase.imag],
-        "propagator_residual": equiv.propagator_residual,
-        "doubled_state_residual": equiv.doubled_state_residual,
-        "is_cpt": equiv.is_cpt,
-    }
-    ok = equiv.propagator_matches and equiv.doubled_state_matches
-    if report is not None:
-        payload["pairwise_transfers"] = [
-            {"index": r.index, "orthogonality_residual": r.orthogonality_residual, "ok": r.ok}
-            for r in report.records
-        ]
-        payload["uniform_target_residual"] = report.uniform_target_residual
-        payload["sign"] = [report.sign.real, report.sign.imag]
-        ok = ok and report.all_ok
-    payload["pass"] = ok
-    _print_json(payload)
-    return 0 if ok else 1
+    _print_json({"n": n, "variant": cfg["variant"], **report.as_json()})
+    return 0 if report.passed else 1
 
 
 def _cmd_suite(cfg: dict) -> int:
+    from .suite import run_suite  # here, so no other command compiles it
+
     report = run_suite(tol=cfg["tol"])
     width = max(len(r.name) for r in report.results)
     for r in report.results:
@@ -489,18 +462,8 @@ def _cmd_suite(cfg: dict) -> int:
     )
     print(summary)
     if cfg["json"]:
-        # timings stay in the human-readable table only, so the JSON
-        # artifact is byte-identical across runs
-        payload = {
-            "all_passed": report.all_passed,
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in report.results
-            ],
-        }
         with open(cfg["json"], "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            _print_json(report.as_json(), fh)
     return 0 if report.all_passed else 1
 
 

@@ -90,6 +90,11 @@ class CptCertificate:
     def passed(self) -> bool:
         return self.fidelity >= 1.0 - self.tolerance
 
+    def as_json(self) -> dict:
+        """The certificate as plain JSON values, the phase as [re, im]."""
+        return {"fidelity": self.fidelity, "target_index": self.target_index, "tau": self.tau, "pass": self.passed,
+                "phase": [self.phase.real, self.phase.imag]}
+
 
 @dataclass(frozen=True)
 class ForbiddenScanReport:

@@ -196,6 +196,23 @@ class EquivalenceReport:
     def as_pair(self) -> tuple[bool, bool]:
         return (self.propagator_matches, self.doubled_state_matches)
 
+    @property
+    def passed(self) -> bool:
+        return self.propagator_matches and self.doubled_state_matches
+
+    def as_json(self) -> dict:
+        """The report as plain JSON values, each phase as [re, im]; ``trace_y`` is left out."""
+        return {
+            "forward": self.propagator_matches,
+            "backward": self.doubled_state_matches,
+            "propagator_phase": [self.propagator_phase.real, self.propagator_phase.imag],
+            "doubled_phase": [self.doubled_phase.real, self.doubled_phase.imag],
+            "propagator_residual": self.propagator_residual,
+            "doubled_state_residual": self.doubled_state_residual,
+            "is_cpt": self.is_cpt,
+            "pass": self.passed,
+        }
+
 
 def check_equivalence(
     base: PulseSchedule,
@@ -434,6 +451,22 @@ class BasicCptReport:
     @property
     def all_ok(self) -> bool:
         return self.combination_bound <= self.tolerance and self.uniform_target_residual <= self.tolerance
+
+    @property
+    def passed(self) -> bool:
+        return self.equivalence.passed and self.all_ok
+
+    def as_json(self) -> dict:
+        """The equivalence's JSON, then each pair's verdict, the uniform residual, the sign as [re, im]."""
+        payload = self.equivalence.as_json()
+        del payload["pass"]  # re-added last, as this report's own verdict
+        payload["pairwise_transfers"] = [
+            {"index": r.index, "orthogonality_residual": r.orthogonality_residual, "ok": r.ok} for r in self.records
+        ]
+        payload["uniform_target_residual"] = self.uniform_target_residual
+        payload["sign"] = [self.sign.real, self.sign.imag]
+        payload["pass"] = self.passed
+        return payload
 
 
 def basic_cpts(n: int, p: int, q: int, k: float = 0.0, tol: float = CPT_TOL) -> BasicCptReport:

@@ -18,9 +18,8 @@ from pythcpt import cli, reference_tables, retrograde, suite
 from pythcpt.cli import main
 from pythcpt.dynamics import SystemSpec, coupling_graph, lab_hamiltonian, simulate, verify_cpt
 from pythcpt.frames import EntangledFrame
-from pythcpt.retrograde import basic_cpts
 from pythcpt.suite import run_suite
-from pythcpt.tolerances import COUPLING_ZERO_REL
+from pythcpt.tolerances import COUPLING_ZERO_REL, CPT_TOL
 from pythcpt.triples import params_from_pair
 
 
@@ -75,14 +74,11 @@ def test_verify_reports_the_integer_phase(capsys, n, pqk):
     p, q, k = pqk
     code, out, _ = run_cli(capsys, "verify", "--p", str(p), "--q", str(q), "--k", repr(k), "--n", n)
     assert code == 0
-    payload = json.loads(out)
     cert = verify_cpt(SystemSpec(n=int(n), params=params_from_pair(p, q, k)))
-    assert payload["phase"] == [cert.phase.real, cert.phase.imag]
-    # |amp|^2 and |amp| differ in their last bits at most of these inputs
-    assert (payload["fidelity"], payload["tau"]) == (cert.fidelity, cert.tau)
     # the amplitude is (-1)^((p+q)/2), so its distance from that sign is rounding alone
-    sign = (-1) ** ((p + q) // 2)
-    assert payload["phase_error"] == abs(cert.phase - sign) < 1e-13
+    phase_error = abs(cert.phase - (-1) ** ((p + q) // 2))
+    assert phase_error < 1e-13
+    assert out == json.dumps({**cert.as_json(), "phase_error": phase_error}, indent=2) + "\n"
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -363,45 +359,40 @@ def test_coefficient_labels_keep_their_sign():
     assert [cli._coeff_str(c) for c in coefficients] == ["", "-", "2", "-2", "sqrt(3)", "-sqrt(3)", None]
 
 
-def test_retro_payload_is_the_library_report(capsys):
-    # tol 3e-15 lies between the two sides' residuals (3.98e-15 and 1.79e-15), so it separates them
-    tol = 3e-15
-    code, out, _ = run_cli(capsys, "retro", "--p", "7", "--q", "3", "--k", "0.3", "--n", "4", "--tol", str(tol))
-    report = basic_cpts(4, 7, 3, 0.3, tol)
-    equiv = report.equivalence
-    assert equiv.doubled_state_residual < tol < equiv.propagator_residual and report.sign.imag != 0
-    assert json.loads(out) == {
-        "n": 4,
-        "variant": "retrograde",
-        "forward": False,
-        "backward": True,
-        "propagator_phase": [equiv.propagator_phase.real, equiv.propagator_phase.imag],
-        "doubled_phase": [equiv.doubled_phase.real, equiv.doubled_phase.imag],
-        "propagator_residual": equiv.propagator_residual,
-        "doubled_state_residual": equiv.doubled_state_residual,
-        "is_cpt": True,
-        "pairwise_transfers": [
-            {"index": r.index, "orthogonality_residual": r.orthogonality_residual, "ok": r.ok} for r in report.records
-        ],
-        "uniform_target_residual": report.uniform_target_residual,
-        "sign": [report.sign.real, report.sign.imag],
-        "pass": False,
-    }
-    assert code == 1
+def test_symbolic_label_writes_other_coefficients_to_six_digits():
+    # one 2x2 matrix per name (V12, V23, V34, V14); entry (1, 2) holds each name's coefficient
+    def basis(*coefficients):
+        return [np.array([[0.0, c], [c, 0.0]]) for c in coefficients]
+
+    assert cli._symbolic_label(1, 2, basis(0.5, -1.2345678, 0.0, 1.0)) == "0.5V12-1.23457V23+V14"
+    assert cli._symbolic_label(1, 2, basis(0.0, 0.0, -1.2345678, -2.0)) == "-1.23457V34-2V14"
+    assert cli._symbolic_label(1, 2, basis(0.0, 1e-13, 0.0, 0.0)) == "0"
+    assert cli._symbolic_label(1, 1, basis(0.5, -1.2345678, 0.0, 1.0)) == "0"
 
 
-def test_retro_pass_reads_all_ok(capsys, monkeypatch):
+def _all_ok_fails(real):
     # no tol fails all_ok alone (the propagator residual is the largest), so a report is edited to fail it
-    real = cli.basic_cpts
+    return lambda *args: dataclasses.replace(real(*args), combination_bound=1.0)
 
-    def failing_combinations(*args):
-        return dataclasses.replace(real(*args), combination_bound=1.0)
 
-    monkeypatch.setattr(cli, "basic_cpts", failing_combinations)
-    code, out, _ = run_cli(capsys, "retro", "--p", "7", "--q", "3", "--k", "0.3", "--n", "4")
-    payload = json.loads(out)
-    assert payload["forward"] is True and payload["backward"] is True
-    assert payload["pass"] is False and code == 1
+@pytest.mark.parametrize(
+    "variant, tol, defect, passed",
+    [("retrograde", CPT_TOL, None, True), ("retrograde", 3e-15, None, False),
+     ("retrograde", CPT_TOL, _all_ok_fails, False), ("semi", CPT_TOL, None, False)],
+    ids=["passes", "forward_fails", "all_ok_fails", "semi"],
+)
+def test_retro_prints_the_report_as_json(capsys, monkeypatch, variant, tol, defect, passed):
+    if defect is not None:
+        monkeypatch.setattr(retrograde, "basic_cpts", defect(retrograde.basic_cpts))
+    argv = ["retro", "--p", "7", "--q", "3", "--k", "0.3", "--n", "4", "--variant", variant, "--tol", repr(tol)]
+    code, out, _ = run_cli(capsys, *argv)
+    if variant == "semi":
+        report = retrograde.check_equivalence(retrograde.pythagorean_pulse(7, 3, 0.3, n=4), np.eye(4), "semi", tol)
+    else:
+        report = retrograde.basic_cpts(4, 7, 3, 0.3, tol)
+    assert report.passed is passed
+    assert out == json.dumps({"n": 4, "variant": variant, **report.as_json()}, indent=2) + "\n"
+    assert code == (0 if passed else 1)
 
 
 _BAD_PAIRS = {"even_p": (4, 1), "p_not_above_q": (3, 5), "q_below_one": (3, -1), "huge_p": (10**155 + 1, 1)}
@@ -501,14 +492,15 @@ def test_retro_odd_rejects_semi(capsys, tmp_path, source):
     for n in (3, 5, 31):
         if source == "flag":
             argv = ["retro", "--p", "3", "--q", "1", "--n", str(n), "--variant", "semi"]
+            named = "--variant, --n"
         else:
             config = tmp_path / "semi.json"
             config.write_text(json.dumps({"p": 3, "q": 1, "n": n, "variant": "semi"}))
             argv = ["retro", "--config", str(config)]
+            named = "config field 'variant', config field 'n'"
         code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "semi" in err and err.count("\n") == 1
+        assert (code, out) == (2, "")
+        assert err == f"error: {named}: variant semi needs an even n, got {n}: odd n has only the retrograde report\n"
 
 
 def test_simulate_huge_t_max_is_invalid_input(capsys, recwarn):
@@ -745,11 +737,9 @@ def test_suite_rejects_unsupported_n(capsys, tmp_path):
 def test_suite_failure_reaches_the_json_and_the_exit_code(capsys, tmp_path):
     path = tmp_path / "strict.json"
     code, _, _ = run_cli(capsys, "suite", "--tol", "1e-300", "--json", str(path))
-    payload = json.loads(path.read_text())
-    expected = [r.passed for r in run_suite(tol=1e-300).results]
-    assert expected.count(False) == 5 and len(expected) == 11
-    assert [c["passed"] for c in payload["checks"]] == expected
-    assert payload["all_passed"] is False
+    report = run_suite(tol=1e-300)
+    assert report.all_passed is False
+    assert path.read_text() == json.dumps(report.as_json(), indent=2) + "\n"
     assert code == 1
 
 
@@ -846,6 +836,14 @@ def _phase_flipped(real):
     return check_equivalence
 
 
+def _doubled_state_missed(real):
+    def check_equivalence(base, y, **kw):
+        report = real(base, y, **kw)
+        return dataclasses.replace(report, doubled_state_matches=False) if len(base.segments) > 1 else report
+
+    return check_equivalence
+
+
 def _control_matches(real):
     def check_equivalence(base, y, **kw):
         report = real(base, y, **kw)
@@ -906,6 +904,7 @@ def _tau_not_scaled(real):
         (lambda: suite._check_odd_dimension(1e-9), "general_even_frame", _odd_frame_accepted),
         (lambda: suite._check_pairwise_transfers(1e-9), "basic_cpts", _every_pulse_is_3_1),
         (lambda: suite._check_doubled_space_equivalence(1e-9), "check_equivalence", _phase_flipped),
+        (lambda: suite._check_doubled_space_equivalence(1e-9), "check_equivalence", _doubled_state_missed),
         (lambda: suite._check_doubled_space_equivalence(1e-9), "check_equivalence", _control_matches),
         (lambda: suite._check_two_level_family(1e-9), "forbidden_scan", _state_2_fills),
         (lambda: suite._check_sixteen_level_transfer(1e-9), "simulate", _no_revival),
@@ -919,6 +918,7 @@ def _tau_not_scaled(real):
         "odd_dimension-odd_frame",
         "pairwise_transfers-basic_gap",
         "doubled_space_equivalence-phase",
+        "doubled_space_equivalence-backward",
         "doubled_space_equivalence-control",
         "two_level_family-leak",
         "sixteen_level_transfer-revival",

@@ -400,6 +400,42 @@ def test_verify_cpt_default_frame_beyond_eight_levels(n, pqk):
     assert cert.passed
 
 
+@pytest.mark.parametrize("pqk", [(3, 1, 0.0), (5, 1, 0.0), (7, 3, 0.3), (11, 5, -1.2)])
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_certificate_as_json_holds_its_fields(n, pqk):
+    cert = verify_cpt(SystemSpec(n=n, params=params_from_pair(*pqk)))
+    payload = cert.as_json()
+    assert list(payload) == ["fidelity", "target_index", "tau", "pass", "phase"]
+    assert payload["phase"] == [cert.phase.real, cert.phase.imag]
+    # |amp|^2 and |amp| differ in their last bits at most of these inputs
+    assert (payload["fidelity"], payload["tau"]) == (cert.fidelity, cert.tau)
+    assert (payload["target_index"], payload["pass"]) == (cert.target_index, True)
+    assert dataclasses.replace(cert, fidelity=0.5).as_json()["pass"] is False
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-5, -1e-5])
+@pytest.mark.parametrize("pqk", [(3, 1, 0.0), (7, 3, 0.3), (11, 5, -1.2), (101, 7, 0.5)])
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_a_timing_error_costs_the_quadratic_infidelity_law(n, pqk, delta):
+    # at t = tau (1 + delta) the transfer misses by 1 - F = (n^2 - 1) pi^2 c delta^2 / 6 to leading order
+    p, q, _ = pqk
+    params = params_from_pair(*pqk)
+    late = verify_cpt(SystemSpec(n=n, params=dataclasses.replace(params, tau=params.tau * (1 + delta))))
+    law = (n * n - 1) * math.pi**2 * (p * p + q * q) / 2 * delta**2 / 6
+    assert abs((1.0 - late.fidelity) / law - 1.0) <= 0.02
+
+
+def test_the_timing_infidelity_does_not_depend_on_k():
+    def late_infidelity(k):
+        params = params_from_pair(7, 3, k)
+        return 1.0 - verify_cpt(SystemSpec(n=4, params=dataclasses.replace(params, tau=params.tau * 1.0001))).fidelity
+
+    reference = late_infidelity(0.0)
+    assert reference > 1e-6
+    for k in (0.3, -1.2, 5.0):
+        assert abs(late_infidelity(k) - reference) <= 1e-14, k
+
+
 def test_verify_cpt_general_even():
     cert = verify_cpt(SystemSpec(n=6, params=params_from_pair(3, 1, 0.0)))
     assert cert.target_index == 31

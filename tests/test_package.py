@@ -68,3 +68,13 @@ def test_resolved_names_are_not_cached():
         "assert pythcpt.verify_cpt is real\n"
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_loads_only_the_layers_every_command_shares():
+    # retro and suite import their layers when they run, so no other command compiles them
+    proc = run_fresh(
+        "import sys, pythcpt.cli\n"
+        "loaded = {'pythcpt.retrograde', 'pythcpt.suite', 'pythcpt.reference_tables'} & set(sys.modules)\n"
+        "assert not loaded, sorted(loaded)\n"
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -733,3 +736,74 @@ def test_equivalence_is_cpt_reads_the_given_tolerance():
     assert not check_equivalence(pulse, np.eye(2), "semi").is_cpt
     assert not check_equivalence(pulse, np.eye(2), "semi", tol=0.99).is_cpt
     assert check_equivalence(pulse, np.eye(2), "semi", tol=1.0).is_cpt
+
+
+def _separating_report():
+    # tol 3e-15 lies between the two sides' residuals (3.98e-15 and 1.79e-15), so it separates them
+    tol = 3e-15
+    report = basic_cpts(4, 7, 3, 0.3, tol)
+    equiv = report.equivalence
+    assert equiv.doubled_state_residual < tol < equiv.propagator_residual and report.sign.imag != 0
+    return report
+
+
+def test_equivalence_as_json_is_the_report():
+    equiv = _separating_report().equivalence
+    payload = equiv.as_json()
+    assert list(payload) == [
+        "forward", "backward", "propagator_phase", "doubled_phase", "propagator_residual", "doubled_state_residual",
+        "is_cpt", "pass",
+    ]
+    assert payload == {
+        "forward": False,
+        "backward": True,
+        "propagator_phase": [equiv.propagator_phase.real, equiv.propagator_phase.imag],
+        "doubled_phase": [equiv.doubled_phase.real, equiv.doubled_phase.imag],
+        "propagator_residual": equiv.propagator_residual,
+        "doubled_state_residual": equiv.doubled_state_residual,
+        "is_cpt": True,
+        "pass": False,
+    }
+    assert json.loads(json.dumps(payload)) == payload  # plain JSON values
+
+
+@pytest.mark.parametrize("forward", [True, False])
+@pytest.mark.parametrize("backward", [True, False])
+def test_equivalence_passed_is_forward_and_backward(forward, backward):
+    report = check_equivalence(pythagorean_pulse(3, 1), y_matrix(2))
+    report = dataclasses.replace(report, propagator_matches=forward, doubled_state_matches=backward)
+    assert report.passed is (forward and backward)
+    assert report.as_json()["pass"] is report.passed
+
+
+def test_basic_cpt_report_as_json_is_the_report():
+    report = _separating_report()
+    equiv = report.equivalence
+    payload = report.as_json()
+    assert list(payload) == [*list(equiv.as_json())[:-1], "pairwise_transfers", "uniform_target_residual", "sign", "pass"]
+    assert payload == {
+        "forward": False,
+        "backward": True,
+        "propagator_phase": [equiv.propagator_phase.real, equiv.propagator_phase.imag],
+        "doubled_phase": [equiv.doubled_phase.real, equiv.doubled_phase.imag],
+        "propagator_residual": equiv.propagator_residual,
+        "doubled_state_residual": equiv.doubled_state_residual,
+        "is_cpt": True,
+        "pairwise_transfers": [
+            {"index": r.index, "orthogonality_residual": r.orthogonality_residual, "ok": r.ok} for r in report.records
+        ],
+        "uniform_target_residual": report.uniform_target_residual,
+        "sign": [report.sign.real, report.sign.imag],
+        "pass": False,
+    }
+    assert report.passed is False
+    assert json.loads(json.dumps(payload)) == payload  # plain JSON values
+
+
+def test_basic_cpt_report_passed_reads_all_ok():
+    # no tol fails all_ok alone (the propagator residual is the largest), so a report is edited to fail it
+    report = dataclasses.replace(basic_cpts(4, 7, 3, 0.3), combination_bound=1.0)
+    payload = report.as_json()
+    assert report.equivalence.passed and not report.all_ok
+    assert payload["forward"] is True and payload["backward"] is True
+    assert report.passed is False and payload["pass"] is False
