@@ -10,7 +10,9 @@ nearest-neighbour couplings are the V's of :func:`pythcpt.triples.lab_couplings`
 in units of tau: the CLI ``simulate`` traces, the suite's 16-level
 check and :func:`forbidden_scan` all read its populations. It never
 forms the n^2 x n^2 Hamiltonian: the propagator is u1(t) (x) u2(t), so
-two n x n ``eigh`` calls replace one n^2 x n^2 ``eigh``, and the phases
+two n x n eigenbases replace one n^2 x n^2 ``eigh`` (at n = 2 each is
+the closed-form rotation by atan2(Omega, Delta)/2, above it ``eigh``
+of the lifted factor), and the phases
 of all T grid points come from two small tables per factor, about
 2n sqrt(T) complex exponentials in all, where the dense evolution takes
 n^2 complex exponentials per point. Each eigen-index folds with its
@@ -47,7 +49,12 @@ _MIRROR_SIGNS = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, -1.0], [1.0, -1
 # GEMM outputs) then stays below glibc's default 128 KiB mmap threshold, comes from the heap and is reused by the next
 # block and the next call instead of being mapped and faulted in afresh. At 64 KiB the free heap top a 10^4-point
 # forbidden_scan leaves grows from 0.53 to 0.64 MB, at glibc's trim threshold, and its pages can be returned and
-# refaulted on every call; 32 KiB leaves no less heap in use and only adds per-block overhead.
+# refaulted on every call; 32 KiB leaves no less heap in use and only adds per-block overhead. Re-measured in 30 s
+# triple_sweep runs (one BLAS thread, 2-CPU x86-64): 64 and 96 KiB took 4 % off each pass while the heap top stayed
+# in use, but as the harness's records grew the heap, glibc trimmed and refaulted it on every call for up to 9 passes,
+# each 30-50 % slower (96 KiB: 1.25 million minor faults in a run at seed 41, 0.17 million at seed 13; 64 KiB: 0.6
+# million at seeds 7 and 13; 48 KiB: under 7 thousand at each of the three). 120 KiB and one whole-grid block were
+# 28 % and 61 % slower than 48 KiB throughout (10 s runs).
 _BLOCK_BYTES = 48 * 1024
 
 
@@ -128,11 +135,19 @@ def build_h_single(n: int, delta: float, omega: float) -> np.ndarray:
     return 2.0 * delta * rep.J3 + 2.0 * omega * rep.J1
 
 
+@functools.lru_cache(maxsize=SPIN_CACHE_SIZE)
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n identity of :func:`build_h_tp`, built once per n."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def build_h_tp(n: int, params: CouplingParams) -> np.ndarray:
     """Two-factor Hamiltonian h1 (x) I + I (x) h2 in the product basis."""
     h1 = build_h_single(n, params.delta1, params.omega1)
     h2 = build_h_single(n, params.delta2, params.omega2)
-    eye = np.eye(n)
+    eye = _identity(n)
     return kron(h1, eye) + kron(eye, h2)
 
 
@@ -166,6 +181,18 @@ def _ladder_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     for a in (mirrored, ranks):
         a.flags.writeable = False
     return mirrored, ranks
+
+
+def _two_level_eigenbasis(delta: float, omega: float) -> np.ndarray:
+    """Eigenvectors of delta*sigma_z + omega*sigma_x in :func:`simulate`'s mirrored order: +omega first, then -omega.
+
+    With phi = atan2(omega, delta)/2 they are (cos phi, sin phi) and
+    (-sin phi, cos phi), the columns of a rotation by phi; ``eigh``
+    lists the same two in ascending order, up to sign.
+    """
+    phi = math.atan2(omega, delta) / 2
+    c, s = math.cos(phi), math.sin(phi)
+    return np.array([[c, -s], [s, c]])
 
 
 def _features(n: int, omegas: list[float], dt: float, points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -230,8 +257,9 @@ def simulate(spec: SystemSpec, t_max_tau: float, steps: int) -> SimulationResult
     The propagator is u1(t) (x) u2(t), and each real factor
     h_i = 2 Delta_i J3 + 2 Omega_i J1 has the spin ladder
     omega_i (2k - n + 1), omega_i = hypot(Delta_i, Omega_i), as its
-    spectrum. So each factor is diagonalized once (two n x n ``eigh``
-    calls), E = W kron(V1, V2) is real orthogonal with lab state 1 at
+    spectrum. So each factor's eigenbasis is taken once: at n = 2 in
+    closed form (:func:`_two_level_eigenbasis`), above it by one n x n
+    ``eigh``. E = W kron(V1, V2) is real orthogonal with lab state 1 at
     coefficients E[0]. The eigen-index k and its mirror n - 1 - k have
     opposite ladder values mu = 2k - n + 1, so each harmonic pair
     (|mu1|, |mu2|) gathers four terms of E diag(E[0]), and their sums
@@ -262,7 +290,7 @@ def simulate(spec: SystemSpec, t_max_tau: float, steps: int) -> SimulationResult
     t_max = t_max_tau * p.tau
     w = lab_frame(n)
     drives = ((p.delta1, p.omega1), (p.delta2, p.omega2))
-    omegas = np.hypot((p.delta1, p.delta2), (p.omega1, p.omega2)).tolist()
+    omegas = [math.hypot(delta, omega) for delta, omega in drives]
     # Python floats overflow to inf without a warning, so this raises before numpy sees the product
     if not all(math.isfinite((n - 1) * omega * t_max) for omega in omegas):
         raise ValueError(f"factor phase (n - 1) * omega * |t| is not finite at |t| = {t_max!r}")
@@ -270,8 +298,11 @@ def simulate(spec: SystemSpec, t_max_tau: float, steps: int) -> SimulationResult
     times = np.linspace(0.0, t_max_tau, points)
     dt = t_max / max(steps, 1)
     half = n // 2
-    mirrored = _ladder_indices(n)[0]
-    v1, v2 = (np.linalg.eigh(build_h_single(n, delta, omega))[1][:, mirrored] for delta, omega in drives)
+    if n == 2:
+        v1, v2 = (_two_level_eigenbasis(delta, omega) for delta, omega in drives)
+    else:
+        mirrored = _ladder_indices(n)[0]
+        v1, v2 = (np.linalg.eigh(build_h_single(n, delta, omega))[1][:, mirrored] for delta, omega in drives)
     e = _rows_times_kron(w, v1, v2)
     terms = (e * e[0]).reshape(n * n, 2, half, 2, half).transpose(0, 1, 3, 2, 4).reshape(n * n, 4, -1)
     same, mixed = (_MIRROR_SIGNS @ terms).reshape(n * n, 2, -1).transpose(1, 0, 2)

@@ -18,7 +18,13 @@ Xeon); in a traced ``triple_sweep`` pass of 1024 items the gates' own
 time fell from 154 to 95 ms.
 
 Two functions evolve by a Hermitian generator. ``matexp_unitary``
-returns the whole propagator exp(-i h t). ``propagator_elements``
+returns the whole propagator exp(-i h t), chosen by shape: a 2 x 2 h
+(every two-level segment, as in the sweep's pulses) takes the SU(2)
+closed form e^{-i a t} [cos(r t) I - i (sin(r t)/r) (h - a I)] on
+Python scalars, with a the mean of the diagonal and r = hypot of the
+half-difference and |h01|; a larger h (the lifted spin-(n-1)/2
+generators) keeps ``eigh``. Either way ``require_hermitian`` runs
+before and ``require_unitary`` after. ``propagator_elements``
 returns only chosen matrix elements <bra_i| exp(-i h t) |ket_i>, read
 from the spectral decomposition without forming the propagator. It
 keeps three gates: ``require_hermitian`` on h, ``require_unitary`` on
@@ -27,12 +33,19 @@ UNITARITY_TOL, so a NaN or infinite t raises "propagator is not
 unitary").
 
 All functions are pure and operate on plain numpy arrays. Matrices are
-2-d ``ndarray``s, vectors 1-d. Everything here is exact up to
-eigendecomposition error, which is why propagators are computed by
-diagonalization rather than by series or Pade methods.
+2-d ``ndarray``s, vectors 1-d. Everything here is exact up to rounding
+of the closed form or eigendecomposition error, which is why
+propagators are computed that way rather than by series or Pade
+methods. The closed form is within 8 eps max(1, ||h|| |t|) of the
+complex ``eigh`` propagator for ||h|| |t| up to 1e9 (a tier-1 property
+test). Of that distance ``eigh`` carries most: in the five of 60,000
+random cases where the two differed most, a 50-digit reference put the
+closed form within 0.34 and ``eigh`` within 7.45 eps max(1, ||h|| |t|).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -126,21 +139,56 @@ def require_unitary(u: np.ndarray, what: str) -> None:
         )
 
 
+def _su2_exp(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i h t) of a 2 x 2 Hermitian ``h`` in closed form, on Python scalars.
+
+    With a = (h00 + h11)/2, d = (h00 - h11)/2, b = h01 and
+    r = hypot(d, |b|), h - a I = r n.sigma for a unit axis n, so
+    exp(-i h t) = e^{-i a t} [cos(r t) I - i (sin(r t)/r) (h - a I)],
+    where sin(r t)/r is t at r = 0. The lower-left entry uses conj(b),
+    so the result is a phase times an exact SU(2) form. ``hypot`` keeps
+    r to an ulp where sqrt(d^2 + |b|^2) rounds |b|^2 against d^2: on the
+    second segment of ``pythagorean_pulse(10**8 + 1, 1, 0.5)`` the sqrt
+    form was 2.45e-8 off a 50-digit reference, eigh and hypot 5.3e-9,
+    and on all 16 segments of the eight large-c pulses measured hypot
+    matched or beat eigh. A non-finite a t or r t gives NaN entries,
+    which :func:`require_unitary` then reports.
+    """
+    (h00, b), (_, h11) = h.tolist()
+    a, d = (h00.real + h11.real) / 2, (h00.real - h11.real) / 2
+    r = math.hypot(d, abs(b))
+    at, rt = a * t, r * t
+    if not (math.isfinite(at) and math.isfinite(rt)):
+        return np.full((2, 2), math.nan, dtype=complex)
+    cos_rt, sinc_t = math.cos(rt), (math.sin(rt) / r if r else t)
+    phase = complex(math.cos(at), -math.sin(at))
+    off = -1j * sinc_t * phase
+    return np.array([
+        [phase * complex(cos_rt, -sinc_t * d), off * b],
+        [off * b.conjugate(), phase * complex(cos_rt, sinc_t * d)],
+    ])
+
+
 def matexp_unitary(h: np.ndarray, t: float) -> np.ndarray:
     """Return ``exp(-i h t)`` for Hermitian ``h`` (hbar = 1).
 
-    Computed by diagonalizing ``h`` and exponentiating its (real)
-    eigenvalues, so the result is unitary to eigendecomposition
-    accuracy; ``h`` must pass :func:`require_hermitian` and the result
-    :func:`require_unitary`. The eigensolver follows the dtype of ``h``:
-    a real symmetric ``h`` takes the real solver, several times faster
-    than the complex one at the same size, and a complex Hermitian ``h``
-    the complex solver. The result is complex either way.
+    ``h`` must pass :func:`require_hermitian` and the result
+    :func:`require_unitary`, whatever the shape. A 2 x 2 ``h`` takes
+    the closed form of :func:`_su2_exp`, a few scalar operations. A
+    larger ``h`` is diagonalized and its (real) eigenvalues
+    exponentiated, so the result is unitary to eigendecomposition
+    accuracy. The eigensolver follows the dtype of ``h``: a real
+    symmetric ``h`` takes the real solver, several times faster than
+    the complex one at the same size, and a complex Hermitian ``h`` the
+    complex solver. The result is complex either way.
     """
     h = np.asarray(h)
     require_hermitian(h, "generator")
-    evals, evecs = np.linalg.eigh(h)
-    u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
+    if h.shape == (2, 2):
+        u = _su2_exp(h, t)
+    else:
+        evals, evecs = np.linalg.eigh(h)
+        u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
     require_unitary(u, "propagator")
     return u
 

@@ -486,6 +486,13 @@ def test_retro_serves_every_n(capsys, pqk):
         assert err == f"error: --n: n must be 2 <= n <= 32, got {n}\n"
 
 
+def test_retro_two_level_large_c_prints_its_report(capsys):
+    # valid input in the large-c tail: the report is printed and its verdict, limited by the float angles, is exit 1
+    code, out, err = run_cli(capsys, "retro", "--p", "100000001", "--q", "1", "--k", "0.5", "--n", "2")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["n"] == 2
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_retro_odd_rejects_semi(capsys, tmp_path, source):
     # odd n has only the retrograde report

@@ -153,7 +153,11 @@ def test_simulate_constant_under_zero_hamiltonian():
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 16])
-@pytest.mark.parametrize("pqk", [(3, 1, 0.0), (7, 3, -1.2), (101, 7, 0.5), (101, 1, 0.3)])
+# (3, 1, 1/3): Omega1 ~ 0 and Delta2 = 0; (3, 1, -5): both Delta < 0; (3, 1, -3): Delta1 = 0. Each is a branch of
+# the n = 2 eigenbasis angle atan2(Omega, Delta) / 2.
+@pytest.mark.parametrize(
+    "pqk", [(3, 1, 0.0), (7, 3, -1.2), (101, 7, 0.5), (101, 1, 0.3), (3, 1, 1 / 3), (3, 1, -5.0), (3, 1, -3.0)]
+)
 def test_simulate_matches_dense_oracle(n, pqk):
     spec = SystemSpec(n=n, params=params_from_pair(*pqk))
     times = np.linspace(0.0, 3.0 * spec.params.tau, 61)

@@ -1,9 +1,10 @@
 import functools
+import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pythcpt import linalg
@@ -22,7 +23,7 @@ from pythcpt.linalg import (
 )
 from pythcpt.retrograde import PulseSchedule, general_recipe, ordered_propagator, time_independent_conditions
 
-from dense_oracle import dense_simulate
+from dense_oracle import dense_propagator, dense_simulate
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -156,6 +157,36 @@ def test_matexp_rejects_non_hermitian():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="not Hermitian"):
         matexp_unitary(bad, 1.0)
+
+
+def test_matexp_rejects_non_hermitian_beyond_two_levels():
+    # a 2 x 2 generator takes the closed form and a larger one eigh; the gate runs before either
+    with pytest.raises(ValueError, match="not Hermitian"):
+        matexp_unitary(np.eye(3, k=1), 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    center=st.floats(-1.0, 1.0),
+    split=st.floats(-1.0, 1.0),
+    coupling=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    kind=st.sampled_from(["complex", "real", "scalar", "zero"]),
+    log_scale=st.floats(-6.0, 6.0),
+    log_norm_t=st.floats(-3.0, 9.0),
+    backwards=st.booleans(),
+)
+def test_two_level_matexp_matches_the_dense_oracle(center, split, coupling, kind, log_scale, log_norm_t, backwards):
+    # the closed form exp(-i h t) of a 2 x 2 h against eigh, to 8 eps * max(1, ||h|| |t|), for ||h|| |t| up to 1e9
+    b = complex(*coupling) if kind == "complex" else coupling[0]
+    if kind in ("scalar", "zero"):  # r = 0: a multiple of the identity, and h = 0
+        split, b = 0.0, 0.0
+        center = 0.0 if kind == "zero" else center
+    h = 10.0**log_scale * np.array([[center + split, b], [np.conj(b), center - split]])
+    norm = float(np.linalg.norm(h, 2))
+    t = 10.0**log_norm_t / (norm if norm else 1.0) * (-1.0 if backwards else 1.0)
+    assume(math.isfinite(t))  # a subnormal ||h|| overflows the time
+    err = float(np.abs(matexp_unitary(h, t) - dense_propagator(h, t)).max())
+    assert err <= 8 * np.finfo(float).eps * max(1.0, norm * abs(t))
 
 
 def test_hermiticity_gate_is_relative_to_the_largest_entry():
@@ -311,12 +342,17 @@ NAN = float("nan")
         (lambda: require_normalized(np.array([NAN, 0.0]), "v"), "v must be normalized"),
         (lambda: require_unitary(np.diag([NAN, 1.0]), "u"), "u is not unitary"),
         (lambda: matexp_unitary(SZ, NAN), "propagator is not unitary"),
+        (lambda: matexp_unitary(SZ, float("inf")), "propagator is not unitary"),
+        (lambda: matexp_unitary(np.diag([1.0, 0.0, -1.0]), NAN), "propagator is not unitary"),
         (lambda: propagator_elements(SZ, NAN, np.eye(2), np.eye(2)), "propagator is not unitary"),
         (lambda: propagator_elements(SZ, float("inf"), np.eye(2), np.eye(2)), "propagator is not unitary"),
         (lambda: complete_orthogonal([np.array([NAN, 0.0])]), "not orthonormal"),
         (lambda: complete_orthogonal([np.array([1.0 + NAN * 1j, 0.0])]), "must be real"),
     ],
-    ids=["hermitian", "normalized", "unitary", "matexp", "elements_nan", "elements_inf", "gram", "real_seeds"],
+    ids=[
+        "hermitian", "normalized", "unitary", "matexp", "matexp_inf", "matexp_eigh", "elements_nan", "elements_inf",
+        "gram", "real_seeds",
+    ],
 )
 def test_gates_reject_nan(gate, message):
     with pytest.raises(ValueError, match=message):

@@ -658,6 +658,14 @@ def test_basic_cpts_odd_n_overlap_and_pair():
     assert rep.equivalence.doubled_state_residual < 1e-9
 
 
+def test_basic_cpts_two_level_large_c_keeps_its_report():
+    # at (1e8 + 1, 1, 0.5) the 2 x 2 segment exponentials keep U(T, 0) proportional to Y, so a report is returned;
+    # a rotation rate r = sqrt(d^2 + |b|^2) in place of hypot(d, |b|) raised "not proportional to Y" here
+    rep = basic_cpts(2, 100000001, 1, 0.5)
+    assert rep.sign == -1  # (-1)^((p + q) / 2)
+    assert rep.equivalence.propagator_residual < 1e-8
+
+
 def test_basic_cpts_large_c_is_rejected():
     # at c near 1e9 the lifted pulse keeps Y only to ~3e-7, at odd n as at even n
     for n in (3, 4):
