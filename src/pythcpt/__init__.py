@@ -22,10 +22,10 @@ __version__ = "0.1.0"
 # {layer module: the names it exports}
 _EXPORTS = {
     "linalg": (
+        "chiral_amplitude",
         "complete_orthogonal",
         "kron",
         "matexp_unitary",
-        "propagator_elements",
         "unvectorize",
         "vectorize",
     ),

@@ -24,17 +24,22 @@ closed form e^{-i a t} [cos(r t) I - i (sin(r t)/r) (h - a I)] on
 Python scalars, with a the mean of the diagonal and r = hypot of the
 half-difference and |h01|; a larger h (the lifted spin-(n-1)/2
 generators) keeps ``eigh``. Either way ``require_hermitian`` runs
-before and ``require_unitary`` after. ``propagator_elements``
-returns only chosen matrix elements <bra_i| exp(-i h t) |ket_i>, read
-from the spectral decomposition without forming the propagator. It
-keeps three gates: ``require_hermitian`` on h, ``require_unitary`` on
-the eigenbasis, and unit modulus of the phases exp(-i lambda t) (to
-UNITARITY_TOL, so a NaN or infinite t raises "propagator is not
-unitary").
+before and ``require_unitary`` after. ``chiral_amplitude`` returns
+one element <bra| exp(-i h t) |ket> of a generator h that a signed
+reversal C anticommutes with, between states C fixes: sin(h t) swaps
+C's two sectors, so the element is <bra| cos(h t) |ket>, read from one
+SVD of the (d/2) x (d/2) block of h between the sectors. It forms no
+propagator and runs no d x d eigensolver; its gates are
+``require_hermitian`` on h, the chirality residual max|h + C h C|
+(CHIRALITY_TOL, relative as for Hermiticity), both states in the +1
+sector (SECTOR_TOL), ``require_unitary`` on the singular basis, and a
+finite sigma_max t (a NaN or infinite t raises "propagator is not
+unitary"). The full spectral element of any Hermitian h is a test
+oracle (``tests/dense_oracle.py``), not library code.
 
 All functions are pure and operate on plain numpy arrays. Matrices are
 2-d ``ndarray``s, vectors 1-d. Everything here is exact up to rounding
-of the closed form or eigendecomposition error, which is why
+of the closed form, eigendecomposition or SVD error, which is why
 propagators are computed that way rather than by series or Pade
 methods. The closed form is within 8 eps max(1, ||h|| |t|) of the
 complex ``eigh`` propagator for ||h|| |t| up to 1e9 (a tier-1 property
@@ -49,7 +54,15 @@ import math
 
 import numpy as np
 
-from .tolerances import COMPLETION_NONZERO, HERMITICITY_TOL, NORMALIZATION_TOL, ORTHONORMALITY_TOL, UNITARITY_TOL
+from .tolerances import (
+    CHIRALITY_TOL,
+    COMPLETION_NONZERO,
+    HERMITICITY_TOL,
+    NORMALIZATION_TOL,
+    ORTHONORMALITY_TOL,
+    SECTOR_TOL,
+    UNITARITY_TOL,
+)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -193,35 +206,58 @@ def matexp_unitary(h: np.ndarray, t: float) -> np.ndarray:
     return u
 
 
-def propagator_elements(h: np.ndarray, t: float, bras: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """Return ``<bras[i]| exp(-i h t) |kets[i]>`` for each row pair i.
+def chiral_amplitude(h: np.ndarray, t: float, signs: np.ndarray, bra: np.ndarray, ket: np.ndarray):
+    """Return ``<bra| exp(-i h t) |ket>`` for a generator ``h`` that a signed reversal C anticommutes with.
 
-    ``bras`` and ``kets`` hold one vector per row, and bras are
-    conjugated; a single bra and ket give a single element. With
-    h = V diag(lambda) V^dagger the
-    elements are sum_j (bra^dagger V)_j exp(-i lambda_j t) (V^dagger ket)_j,
-    from one ``eigh`` and two thin products: the propagator is never
-    formed, so no d x d reconstruction runs. The gates stand in for the
-    unitarity check of :func:`matexp_unitary`: ``h`` must pass
-    :func:`require_hermitian`, the eigenbasis :func:`require_unitary`,
-    and every phase must have unit modulus to UNITARITY_TOL.
+    C acts as (C v)[x] = signs[x] v[d - 1 - x] in even dimension d, with
+    ``signs`` of +-1 and signs[x] = signs[d - 1 - x], so C is a symmetric
+    involution; ``bra`` and ``ket`` must lie in its +1 sector. Then
+    sin(h t) maps that sector to the -1 sector and drops out, and the
+    element is <bra| cos(h t) |ket>. On the +1 basis
+    (e_x + signs[x] e_{d-1-x})/sqrt(2), x < d/2, a sector vector v has
+    coordinates sqrt(2) v[:d/2], and h^2 there is B B^dagger, with
+    B = h[:d/2, :d/2] - h[:d/2, ::-1][:, :d/2] signs[:d/2] the
+    (d/2) x (d/2) block of h from the -1 to the +1 sector. One SVD B = U Sigma V^dagger gives
+    cos(h t) = U cos(Sigma t) U^dagger there, so the element is
+    2 bra[:d/2]^dagger U cos(Sigma t) U^dagger ket[:d/2], real when h and
+    the states are. The SVD reads B itself; the eigenvalues of B B^T
+    would square it and lose ||B t||^2 to rounding at large t.
+
+    Gates: ``h`` must pass :func:`require_hermitian`; max|h + C h C| must
+    be within CHIRALITY_TOL * max(1, max|h|), max|h| read only when the
+    residual exceeds CHIRALITY_TOL; the 2-norm ||v - C v|| of ``bra`` and
+    ``ket`` within SECTOR_TOL; U must pass :func:`require_unitary`; and
+    sigma_max * t must be finite, else "propagator is not unitary", as
+    for :func:`matexp_unitary`.
     """
     h = np.asarray(h)
     require_hermitian(h, "generator")
-    evals, evecs = np.linalg.eigh(h)
-    require_unitary(evecs, "eigenbasis")
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite t is reported by the gate below
-        phases = np.exp(-1j * evals * t)
-        err = float(np.abs(np.abs(phases) - 1.0).max())
-    if not err <= UNITARITY_TOL:
-        raise ValueError(
-            f"propagator is not unitary: max ||exp(-i lambda t)| - 1| = {err:.3e} "
-            f"exceeds {UNITARITY_TOL:.0e} at t = {t!r}"
-        )
+    half = len(h) // 2
+    top = h[:half]
+    # row x >= d/2 of h + C h C is row d - 1 - x reversed and signed, so the top half holds every residual
+    residual = h[::-1, ::-1][:half] * signs
+    residual *= signs[:half, None]
+    residual += top
+    dev = float(np.abs(residual).max())
+    if not dev <= CHIRALITY_TOL:
+        scale = max(1.0, float(np.abs(h).max()))
+        if not dev <= CHIRALITY_TOL * scale:
+            raise ValueError(
+                f"generator does not anticommute with C: max |h + C h C| = {dev:.3e} "
+                f"exceeds {CHIRALITY_TOL:.0e} * max(1, max|h|) = {CHIRALITY_TOL * scale:.3e}"
+            )
+    for what, v in (("bra", bra), ("ket", ket)):
+        odd = v - signs * v[::-1]
+        err = math.sqrt(np.vdot(odd, odd).real)
+        if not err <= SECTOR_TOL:
+            raise ValueError(f"{what} is not in the +1 sector of C: ||v - C v|| = {err:.3e} exceeds {SECTOR_TOL:.0e}")
+    u, sigma, _ = np.linalg.svd(top[:, :half] - top[:, ::-1][:, :half] * signs[:half])
+    require_unitary(u, "eigenbasis")
+    # Python floats overflow to inf without a warning, and every sigma_k t is at most this one
+    if not math.isfinite(float(sigma[0]) * t):
+        raise ValueError(f"propagator is not unitary: sigma_max * t is not finite at t = {t!r}")
     # the conj() method returns a real array itself, where np.conj copies it
-    left = np.asarray(bras).conj() @ evecs  # row i: bra_i^dagger V
-    right = (np.asarray(kets).conj() @ evecs).conj()  # row i: (V^dagger ket_i)^T
-    return (left * right) @ phases
+    return 2.0 * ((bra[:half].conj() @ u) * np.cos(sigma * t)) @ (ket[:half] @ u.conj())
 
 
 def complete_orthogonal(rows: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:

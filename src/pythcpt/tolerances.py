@@ -34,6 +34,13 @@ UNITARITY_TOL = 1e-10
 NORMALIZATION_TOL = 1e-10
 # max|S S^T - I| and max|Im S| of the seed rows given to complete_orthogonal; as NORMALIZATION_TOL, for a row set.
 ORTHONORMALITY_TOL = 1e-10
+# max|h + C h C| relative to max(1, max|h|), C the signed reversal of chiral_amplitude (Y (x) Y in verify_cpt): C is a
+# signed permutation, so a drive built chiral is exactly so, and a conjugated one to ~dim*eps*max|h|, as for
+# HERMITICITY_TOL.
+CHIRALITY_TOL = 1e-12
+# ||v - C v||_2 of a bra or ket read in C's +1 sector: the transfer rows V(I)/sqrt(n), V(Y)/sqrt(n) are fixed exactly,
+# and the amplitude drops the -1 part, so a state whose -1 part is above rounding is refused.
+SECTOR_TOL = 1e-12
 # A QR completion entry above this in modulus is its row's first nonzero, made positive; QR zeros round to ~eps.
 COMPLETION_NONZERO = 1e-12
 

@@ -1,13 +1,14 @@
-"""The per-n constants (the 2^N frame, the spin generators) are built once and read-only."""
+"""The per-n constants (the 2^N frame, the spin generators, the signs of C = Y (x) Y) are built once and read-only."""
 
 import inspect
 
 import numpy as np
 import pytest
 
-from pythcpt import frames, su2
+from pythcpt import dynamics, frames, su2
 from pythcpt.frames import MAX_N, build_w, general_even_frame, lab_frame, label_to_column
-from pythcpt.su2 import SPIN_CACHE_SIZE, spin_generators
+from pythcpt.linalg import kron
+from pythcpt.su2 import SPIN_CACHE_SIZE, spin_generators, y_matrix
 
 
 @pytest.mark.parametrize(
@@ -20,6 +21,7 @@ from pythcpt.su2 import SPIN_CACHE_SIZE, spin_generators
         lambda: spin_generators(4).J2.__setitem__((0, 1), 0.0),
         lambda: build_w(3).W[:, 0].__setitem__(0, 0.0),
         lambda: np.multiply(build_w(1).W, 2.0, out=build_w(1).W),
+        lambda: dynamics._chiral_signs(4).__setitem__(0, 0.0),
     ],
 )
 def test_cached_arrays_refuse_in_place_writes(write):
@@ -42,6 +44,17 @@ def test_spin_generators_builds_each_representation_once():
     assert all(spin_generators(6) is first for _ in range(4))
     info = su2._spin_rep.cache_info()
     assert (info.misses, info.hits, info.maxsize) == (1, 4, SPIN_CACHE_SIZE)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 16])
+def test_chiral_signs_are_built_once_and_are_y_kron_y(n):
+    dynamics._chiral_signs.cache_clear()
+    signs = dynamics._chiral_signs(n)
+    assert all(dynamics._chiral_signs(n) is signs for _ in range(3))
+    info = dynamics._chiral_signs.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 3, SPIN_CACHE_SIZE)
+    # C = Y (x) Y is the reversal with these signs: its one nonzero in row x sits in column n^2 - 1 - x
+    assert np.array_equal(kron(y_matrix(n), y_matrix(n)), np.diag(signs)[:, ::-1])
 
 
 @pytest.mark.parametrize("N", range(1, MAX_N + 1))

@@ -323,38 +323,42 @@ def test_simulate_folds_its_constant_into_two_real_half_maps(monkeypatch, n):
 
 def test_verify_cpt_reads_one_amplitude(monkeypatch):
     seen = []
-    real = dynamics.propagator_elements
+    real = dynamics.chiral_amplitude
 
-    def spy(h, t, bras, kets):
-        seen.append((np.shape(bras), np.shape(kets)))
-        return real(h, t, bras, kets)
+    def spy(h, t, signs, bra, ket):
+        seen.append((np.shape(h), np.shape(signs), np.shape(bra), np.shape(ket)))
+        return real(h, t, signs, bra, ket)
 
-    monkeypatch.setattr(dynamics, "propagator_elements", spy)
+    monkeypatch.setattr(dynamics, "chiral_amplitude", spy)
     for n in (2, 4, 6, 8):
         cert = verify_cpt(SystemSpec(n=n, params=params_from_pair(11, 5, -1.2)))
         # lab row n^2 - n is -V(Y)/sqrt(n), so the product-frame overlap is the amplitude's modulus
         assert cert.tp_overlap == abs(cert.phase)
-        assert seen.pop() == ((n * n,), (n * n,))
+        assert seen == [((n * n, n * n), (n * n,), (n * n,), (n * n,))]
+        seen.clear()
 
 
 def test_verify_cpt_takes_the_real_eigensolver(monkeypatch):
+    # one real SVD of the half-size block between C's sectors; no eigensolver, no full propagator
     seen = []
-    real_eigh = np.linalg.eigh
+    real_svd = np.linalg.svd
 
-    def eigh(a, *args, **kwargs):
+    def svd(a, *args, **kwargs):
         seen.append((np.shape(a), np.asarray(a).dtype))
-        return real_eigh(a, *args, **kwargs)
+        return real_svd(a, *args, **kwargs)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("verify_cpt formed a full propagator")
+        raise AssertionError("verify_cpt ran an eigensolver or formed a full propagator")
 
     assert not hasattr(dynamics, "matexp_unitary")
+    assert not hasattr(dynamics, "propagator_elements")
     monkeypatch.setattr(linalg, "matexp_unitary", refuse)
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "svd", svd)
     for n in (2, 4, 6):
         seen.clear()
         assert verify_cpt(SystemSpec(n=n, params=params_from_pair(3, 1, 0.3))).passed
-        assert seen == [((n * n, n * n), np.float64)]
+        assert seen == [((n * n // 2, n * n // 2), np.float64)]
 
 
 def test_verify_cpt_nan_tau_raises():
@@ -364,15 +368,38 @@ def test_verify_cpt_nan_tau_raises():
 
 
 def test_verify_cpt_rejects_a_non_orthonormal_eigenbasis(monkeypatch):
-    real_eigh = np.linalg.eigh
+    real_svd = np.linalg.svd
 
     def skewed(a, *args, **kwargs):
-        evals, evecs = real_eigh(a, *args, **kwargs)
-        evecs[:, 0] += 1e-6 * evecs[:, 1]
-        return evals, evecs
+        u, sigma, vh = real_svd(a, *args, **kwargs)
+        u[:, 0] += 1e-6 * u[:, 1]
+        return u, sigma, vh
 
-    monkeypatch.setattr(np.linalg, "eigh", skewed)
+    monkeypatch.setattr(np.linalg, "svd", skewed)
     with pytest.raises(ValueError, match="eigenbasis is not unitary"):
+        verify_cpt(SystemSpec(n=4, params=params_from_pair(3, 1, 0.3)))
+
+
+def test_verify_cpt_rejects_a_generator_that_c_does_not_negate(monkeypatch):
+    # h + c I commutes with C = Y (x) Y, so its evolution leaves the +1 sector and the cosine reading would be wrong
+    real = dynamics.build_h_tp
+    monkeypatch.setattr(dynamics, "build_h_tp", lambda n, params: real(n, params) + 1e-6 * np.eye(n * n))
+    with pytest.raises(ValueError, match="generator does not anticommute with C"):
+        verify_cpt(SystemSpec(n=4, params=params_from_pair(3, 1, 0.3)))
+
+
+@pytest.mark.parametrize("row, what", [(12, "bra"), (0, "ket")])
+def test_verify_cpt_rejects_a_transfer_row_outside_the_sector(monkeypatch, row, what):
+    # a lab frame whose transfer row is the product state e_1, which C sends to -e_14
+    real = dynamics.lab_frame
+
+    def frame(n):
+        w = real(n).copy()
+        w[row] = np.eye(n * n)[1]
+        return w
+
+    monkeypatch.setattr(dynamics, "lab_frame", frame)
+    with pytest.raises(ValueError, match=rf"^{what} is not in the \+1 sector of C"):
         verify_cpt(SystemSpec(n=4, params=params_from_pair(3, 1, 0.3)))
 
 

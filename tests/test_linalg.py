@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from pythcpt import linalg
 from pythcpt.frames import entanglement_entropy
 from pythcpt.linalg import (
+    chiral_amplitude,
     complete_orthogonal,
     hermiticity_deviation,
     kron,
     matexp_unitary,
-    propagator_elements,
     require_hermitian,
     require_normalized,
     require_unitary,
@@ -23,11 +23,16 @@ from pythcpt.linalg import (
 )
 from pythcpt.retrograde import PulseSchedule, general_recipe, ordered_propagator, time_independent_conditions
 
-from dense_oracle import dense_propagator, dense_simulate
+from dense_oracle import dense_propagator, dense_simulate, propagator_elements
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 SIG2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+# X (x) I + I (x) Z: Y_2 = i sigma_y negates both factors, so C = Y_2 (x) Y_2, the reversal with these signs,
+# anticommutes with it and fixes the Bell state vec(I)/sqrt(2)
+CHIRAL_H = np.kron(SX, np.eye(2)) + np.kron(np.eye(2), SZ)
+CHIRAL_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+BELL = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
 
 
 def test_kron_identity():
@@ -346,12 +351,16 @@ NAN = float("nan")
         (lambda: matexp_unitary(np.diag([1.0, 0.0, -1.0]), NAN), "propagator is not unitary"),
         (lambda: propagator_elements(SZ, NAN, np.eye(2), np.eye(2)), "propagator is not unitary"),
         (lambda: propagator_elements(SZ, float("inf"), np.eye(2), np.eye(2)), "propagator is not unitary"),
+        (lambda: chiral_amplitude(CHIRAL_H, NAN, CHIRAL_SIGNS, BELL, BELL), "propagator is not unitary"),
+        (lambda: chiral_amplitude(CHIRAL_H, float("inf"), CHIRAL_SIGNS, BELL, BELL), "propagator is not unitary"),
+        (lambda: chiral_amplitude(1e300 * CHIRAL_H, 1e10, CHIRAL_SIGNS, BELL, BELL), "propagator is not unitary"),
+        (lambda: chiral_amplitude(CHIRAL_H, 1.0, CHIRAL_SIGNS, BELL * NAN, BELL), "bra is not in the \\+1 sector"),
         (lambda: complete_orthogonal([np.array([NAN, 0.0])]), "not orthonormal"),
         (lambda: complete_orthogonal([np.array([1.0 + NAN * 1j, 0.0])]), "must be real"),
     ],
     ids=[
         "hermitian", "normalized", "unitary", "matexp", "matexp_inf", "matexp_eigh", "elements_nan", "elements_inf",
-        "gram", "real_seeds",
+        "chiral_nan", "chiral_inf", "chiral_overflow", "chiral_nan_bra", "gram", "real_seeds",
     ],
 )
 def test_gates_reject_nan(gate, message):
@@ -401,6 +410,37 @@ def test_propagator_elements_sigma_x_quarter_period():
 def test_propagator_elements_rejects_non_hermitian():
     with pytest.raises(ValueError, match="generator is not Hermitian"):
         propagator_elements(SIG2, 1.0, np.eye(2), np.eye(2))
+
+
+def test_chiral_amplitude_of_a_two_qubit_drive():
+    # exp(-i h t) = exp(-i X t) (x) exp(-i Z t), so <Bell| U |Bell> = tr(exp(-i X t) exp(-i Z t)) / 2 = cos(t)^2
+    for t in (0.0, 0.3, np.pi / 2, 2.0, -7.5):
+        got = chiral_amplitude(CHIRAL_H, t, CHIRAL_SIGNS, BELL, BELL)
+        assert np.isrealobj(got) and abs(got - np.cos(t) ** 2) <= 1e-15
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_chiral_amplitude_gates_a_part_that_commutes_with_c(scale):
+    # h + c I: the residual max|h + C h C| is 2c, held against CHIRALITY_TOL * max(1, max|h|)
+    h = scale * CHIRAL_H
+    allowed = linalg.CHIRALITY_TOL * max(1.0, np.abs(h).max())
+    chiral_amplitude(h + 0.25 * allowed * np.eye(4), 1.0, CHIRAL_SIGNS, BELL, BELL)
+    with pytest.raises(ValueError, match=r"generator does not anticommute with C: max \|h \+ C h C\| = "):
+        chiral_amplitude(h + allowed * np.eye(4), 1.0, CHIRAL_SIGNS, BELL, BELL)
+
+
+@pytest.mark.parametrize("what", ["bra", "ket"])
+def test_chiral_amplitude_gates_states_outside_the_sector(what):
+    # e_1 - C e_1 = e_1 + e_2 has norm sqrt(2); a state 1e-13 off the sector is rounding and passes
+    states = {"bra": BELL, "ket": BELL}
+    chiral_amplitude(CHIRAL_H, 1.0, CHIRAL_SIGNS, **{**states, what: BELL + 1e-13 * np.eye(4)[1]})
+    with pytest.raises(ValueError, match=rf"^{what} is not in the \+1 sector of C: \|\|v - C v\|\| = 1.414e\+00"):
+        chiral_amplitude(CHIRAL_H, 1.0, CHIRAL_SIGNS, **{**states, what: np.eye(4)[1]})
+
+
+def test_chiral_amplitude_rejects_non_hermitian():
+    with pytest.raises(ValueError, match="generator is not Hermitian"):
+        chiral_amplitude(CHIRAL_H + np.eye(4, k=1), 1.0, CHIRAL_SIGNS, BELL, BELL)
 
 
 def test_complete_orthogonal_standard_basis():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from pythcpt import dynamics, linalg, retrograde
 from pythcpt.dynamics import CPT_TOL, SystemSpec, build_h_single, build_h_tp, lab_hamiltonian, simulate, verify_cpt
 from pythcpt.frames import lab_frame
-from pythcpt.linalg import kron, matexp_unitary, propagator_elements, vectorize
+from pythcpt.linalg import chiral_amplitude, kron, matexp_unitary, vectorize
 from pythcpt.retrograde import (
     RetrogradeSystem,
     basic_cpts,
@@ -27,7 +27,7 @@ from pythcpt.retrograde import (
 from pythcpt.su2 import spin_generators, y_matrix
 from pythcpt.triples import OddPair, coupling_params, params_from_lab_couplings, params_from_pair, triple_from_pair
 
-from dense_oracle import dense_propagator, dense_simulate
+from dense_oracle import dense_propagator, dense_simulate, propagator_elements
 
 odd_pairs = st.tuples(st.integers(1, 60), st.integers(0, 59)).filter(lambda t: t[0] > t[1]).map(
     lambda t: (2 * t[0] + 1, 2 * t[1] + 1)
@@ -66,6 +66,35 @@ def test_verify_cpt_amplitude_matches_dense_oracle(pq, k, n):
     assert abs(cert.phase - dense) <= 1e-12
     assert abs(cert.fidelity - abs(dense) ** 2) <= 1e-12
     assert cert.passed
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    params=st.one_of(
+        st.tuples(odd_pairs, st.floats(-3.0, 3.0)).map(lambda t: params_from_pair(*t[0], t[1])),
+        st.tuples(st.tuples(*[st.floats(-3.0, 3.0)] * 4), st.floats(0.1, 2.0)).map(
+            lambda t: params_from_lab_couplings(*t)
+        ),
+    ),
+    n=st.sampled_from(range(2, 13, 2)),
+)
+@example(params=params_from_pair(119, 117, -3.0), n=12)
+def test_verify_cpt_amplitude_is_the_spectral_oracle_element(params, n):
+    """At CPT and off it: the certificate's amplitude is the dense spectral element, and exactly real."""
+    _assert_is_the_spectral_element(params, n)
+
+
+@pytest.mark.parametrize("n", range(2, 25, 2))
+def test_verify_cpt_is_the_spectral_oracle_element_at_every_even_n_to_24(n):
+    _assert_is_the_spectral_element(params_from_pair(11, 5, -1.2), n)
+
+
+def _assert_is_the_spectral_element(params, n):
+    w = lab_frame(n)
+    want = propagator_elements(build_h_tp(n, params), params.tau, w[n * n - n], w[0])
+    cert = verify_cpt(SystemSpec(n=n, params=params))
+    assert abs(cert.phase - want) <= 1e-12
+    assert cert.phase.imag == 0.0
 
 
 def _off_cpt_case(couplings, tau, n):
@@ -120,15 +149,17 @@ def test_verify_cpt_matches_the_dense_propagators(n, pqk):
     h = build_h_tp(n, params)
     w = lab_frame(n)
     vi, vy = (vectorize(m) / np.sqrt(n) for m in (np.eye(n), y_matrix(n)))
-    # the complex oracle's eigenvalues err by ~eps * max|h|, so its phase by ~eps * max|h| * tau
-    # (8e-8 at p = 10^8 + 1); matexp_unitary reconstructs from the same real spectrum as verify_cpt
+    # each oracle's eigenvalues err by ~eps * max|h|, so its phases by ~eps * max|h| * tau: 8e-8 for the complex
+    # solver and 6.6e-9 for matexp_unitary's real one at p = 10^8 + 1. The certificate reads cos(sigma tau) at its
+    # extremum, so its error is second order (1.4e-13 there) and is checked against the exact phase itself.
     oracle_phase_error = 4 * EPS * np.max(np.abs(h)) * params.tau
-    for u, phase_tol in ((dense_propagator(h, params.tau), 1e-12 + oracle_phase_error),
-                         (matexp_unitary(h, params.tau), 1e-12)):
+    for u in (dense_propagator(h, params.tau), matexp_unitary(h, params.tau)):
         amp = w[n * n - n] @ u @ w[0]
         assert abs(cert.fidelity - abs(amp) ** 2) <= 1e-12
         assert abs(cert.tp_overlap - abs(np.vdot(vy, u @ vi))) <= 1e-12
-        assert abs(cert.phase - amp) <= phase_tol
+        assert abs(cert.phase - amp) <= 1e-12 + oracle_phase_error
+    p, q, _ = pqk
+    assert abs(cert.phase - (-1) ** ((p + q) // 2)) <= 1e-12
     assert cert.passed
 
 
@@ -156,6 +187,32 @@ def test_certificate_error_grows_as_eps_p(pq, k, n):
     cert = verify_cpt(SystemSpec(n=n, params=params_from_pair(p, q, k)))
     assert abs(cert.phase - (-1) ** ((p + q) // 2)) <= LAW_C * n * EPS * p
     assert 1.0 - cert.fidelity <= LAW_C2 * n**2 * (EPS * p) ** 2 + LAW_FLOOR
+
+
+# The certificate's amplitude is real, so its distance to the sign s = (-1)^((p+q)/2) is 1 - |amp| =
+# (1 - F)/(1 + |amp|), about (1 - F)/2 (within 3.6e-15 in every case below): the float errors act as a slightly
+# wrong drive, which at first order only turns the phase, and a real amplitude cannot turn. The timing law
+# 1 - F ~ (n^2 - 1) psi^2 / 3 with psi ~ (pi/2) delta (p + q), delta the relative error of the angles, then gives
+# |phase - s| ~ (n^2 - 1) pi^2 (delta (p + q))^2 / 24, i.e. C2 n^2 (eps (p + q))^2 with C2 ~ 0.41 (delta/eps)^2.
+# Measured over four seeds of the design above (85,600 cases): (|phase - s| - floor) / (n eps (p + q))^2 <= 31.6
+# (each seed's maximum less its own floor: 14.7, 19.8, 23.5 and 31.6, so delta up to ~9 eps), and the floor,
+# the largest |phase - s| wherever n^2 (eps (p + q))^2 < eps, is at most 14 eps. Each constant is twice its
+# measured maximum, rounded up to a power of two, as for the first-order law's constants.
+PHASE_LAW_C2, PHASE_LAW_FLOOR = 64.0, 32 * EPS
+
+
+@settings(max_examples=60, deadline=None)
+@given(pq=pairs_to_1e9, k=st.floats(-3.0, 3.0, allow_nan=False), n=st.sampled_from(range(2, 17, 2)))
+@example(pq=(10**8 + 1, 1), k=0.5, n=8)
+@example(pq=(999999999, 7), k=0.3, n=16)
+@example(pq=(999999937, 1), k=0.5, n=2)
+@example(pq=(999999937, 1), k=0.5, n=4)
+@example(pq=(999999937, 1), k=0.5, n=6)
+def test_certificate_phase_error_is_second_order(pq, k, n):
+    p, q = pq
+    cert = verify_cpt(SystemSpec(n=n, params=params_from_pair(p, q, k)))
+    assert cert.phase.imag == 0.0
+    assert abs(cert.phase - (-1) ** ((p + q) // 2)) <= PHASE_LAW_C2 * n**2 * (EPS * (p + q)) ** 2 + PHASE_LAW_FLOOR
 
 
 @settings(max_examples=20, deadline=None)
@@ -208,6 +265,36 @@ def test_propagator_elements_match_matexp_unitary(d, pairs, seed, scale, t, comp
     want = np.einsum("ij,jk,ik->i", bras.conj(), matexp_unitary(h, t), kets)
     assert got.shape == (pairs,)
     assert np.max(np.abs(got - want)) <= 16 * EPS * d * (1.0 + np.max(np.abs(h)) * t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    half=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.0, 1e3),
+    t=st.floats(-10.0, 10.0),
+    complex_entries=st.booleans(),
+)
+def test_chiral_amplitude_matches_the_spectral_oracle(half, seed, scale, t, complex_entries):
+    """A random Hermitian h that a random signed reversal C negates, between states C fixes, to 16 eps d (1 + |h t|)."""
+    rng = np.random.default_rng(seed)
+
+    def sample(*shape):
+        return rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_entries else 0.0)
+
+    d = 2 * half
+    top = rng.choice([-1.0, 1.0], size=half)
+    signs = np.concatenate((top, top[::-1]))
+    # columns x < d/2: (e_x +- signs[x] e_{d-1-x}) / sqrt(2), orthonormal bases of C's +1 and -1 sectors
+    plus, minus = ((np.eye(d)[:, :half] + s * np.eye(d)[:, ::-1][:, :half] * top) / np.sqrt(2) for s in (1, -1))
+    off = plus @ sample(half, half) @ minus.T
+    h = off + off.conj().T
+    h *= scale / np.max(np.abs(h))
+    bra, ket = (plus @ v / np.linalg.norm(v) for v in (sample(half), sample(half)))
+    got = chiral_amplitude(h, t, signs, bra, ket)
+    want = propagator_elements(h, t, bra, ket)
+    assert abs(got - want) <= 16 * EPS * d * (1.0 + np.max(np.abs(h)) * abs(t))
+    assert np.isrealobj(got) != complex_entries
 
 
 def _assert_matches_complex_solver(h, t):
