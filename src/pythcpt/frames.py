@@ -204,7 +204,10 @@ def general_even_frame(n: int) -> np.ndarray:
 
     Rows 0 and n^2 - n are the transfer rows V(I)/sqrt(n) and
     V(Y_n)/sqrt(n) of :func:`build_w`, row-major stacked; the other
-    rows complete those two (:func:`pythcpt.linalg.complete_orthogonal`).
+    rows complete those two, written straight into place by
+    :func:`pythcpt.linalg.complete_orthogonal`. The seeds' support has
+    2n entries, so one QR of a (2n + 1)-by-2 block builds the frame, and
+    all but 2n - 1 of the other rows are unit vectors.
     Odd n is rejected because there V(I) and V(Y) are not orthogonal
     (trace(Y_n) = +-1); this is the one odd-n check of the frame path.
     """
@@ -215,9 +218,7 @@ def general_even_frame(n: int) -> np.ndarray:
         )
     v1 = vectorize(np.eye(n)) / np.sqrt(n)
     vy = vectorize(y_matrix(n).T) / np.sqrt(n)
-    q = complete_orthogonal([v1, vy])
-    target = n * n - n  # 0-based row index for V(Y)
-    return np.vstack([q[:1], q[2:target + 1], q[1:2], q[target + 1:]])
+    return complete_orthogonal([v1, vy], at=(0, n * n - n))
 
 
 def lab_frame(n: int) -> np.ndarray:

@@ -9,8 +9,10 @@ Each gate makes one elementwise pass and reads its maximum with the
 ``.max()`` method: ``require_unitary`` subtracts 1 from the diagonal of
 u u^dagger in place instead of allocating an identity, and
 ``require_hermitian`` reads max|h| only when the deviation exceeds
-HERMITICITY_TOL, since its scale is at least 1. The residuals are the
-same floats as ``np.max(np.abs(u @ u.conj().T - np.eye(d)))`` and
+HERMITICITY_TOL, since its scale is at least 1. A real residual takes
+its absolute value in place, so the Hermiticity gate of a real h makes
+one temporary, h - h^T. The residuals are the same floats as
+``np.max(np.abs(u @ u.conj().T - np.eye(d)))`` and
 ``np.max(np.abs(h - h.conj().T))``. On a 2 x 2 input the Hermitian gate
 takes 3 us instead of 7.4 and the unitary gate 4.5 to 5.8 us instead of
 6.1 to 8.4 (best of 9 in-process repeats, one BLAS thread, 2-CPU x86-64
@@ -51,6 +53,7 @@ closed form within 0.34 and ``eigh`` within 7.45 eps max(1, ||h|| |t|).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -103,10 +106,18 @@ def unvectorize(y: np.ndarray, m: int, n: int) -> np.ndarray:
     return y.reshape((m, n), order="F")
 
 
+def _max_abs(scratch: np.ndarray) -> float:
+    """max|scratch| of a temporary the caller drops: a real one takes its absolute value in place."""
+    return float((np.abs(scratch) if scratch.dtype.kind == "c" else np.abs(scratch, out=scratch)).max())
+
+
 def hermiticity_deviation(h: np.ndarray) -> float:
-    """Max elementwise deviation |h - h^dagger|."""
+    """Max elementwise deviation |h - h^dagger|; NaN if h holds one, 0 if h is empty.
+
+    h - h^dagger is the one temporary of a real h (see :func:`_max_abs`).
+    """
     h = np.asarray(h)
-    return float(np.abs(h - h.conj().T).max()) if h.size else 0.0
+    return _max_abs(h - h.conj().T) if h.size else 0.0
 
 
 def require_hermitian(h: np.ndarray, what: str) -> None:
@@ -141,11 +152,13 @@ def require_normalized(v: np.ndarray, what: str) -> np.ndarray:
 def require_unitary(u: np.ndarray, what: str) -> None:
     """Raise unless max|u u^dagger - I| <= UNITARITY_TOL.
 
-    The identity is subtracted from the diagonal of u u^dagger in place.
+    The identity is subtracted from the diagonal of u u^dagger in place,
+    through a flat view of the C-ordered product (``ravel``, not the
+    slower ``flat`` iterator).
     """
     gram = u @ u.conj().T
-    gram.flat[:: len(gram) + 1] -= 1
-    err = float(np.abs(gram).max())
+    gram.ravel()[:: len(gram) + 1] -= 1
+    err = _max_abs(gram)
     if not err <= UNITARITY_TOL:
         raise ValueError(
             f"{what} is not unitary: max |u u^dagger - I| = {err:.3e} exceeds {UNITARITY_TOL:.0e}"
@@ -238,7 +251,7 @@ def chiral_amplitude(h: np.ndarray, t: float, signs: np.ndarray, bra: np.ndarray
     residual = h[::-1, ::-1][:half] * signs
     residual *= signs[:half, None]
     residual += top
-    dev = float(np.abs(residual).max())
+    dev = _max_abs(residual)
     if not dev <= CHIRALITY_TOL:
         scale = max(1.0, float(np.abs(h).max()))
         if not dev <= CHIRALITY_TOL * scale:
@@ -251,7 +264,8 @@ def chiral_amplitude(h: np.ndarray, t: float, signs: np.ndarray, bra: np.ndarray
         err = math.sqrt(np.vdot(odd, odd).real)
         if not err <= SECTOR_TOL:
             raise ValueError(f"{what} is not in the +1 sector of C: ||v - C v|| = {err:.3e} exceeds {SECTOR_TOL:.0e}")
-    u, sigma, _ = np.linalg.svd(top[:, :half] - top[:, ::-1][:, :half] * signs[:half])
+    block = top[:, ::-1][:, :half] * signs[:half]
+    u, sigma, _ = np.linalg.svd(np.subtract(top[:, :half], block, out=block))
     require_unitary(u, "eigenbasis")
     # Python floats overflow to inf without a warning, and every sigma_k t is at most this one
     if not math.isfinite(float(sigma[0]) * t):
@@ -260,30 +274,56 @@ def chiral_amplitude(h: np.ndarray, t: float, signs: np.ndarray, bra: np.ndarray
     return 2.0 * ((bra[:half].conj() @ u) * np.cos(sigma * t)) @ (ket[:half] @ u.conj())
 
 
-def complete_orthogonal(rows: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
+def complete_orthogonal(rows: list[np.ndarray] | tuple[np.ndarray, ...], at: Sequence[int] | None = None) -> np.ndarray:
     """Complete real orthonormal rows to a full real orthogonal matrix.
 
-    The given k rows appear first, unchanged. The remaining rows are the
-    trailing columns of the complete QR factorization of the dim-by-k
+    The given k rows appear unchanged at rows ``at`` of the result, by
+    default the first k rows. The other rows, in order, are the trailing
+    columns k, k + 1, ... of the complete QR factor Q of the dim-by-k
     seed block ``seeds^T``, an orthonormal basis of the seeds'
-    complement. Each appended row is sign-fixed so its first nonzero
-    entry is positive, which makes the completion deterministic.
+    complement. Each is sign-fixed so its first nonzero entry is
+    positive, which makes the completion deterministic.
+
+    Every Householder vector of that QR lies on S, the union of the
+    seeds' support and the coordinates 0, ..., k - 1, so Q - I lives on
+    S x S. Only the |S|-by-k block ``seeds[:, S]^T`` is factorized, and
+    each column of Q outside S is a unit vector, already of sign +1, and
+    is written as one entry. For the seeds of
+    :func:`pythcpt.frames.general_even_frame` the result equals the
+    full-size factorization's (``tests/dense_oracle.py``) entry for
+    entry; for other seeds the two agree to rounding, because the BLAS
+    kernels may sum the products on S in another order.
     """
     if not rows:
         raise ValueError("at least one seed row is required")
-    seed = np.vstack([np.asarray(r).reshape(-1) for r in rows])
+    seed = np.array([np.asarray(r).reshape(-1) for r in rows])
     if np.iscomplexobj(seed) and not np.max(np.abs(seed.imag)) <= ORTHONORMALITY_TOL:
         raise ValueError("seed rows must be real")
     seed = seed.real.astype(float)
     k, dim = seed.shape
-    gram_err = np.max(np.abs(seed @ seed.T - np.eye(k)))
+    at = list(range(k)) if at is None else list(at)
+    if len(at) != k or len(set(at)) != k or not all(0 <= r < dim for r in at):
+        raise ValueError(f"at must name {k} distinct rows of 0..{dim - 1}, got {at}")
+    gram = seed @ seed.T
+    gram.ravel()[:: k + 1] -= 1
+    gram_err = _max_abs(gram)
     if not gram_err <= ORTHONORMALITY_TOL:
         raise ValueError(
             f"seed rows are not orthonormal within {ORTHONORMALITY_TOL:.1e} "
             f"(max Gram deviation {gram_err:.3e})"
         )
-    q, _ = np.linalg.qr(seed.T, mode="complete")
+    on_s = seed.any(axis=0)
+    on_s[:k] = True
+    support = on_s.nonzero()[0]
+    q, _ = np.linalg.qr(seed.take(support, axis=1).T, mode="complete")
     rest = q[:, k:].T
     first = np.argmax(np.abs(rest) > COMPLETION_NONZERO, axis=1)
-    rest = rest * np.sign(rest[np.arange(dim - k), first])[:, None]
-    return np.vstack([seed, rest])
+    rest *= np.sign(rest[np.arange(len(rest)), first])[:, None]
+    free = np.ones(dim, dtype=bool)
+    free[at] = False
+    free = free.nonzero()[0]  # row free[c - k] of the result is column c of Q
+    out = np.zeros((dim, dim))
+    out[free, np.arange(k, dim)] = 1.0
+    out[at] = seed
+    out[free[support[k:] - k, None], support] = rest
+    return out

@@ -10,13 +10,53 @@ reads chosen elements <bra| exp(-i h t) |ket> of any Hermitian h from
 its spectral decomposition, the reference for
 ``linalg.chiral_amplitude``, which reads one element from half the
 spectrum.
+
+Two builders keep their dense form here. :func:`dense_h_tp` is the
+Kronecker sum h1 (x) I + I (x) h2 from two ``kron`` products, the
+reference for ``dynamics.build_h_tp``, which writes the two terms into
+one array. :func:`dense_complete_orthogonal` factorizes the whole
+dim-by-k seed block, the reference for ``linalg.complete_orthogonal``,
+which factorizes only the seeds' support, and :func:`dense_even_frame`
+reorders its rows into ``frames.general_even_frame``'s.
 """
 
 import numpy as np
 
-from pythcpt.dynamics import SimulationResult
-from pythcpt.linalg import require_hermitian, require_normalized, require_unitary
-from pythcpt.tolerances import UNITARITY_TOL
+from pythcpt.dynamics import SimulationResult, build_h_single
+from pythcpt.linalg import kron, require_hermitian, require_normalized, require_unitary, vectorize
+from pythcpt.su2 import y_matrix
+from pythcpt.tolerances import COMPLETION_NONZERO, UNITARITY_TOL
+from pythcpt.triples import CouplingParams
+
+
+def dense_h_tp(n: int, params: CouplingParams) -> np.ndarray:
+    """h1 (x) I + I (x) h2 as the sum of two n^2 x n^2 Kronecker products."""
+    h1 = build_h_single(n, params.delta1, params.omega1)
+    h2 = build_h_single(n, params.delta2, params.omega2)
+    eye = np.eye(n)
+    return kron(h1, eye) + kron(eye, h2)
+
+
+def dense_complete_orthogonal(rows) -> np.ndarray:
+    """The seed rows, then the trailing columns of one complete QR of the dim-by-k ``seeds^T``, sign-fixed.
+
+    Each appended row is multiplied by the sign of its first entry above
+    COMPLETION_NONZERO, as the library does.
+    """
+    seed = np.vstack([np.asarray(r, dtype=float).reshape(-1) for r in rows])
+    k, dim = seed.shape
+    q, _ = np.linalg.qr(seed.T, mode="complete")
+    rest = q[:, k:].T
+    first = np.argmax(np.abs(rest) > COMPLETION_NONZERO, axis=1)
+    rest = rest * np.sign(rest[np.arange(dim - k), first])[:, None]
+    return np.vstack([seed, rest])
+
+
+def dense_even_frame(n: int) -> np.ndarray:
+    """``frames.general_even_frame(n)`` from :func:`dense_complete_orthogonal`: V(I) to row 0, V(Y) to row n^2 - n."""
+    q = dense_complete_orthogonal([vectorize(np.eye(n)) / np.sqrt(n), vectorize(y_matrix(n).T) / np.sqrt(n)])
+    target = n * n - n
+    return np.vstack([q[:1], q[2:target + 1], q[1:2], q[target + 1:]])
 
 
 def dense_simulate(h: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> SimulationResult:

@@ -21,7 +21,7 @@ from pythcpt.linalg import kron, matexp_unitary
 from pythcpt.reference_tables import sixteen_level_lab, sixteen_level_tp
 from pythcpt.triples import CouplingParams, lab_couplings, params_from_lab_couplings, params_from_pair
 
-from dense_oracle import dense_simulate
+from dense_oracle import dense_h_tp, dense_simulate
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -82,6 +82,27 @@ def test_h_tp_two_level_closed_form():
 def test_h_tp_zero_params():
     params = CouplingParams(0.0, 0.0, 0.0, 0.0, tau=1.0)
     assert np.max(np.abs(build_h_tp(3, params))) == 0.0
+
+
+def _h_tp_drives(n):
+    rng = np.random.default_rng(n)
+    scaled = [CouplingParams(*(rng.normal(size=4) * 10.0 ** rng.uniform(-3, 3, size=4)), tau=1.0) for _ in range(3)]
+    return scaled + [
+        CouplingParams(0.0, 0.0, 0.0, 0.0, tau=1.0),
+        CouplingParams(-1.5, 0.0, -0.25, 2.0, tau=1.0),  # both detunings negative, one coupling zero
+        CouplingParams(0.75, -2.0, 0.0, 0.0, tau=1.0),  # the second factor zero
+        params_from_pair(3, 1, -5.0),  # both detunings negative
+        params_from_pair(999999937, 1, 0.5),  # c about 5e17
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 33))
+def test_build_h_tp_equals_the_kron_oracle(n):
+    # the two scatters write the Kronecker sum's own floats, odd n included
+    for params in _h_tp_drives(n):
+        h, ref = build_h_tp(n, params), dense_h_tp(n, params)
+        assert h.dtype == ref.dtype and h.shape == ref.shape
+        assert np.array_equal(h, ref)
 
 
 def test_h_tp_sixteen_level_table():

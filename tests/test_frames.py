@@ -22,6 +22,8 @@ from pythcpt.reference_tables import sixteen_level_w
 from pythcpt.su2 import y_matrix
 from pythcpt.triples import params_from_pair
 
+from dense_oracle import dense_even_frame
+
 S2 = np.sqrt(2.0)
 ALL_N = tuple(range(1, MAX_N + 1))
 
@@ -282,7 +284,14 @@ def test_general_even_frame_factorizes_only_the_two_seeds(n, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", spy)
     general_even_frame(n)
-    assert shapes == [(n * n, 2)]
+    # the seeds' 2n-entry support and coordinate 1: Q - I lives there, so only that block is factorized
+    assert shapes == [(2 * n + 1, 2)]
+
+
+@pytest.mark.parametrize("n", range(2, 33, 2))
+def test_general_even_frame_equals_the_full_qr_oracle(n):
+    # factorizing only the seeds' support reproduces the full-size completion's rows and their order
+    assert np.array_equal(general_even_frame(n), dense_even_frame(n))
 
 
 def test_general_even_frame_rejects_odd():

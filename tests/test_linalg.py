@@ -23,7 +23,7 @@ from pythcpt.linalg import (
 )
 from pythcpt.retrograde import PulseSchedule, general_recipe, ordered_propagator, time_independent_conditions
 
-from dense_oracle import dense_propagator, dense_simulate, propagator_elements
+from dense_oracle import dense_complete_orthogonal, dense_propagator, dense_simulate, propagator_elements
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -469,3 +469,57 @@ def test_complete_orthogonal_rejects_bad_seeds():
         complete_orthogonal([np.array([1.0, 1.0])])
     with pytest.raises(ValueError, match="not orthonormal"):
         complete_orthogonal([np.array([1.0, 0.0]), np.array([1.0, 0.0])])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=st.integers(1, 64),
+    k=st.integers(1, 3),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    place=st.booleans(),
+)
+def test_complete_orthogonal_on_a_sparse_support_matches_the_full_qr(dim, k, density, seed, place):
+    assume(k <= dim)
+    rng = np.random.default_rng(seed)
+    support = np.flatnonzero(rng.random(dim) < density)
+    assume(len(support) >= k)
+    block = np.zeros((dim, k))
+    block[support] = np.linalg.qr(rng.normal(size=(len(support), k)))[0]
+    rows = list(block.T)
+    at = rng.permutation(dim)[:k].tolist() if place else None
+    q = complete_orthogonal(rows, at=at)
+    assert np.max(np.abs(q @ q.T - np.eye(dim))) <= 1e-12
+    dense = dense_complete_orthogonal(rows)
+    if at is None:
+        assert np.array_equal(q[:k], block.T)
+        assert np.max(np.abs(q - dense)) <= 1e-12
+    else:
+        # the seeds land on the rows named, in the order given, and the completion fills the others in order
+        assert np.array_equal(q[at], block.T)
+        rest = np.delete(q, at, axis=0)
+        assert np.array_equal(rest, complete_orthogonal(rows)[k:])
+        assert np.max(np.abs(rest - dense[k:]), initial=0.0) <= 1e-12
+
+
+def test_complete_orthogonal_factorizes_only_the_support(monkeypatch):
+    # e_3 and (e_1 + e_5)/sqrt(2) in dimension 8: the support {1, 3, 5} and the coordinates {0, 1}
+    shapes = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args, **kw: shapes.append(np.shape(a)) or qr(a, *args, **kw))
+    e3 = np.eye(8)[3]
+    mixed = (np.eye(8)[1] + np.eye(8)[5]) / np.sqrt(2)
+    q = complete_orthogonal([e3, mixed])
+    assert shapes == [(4, 2)]
+    # rows for the columns of Q outside S are its unit columns
+    for c in (2, 4, 6, 7):
+        assert np.array_equal(q[c], np.eye(8)[c])
+
+
+@pytest.mark.parametrize(
+    "at, message",
+    [((0,), "2 distinct rows"), ((1, 1), "2 distinct rows"), ((0, 4), "rows of 0..3"), ((-1, 0), "rows of 0..3")],
+)
+def test_complete_orthogonal_rejects_bad_placements(at, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        complete_orthogonal([np.eye(4)[0], np.eye(4)[1]], at=at)

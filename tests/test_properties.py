@@ -89,6 +89,16 @@ def test_verify_cpt_is_the_spectral_oracle_element_at_every_even_n_to_24(n):
     _assert_is_the_spectral_element(params_from_pair(11, 5, -1.2), n)
 
 
+@settings(max_examples=80, deadline=None)
+@given(pq=odd_pairs, k=st.floats(-3.0, 3.0), n=st.sampled_from(range(2, 25, 2)))
+@example(pq=(67, 15), k=0.6446279777115618, n=2)  # F - 1 = 4 eps
+@example(pq=(7, 3), k=0.3, n=6)  # F - 1 = 6 eps
+def test_verify_cpt_fidelity_exceeds_one_by_the_dot_products_rounding_at_most(pq, k, n):
+    # |amp| is a float dot product of n^2/2 terms whose exact value is at most 1 (see verify_cpt)
+    cert = verify_cpt(SystemSpec(n=n, params=params_from_pair(*pq, k)))
+    assert cert.fidelity - 1.0 <= (n * n + 4) * np.finfo(float).eps
+
+
 def _assert_is_the_spectral_element(params, n):
     w = lab_frame(n)
     want = propagator_elements(build_h_tp(n, params), params.tau, w[n * n - n], w[0])
