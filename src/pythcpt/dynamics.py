@@ -23,16 +23,19 @@ n^2/2, one for Re psi and one for Im psi, each squared in place: no
 populations and times plus a few such blocks.
 
 :func:`verify_cpt` still builds the real n^2 x n^2 ``build_h_tp`` and
-the lab frame, but runs no n^2 x n^2 eigensolver, and both builds
-cost little next to its SVD: ``build_h_tp`` writes the Kronecker sum
-straight into one array, and the generic even-n frame factorizes only
-its two seeds' (2n + 1) x 2 block on their support; at n = 24 the two
-take 0.15 and 0.21 ms of a 15.9 ms certificate. Y_n = exp(i pi J2)
-negates every drive 2 Delta J3 + 2 Omega J1, so C = Y_n (x) Y_n
-anticommutes with h and fixes both transfer rows, V(I)/sqrt(n) and
-V(Y)/sqrt(n). The amplitude between them is therefore <a| cos(h tau) |b>,
-a real number, read from one real SVD of the (n^2/2) x (n^2/2) block of
-h between C's two sectors (:func:`pythcpt.linalg.chiral_amplitude`).
+the lab frame, but certifies from n x n data. It reads the two
+traceless factors back out of h (:func:`_kron_sum_factors`, through
+the same two views :func:`build_h_tp` writes them with) and gates
+every entry of h against their Kronecker sum in one pass. Y_n =
+exp(i pi J2) negates every drive 2 Delta J3 + 2 Omega J1, so
+C = Y_n (x) Y_n anticommutes with h and fixes both transfer rows,
+V(I)/sqrt(n) and V(Y)/sqrt(n). The amplitude between them is therefore
+real: it is sum_ab x_ab z_ab cos((lambda1_a + lambda2_b) tau) over the
+factors' eigenvalues, with x and z the two rows in the factors'
+eigenbases, from one batched n x n ``eigh`` (the closed form at
+n = 2). At n = 24 that is 2.3 ms a certificate; the SVD of the
+(n^2/2) x (n^2/2) block of h between C's sectors, an independent
+oracle in ``tests/dense_oracle.py``, takes 15.9 ms.
 """
 
 from __future__ import annotations
@@ -44,9 +47,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import lab_frame
-from .linalg import chiral_amplitude, kron, require_hermitian
+from .linalg import require_hermitian, require_unitary
 from .su2 import SPIN_CACHE_SIZE, spin_generators, y_matrix
-from .tolerances import COUPLING_ZERO_REL, CPT_TOL, FORBIDDEN_MAX_POP, require_tol
+from .tolerances import (
+    CHIRALITY_TOL,
+    COUPLING_ZERO_REL,
+    CPT_TOL,
+    FORBIDDEN_MAX_POP,
+    KRON_SUM_TOL,
+    SECTOR_TOL,
+    require_tol,
+)
 from .triples import CouplingParams
 
 # Rows: the (cos cos, sin sin, cos sin, sin cos) feature blocks of :func:`_feature_products`; columns: the
@@ -148,22 +159,76 @@ def build_h_single(n: int, delta: float, omega: float) -> np.ndarray:
     return 2.0 * delta * rep.J3 + 2.0 * omega * rep.J1
 
 
+def _kron_sum_views(h: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where h1 and h2 sit in h = h1 (x) I + I (x) h2: two (n, n, n) views of the product-basis h.
+
+    Row (i, a) of h is i n + a. The first view's [a] is the n x n block
+    of rows and columns (., a), where h1 sits once for each a; the
+    second view's [i] is the block of rows and columns (i, .), where h2
+    sits once for each i. The two meet on the diagonal. ``h`` must be
+    C-contiguous; both views write through to it. They are the einsum
+    views "iaja->aij" and "iaib->iab" of h.reshape(n, n, n, n), built
+    from their strides at half the call cost.
+    """
+    s = h.itemsize
+    return (
+        np.ndarray((n, n, n), h.dtype, h, strides=(s * (n * n + 1), s * n**3, s * n)),
+        np.ndarray((n, n, n), h.dtype, h, strides=(s * (n**3 + n), s * n * n, s)),
+    )
+
+
 def build_h_tp(n: int, params: CouplingParams) -> np.ndarray:
     """Two-factor Hamiltonian h1 (x) I + I (x) h2 in the product basis.
 
     Entry ((i, a), (j, b)) is h1[i, j] [a = b] + [i = j] h2[a, b], so it
-    is written into one zeroed (n, n, n, n) array through two writable
-    ``einsum`` diagonal views: h1 onto a = b, then h2 added onto i = j.
-    That equals the two-``kron`` sum of ``tests/dense_oracle.py`` entry
-    for entry, without its two n^2 x n^2 Kronecker factors.
+    is written into one zeroed n^2 x n^2 array through the two views of
+    :func:`_kron_sum_views`: h1 onto each block a = b, then h2 added
+    onto each block i = j. That equals the two-``kron`` sum of
+    ``tests/dense_oracle.py`` entry for entry, without its two
+    n^2 x n^2 Kronecker factors.
     """
     h1 = build_h_single(n, params.delta1, params.omega1)
     h2 = build_h_single(n, params.delta2, params.omega2)
-    h = np.zeros((n, n, n, n), dtype=np.result_type(h1, h2))
-    np.einsum("iaja->aij", h)[...] = h1
-    on_i_eq_j = np.einsum("aiaj->aij", h)
-    on_i_eq_j += h2
-    return h.reshape(n * n, n * n)
+    h = np.zeros((n * n, n * n), dtype=np.result_type(h1, h2))
+    on_h1, on_h2 = _kron_sum_views(h, n)
+    on_h1[...] = h1
+    on_h2 += h2
+    return h
+
+
+def _kron_sum_factors(h: np.ndarray) -> np.ndarray:
+    """The traceless factors (f1, f2) of an n^2 x n^2 h = f1 (x) I + I (x) f2, as one (2, n, n) array; gated.
+
+    Each factor is read from the first copy in :func:`_kron_sum_views`:
+    f1 from the block a = 0, which is h1 + h2[0, 0] I, and f2 from the
+    block i = 0, which is h2 + h1[0, 0] I, each less its mean diagonal.
+    The off-diagonal entries are copies, so a ``build_h_tp`` of integer
+    drives reads back its exact ``build_h_single`` factors.
+
+    Then every entry of h is checked, in one pass: the residual
+    h - (f1 (x) I + I (x) f2) is formed in h itself, through the same
+    views, so a C-contiguous h is overwritten and nothing of its size is
+    allocated. Its maximum must be within KRON_SUM_TOL * max(1, max|f1| +
+    max|f2|), max|f| read only when it exceeds KRON_SUM_TOL. Neither
+    factor carries a trace, so a part c I of h fails here.
+    """
+    h = np.ascontiguousarray(h)
+    n = math.isqrt(len(h))
+    on_h1, on_h2 = _kron_sum_views(h, n)
+    f = np.array((on_h1[0], on_h2[0]))
+    diagonals = f.reshape(2, n * n)[:, :: n + 1]
+    diagonals -= diagonals.sum(axis=1, keepdims=True) / n
+    on_h1 -= f[0]
+    on_h2 -= f[1]
+    dev = float(np.abs(h, out=h).max())
+    if not dev <= KRON_SUM_TOL:
+        scale = max(1.0, float(np.abs(f).max(axis=(1, 2)).sum()))
+        if not dev <= KRON_SUM_TOL * scale:
+            raise ValueError(
+                f"generator is not a traceless Kronecker sum: max |h - (h1 (x) I + I (x) h2)| = {dev:.3e} "
+                f"exceeds {KRON_SUM_TOL:.0e} * max(1, max|h1| + max|h2|) = {KRON_SUM_TOL * scale:.3e}"
+            )
+    return f
 
 
 def lab_hamiltonian(spec: SystemSpec) -> np.ndarray:
@@ -337,16 +402,48 @@ def simulate(spec: SystemSpec, t_max_tau: float, steps: int) -> SimulationResult
 
 
 @functools.lru_cache(maxsize=SPIN_CACHE_SIZE)
-def _chiral_signs(n: int) -> np.ndarray:
-    """The read-only signs of C = Y_n (x) Y_n as a signed reversal, built once per n.
+def _y_signs(n: int) -> np.ndarray:
+    """The read-only signs of Y_n acting on n x n matrices as a signed reversal, built once per n.
 
-    (C v)[x] = sigma_x v[n^2 - 1 - x] with sigma = d (x) d and
-    d_i = Y_n[i, n - 1 - i] = (-1)^i, the one nonzero of row i of Y_n.
+    (Y_n m Y_n^T)[i, j] = s[i, j] m[n - 1 - i, n - 1 - j] with s = d d^T
+    and d_i = Y_n[i, n - 1 - i] = (-1)^i, the one nonzero of row i of Y_n.
     """
     d = y_matrix(n)[np.arange(n), np.arange(n - 1, -1, -1)]
-    signs = kron(d, d)
+    signs = np.multiply.outer(d, d)
     signs.flags.writeable = False
     return signs
+
+
+def _require_chiral(f: np.ndarray, signs: np.ndarray) -> None:
+    """Raise unless max|f_i + Y f_i Y^T| <= CHIRALITY_TOL * max(1, max|f|) over both factors.
+
+    max|f| is read only when the residual exceeds CHIRALITY_TOL.
+    """
+    residual = f[:, ::-1, ::-1] * signs
+    residual += f
+    dev = float(np.abs(residual, out=residual).max())
+    if not dev <= CHIRALITY_TOL:
+        scale = max(1.0, float(np.abs(f).max()))
+        if not dev <= CHIRALITY_TOL * scale:
+            raise ValueError(
+                f"factor does not anticommute with Y: max |f + Y f Y^T| = {dev:.3e} "
+                f"exceeds {CHIRALITY_TOL:.0e} * max(1, max|f|) = {CHIRALITY_TOL * scale:.3e}"
+            )
+
+
+def _require_in_sector(rows: np.ndarray, signs: np.ndarray) -> None:
+    """Raise unless each of (ket, bra), as an n x n matrix m, has ||m - Y m Y^T||_F <= SECTOR_TOL.
+
+    Y m Y^T is C v for the row v = vec(m) and C = Y (x) Y, so this is
+    the 2-norm ||v - C v||.
+    """
+    odd = rows[:, ::-1, ::-1] * signs
+    np.subtract(rows, odd, out=odd)
+    for what, square in zip(("ket", "bra"), (odd * odd).sum(axis=(1, 2)).tolist()):
+        if not square <= SECTOR_TOL * SECTOR_TOL:
+            raise ValueError(
+                f"{what} is not in the +1 sector of C: ||v - C v|| = {math.sqrt(square):.3e} exceeds {SECTOR_TOL:.0e}"
+            )
 
 
 def verify_cpt(spec: SystemSpec, tol: float = CPT_TOL) -> CptCertificate:
@@ -357,47 +454,96 @@ def verify_cpt(spec: SystemSpec, tol: float = CPT_TOL) -> CptCertificate:
     global phase of the transfer amplitude. ``tol`` must be finite and
     positive.
 
-    The amplitude is the :func:`pythcpt.linalg.chiral_amplitude` of
-    ``build_h_tp`` between rows n^2 - n and 0 of the lab frame. Row 0 is
-    V(I)/sqrt(n) and row n^2 - n is -V(Y)/sqrt(n) with V(Y)
-    column-stacked, so the overlap is the amplitude's modulus. Y_n negates
-    every drive 2 Delta J3 + 2 Omega J1, so C = Y_n (x) Y_n, the signed
-    reversal of :func:`_chiral_signs`, anticommutes with h and fixes both
-    rows. The amplitude is then <row| cos(h tau) |row>, read from one real
-    SVD of the (n^2/2) x (n^2/2) block of h between C's two sectors, and
-    its imaginary part is exactly 0. No n^2 x n^2 eigensolver runs and no
-    propagator is formed.
+    The amplitude is <row n^2 - n| exp(-i h tau) |row 0> of the lab
+    frame, h = ``build_h_tp``. Row 0 is V(I)/sqrt(n) and row n^2 - n is
+    -V(Y)/sqrt(n) with V(Y) column-stacked, so the overlap is the
+    amplitude's modulus. h is read back as f1 (x) I + I (x) f2 with
+    traceless n x n factors (:func:`_kron_sum_factors`), so
+    exp(-i h tau) = exp(-i f1 tau) (x) exp(-i f2 tau). Reshaped
+    row-major, the two rows are n x n matrices A (row 0) and B, and with
+    f_i = V_i diag(lambda_i) V_i^T the amplitude is
+    sum_ab x_ab z_ab exp(-i (lambda1_a + lambda2_b) tau), x = V1^T A V2
+    and z = V1^T B V2. Y_n negates every drive 2 Delta J3 + 2 Omega J1
+    and fixes both rows (Y A Y^T = A), so it pairs each term with one of
+    the opposite angle and equal weight: the sines cancel and the
+    amplitude is the real sum_ab x_ab z_ab cos((lambda1_a + lambda2_b) tau).
+    Both eigenbases come from one batched n x n ``eigh``, or at n = 2
+    from the closed form of :func:`_two_level_eigenbasis`. No n^2 x n^2
+    eigensolver or SVD runs and no propagator is formed; past the one
+    O(n^4) pass of the Kronecker-sum gate, the work is O(n^3).
 
-    At CPT every cos(sigma_k tau) sits at +-1, so the rounding of the
-    angles acts only at second order: |phase - (-1)^((p+q)/2)| is about
-    (1 - F)/2, 7.2e-13 at (999999937, 1, 0.5) and n = 4.
+    At CPT every cos((lambda1_a + lambda2_b) tau) sits at +-1, so the
+    rounding of the angles acts only at second order:
+    |phase - (-1)^((p+q)/2)| is about (1 - F)/2, 3.0e-13 at
+    (999999937, 1, 0.5) and n = 4.
 
     Rounding can also put F a little above 1; the value is reported as
-    computed. The amplitude is 2 sum_k x_k cos(sigma_k tau) y_k over
-    m = n^2/2 terms, with x = U^T a and y = U^T b for the rows' halves a
-    and b, each of norm 1/sqrt(2), so the exact sum is at most
-    ||x|| ||y|| = 1/2 in modulus and |amp| at most 1. The float dot
-    product rounds by at most gamma_m ~ m eps/2 of that bound, the
-    n/2-term products that form x and y add O(n^(3/2) eps), and squaring
-    doubles the excess: F - 1 <= about n^2 eps/2 + O(n^(3/2) eps), below
-    (n^2 + 4) eps at every n. Over even n <= 24 and random triples the
-    largest excess seen was 4 eps at n = 2 and 10 eps at n = 6.
+    computed. Exactly, |amp| <= sum_ab |x_ab z_ab| <= ||x||_F ||z||_F,
+    and with V1, V2 orthogonal ||x||_F = ||A||_F = 1 and ||z||_F =
+    ||B||_F = 1. In floats, F - 1 <= ||x||_F^2 ||z||_F^2 - 1 plus twice
+    the rounding of the sum, to first order. (1) With
+    V_i V_i^T = I + E_i, ||x||_F^2 - 1 = <A, E1 A> + <A, A E2>, at most
+    ||E1||_2 + ||E2||_2, and likewise for z; the closed form at n = 2 is
+    a rotation to an eps, and ``eigh`` kept ||E||_2 within 8 eps at
+    n = 4 and 20 eps at n = 24 over random drives. (2) The two GEMMs
+    that form each of x and z round each entry by about n eps of its
+    terms' moduli, which sum to at most a few times |A| and |B| entries.
+    (3) The n^2 products x_ab z_ab cos(.) round by 2 eps each, and
+    numpy's pairwise ``ndarray.sum`` (eight running sums up to 128
+    terms) adds at most about (n^2/8 + log2(n^2)) eps. So F - 1 is
+    about 2 (||E1||_2 + ||E2||_2) + n^2 eps/4 + O(n eps) at most. That
+    is far below (n^2 + 4) eps from n = 6 on; at n = 2 only the sum
+    rounds (4 eps allowed); at n = 4 the bound rests on the eigenbases
+    staying as close to orthonormal as observed. Over even n <= 24 and
+    random triples the largest excess seen was 2 eps at n = 2, 16 eps
+    at n = 4 (20 allowed, once in 20,000 triples; 12 eps in 31) and
+    14 eps at n = 6.
 
-    Gates, from ``chiral_amplitude``: h Hermitian, the chirality residual
-    max|h + C h C|, both rows in C's +1 sector, an orthonormal singular
-    basis, and a finite sigma_max * tau.
+    Gates, in order: h within KRON_SUM_TOL of f1 (x) I + I (x) f2
+    (:func:`_kron_sum_factors`, one pass over h, which it overwrites;
+    a part of h that commutes with C, such as c I, fails here), both
+    factors Hermitian and negated by Y (CHIRALITY_TOL), both rows in
+    C's +1 sector (SECTOR_TOL), an orthonormal eigenbasis
+    (``require_unitary``), and a finite (max|lambda1| + max|lambda2|) tau.
 
-    Cost: 15.9 ms at n = 24 and 74 ms at n = 32 (best of 30, one BLAS
-    thread, 2-CPU x86-64), of which the SVD is about 12 and 60 ms. At
-    n = 24 ``lab_frame`` takes 0.21 ms, ``build_h_tp`` 0.15 ms and the
-    Hermiticity gate 0.9 ms.
+    Cost: 2.3 ms at n = 24 and 2.0 ms at n = 32, where the chiral-block
+    SVD oracle of ``tests/dense_oracle.py`` takes 15.9 and 76 ms (best
+    of 30, one BLAS thread, 2-CPU x86-64). At n = 24 ``lab_frame``
+    takes 0.22 ms, ``build_h_tp`` 0.16 ms, the Kronecker-sum gate
+    0.3 ms and ``eigh`` 0.09 ms; most of the rest is first-touch page
+    faults on the two fresh n^4 arrays, h and the frame, which glibc
+    hands back to the system between calls (0.95 ms a certificate with
+    its trim and mmap thresholds raised). The power-of-two frame at
+    n = 32 is cached, so n = 32 costs less than n = 24.
     """
     require_tol(tol)
     n = spec.n
     tau = spec.params.tau
     w = lab_frame(n)
     target = n * n - n  # 0-based
-    amp = float(chiral_amplitude(build_h_tp(n, spec.params), tau, _chiral_signs(n), w[target], w[0]))
+    # build_h_tp returns a fresh array, so the Kronecker-sum gate may overwrite it
+    f = _kron_sum_factors(build_h_tp(n, spec.params))
+    require_hermitian(f, "factor")
+    signs = _y_signs(n)
+    _require_chiral(f, signs)
+    rows = w[::target].reshape(2, n, n)  # lab rows 0 and n^2 - n: ket, bra
+    _require_in_sector(rows, signs)
+    if n == 2:
+        (d1, o1), (d2, o2) = f[:, 0].tolist()
+        bases = np.array((_two_level_eigenbasis(d1, o1), _two_level_eigenbasis(d2, o2)))
+        w1, w2 = math.hypot(d1, o1), math.hypot(d2, o2)
+        spectra = np.array(((w1, -w1), (w2, -w2)))
+        reach = (w1 + w2) * tau
+    else:
+        spectra, bases = np.linalg.eigh(f)
+        require_unitary(bases, "eigenbasis")
+        (low1, high1), (low2, high2) = spectra[:, :: n - 1].tolist()  # ascending, so the extremes
+        reach = (max(-low1, high1) + max(-low2, high2)) * tau
+    # Python floats overflow to inf without a warning, and every |lambda1_a + lambda2_b| tau is at most this one
+    if not math.isfinite(reach):
+        raise ValueError(f"propagator is not unitary: (max|lambda1| + max|lambda2|) * tau is not finite at tau = {tau!r}")
+    x, z = bases[0].T @ rows @ bases[1]
+    amp = float((x * z * np.cos((spectra[0][:, None] + spectra[1]) * tau)).sum())
     return CptCertificate(
         n=n,
         target_index=target + 1,

@@ -23,6 +23,15 @@ FORBIDDEN_MAX_POP = 1.0 - 1e-6
 # coupling_graph: |h_ij| up to this times max|h| is no edge (a 0.0 on the diagonal); a lab conjugation leaves
 # eps*max|h| in true zeros.
 COUPLING_ZERO_REL = 1e-10
+# max|h - (h1 (x) I + I (x) h2)| of verify_cpt's h, relative to max(1, max|h1| + max|h2|): the traceless factors are
+# read back with the diagonal rounded to ~eps*max|h|, so a non-Kronecker part or a trace part above rounding is refused.
+KRON_SUM_TOL = 1e-12
+# max|f + Y f Y^T| of each factor f of verify_cpt's h, relative to max(1, max|f|): Y is a signed reversal, so a drive
+# built chiral is exactly so, and one read back from h to ~eps*max|h|, as for HERMITICITY_TOL.
+CHIRALITY_TOL = 1e-12
+# ||v - C v||_2, C = Y (x) Y, of a transfer row: V(I)/sqrt(n) and V(Y)/sqrt(n) are fixed exactly, and the amplitude
+# drops the -1 part, so a row whose -1 part is above rounding is refused.
+SECTOR_TOL = 1e-12
 
 # Invariant gates (linalg)
 
@@ -34,13 +43,6 @@ UNITARITY_TOL = 1e-10
 NORMALIZATION_TOL = 1e-10
 # max|S S^T - I| and max|Im S| of the seed rows given to complete_orthogonal; as NORMALIZATION_TOL, for a row set.
 ORTHONORMALITY_TOL = 1e-10
-# max|h + C h C| relative to max(1, max|h|), C the signed reversal of chiral_amplitude (Y (x) Y in verify_cpt): C is a
-# signed permutation, so a drive built chiral is exactly so, and a conjugated one to ~dim*eps*max|h|, as for
-# HERMITICITY_TOL.
-CHIRALITY_TOL = 1e-12
-# ||v - C v||_2 of a bra or ket read in C's +1 sector: the transfer rows V(I)/sqrt(n), V(Y)/sqrt(n) are fixed exactly,
-# and the amplitude drops the -1 part, so a state whose -1 part is above rounding is refused.
-SECTOR_TOL = 1e-12
 # A QR completion entry above this in modulus is its row's first nonzero, made positive; QR zeros round to ~eps.
 COMPLETION_NONZERO = 1e-12
 

@@ -1,4 +1,4 @@
-"""The per-n constants (the 2^N frame, the spin generators, the signs of C = Y (x) Y) are built once and read-only."""
+"""The per-n constants (the 2^N frame, the spin generators, the signs of Y as a signed reversal) are built once and read-only."""
 
 import inspect
 
@@ -21,7 +21,7 @@ from pythcpt.su2 import SPIN_CACHE_SIZE, spin_generators, y_matrix
         lambda: spin_generators(4).J2.__setitem__((0, 1), 0.0),
         lambda: build_w(3).W[:, 0].__setitem__(0, 0.0),
         lambda: np.multiply(build_w(1).W, 2.0, out=build_w(1).W),
-        lambda: dynamics._chiral_signs(4).__setitem__(0, 0.0),
+        lambda: dynamics._y_signs(4).__setitem__((0, 0), 0.0),
     ],
 )
 def test_cached_arrays_refuse_in_place_writes(write):
@@ -47,14 +47,17 @@ def test_spin_generators_builds_each_representation_once():
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 16])
-def test_chiral_signs_are_built_once_and_are_y_kron_y(n):
-    dynamics._chiral_signs.cache_clear()
-    signs = dynamics._chiral_signs(n)
-    assert all(dynamics._chiral_signs(n) is signs for _ in range(3))
-    info = dynamics._chiral_signs.cache_info()
+def test_y_signs_are_built_once_and_are_y_as_a_signed_reversal(n):
+    dynamics._y_signs.cache_clear()
+    signs = dynamics._y_signs(n)
+    assert all(dynamics._y_signs(n) is signs for _ in range(3))
+    info = dynamics._y_signs.cache_info()
     assert (info.misses, info.hits, info.maxsize) == (1, 3, SPIN_CACHE_SIZE)
-    # C = Y (x) Y is the reversal with these signs: its one nonzero in row x sits in column n^2 - 1 - x
-    assert np.array_equal(kron(y_matrix(n), y_matrix(n)), np.diag(signs)[:, ::-1])
+    # Y m Y^T is m reversed in both axes and signed entrywise, for every n x n m
+    m = np.random.default_rng(n).normal(size=(n, n))
+    assert np.array_equal(y_matrix(n) @ m @ y_matrix(n).T, signs * m[::-1, ::-1])
+    # so C = Y (x) Y is the reversal of a row-major vec(m) with the signs read row-major
+    assert np.array_equal(kron(y_matrix(n), y_matrix(n)), np.diag(signs.ravel())[:, ::-1])
 
 
 @pytest.mark.parametrize("N", range(1, MAX_N + 1))

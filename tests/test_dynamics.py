@@ -343,43 +343,47 @@ def test_simulate_folds_its_constant_into_two_real_half_maps(monkeypatch, n):
 
 
 def test_verify_cpt_reads_one_amplitude(monkeypatch):
+    # the amplitude comes from the two n x n factors, read once out of build_h_tp's n^2 x n^2 h
     seen = []
-    real = dynamics.chiral_amplitude
+    real = dynamics._kron_sum_factors
 
-    def spy(h, t, signs, bra, ket):
-        seen.append((np.shape(h), np.shape(signs), np.shape(bra), np.shape(ket)))
-        return real(h, t, signs, bra, ket)
+    def spy(h):
+        seen.append(np.shape(h))
+        f = real(h)
+        seen.append(f.shape)
+        return f
 
-    monkeypatch.setattr(dynamics, "chiral_amplitude", spy)
+    monkeypatch.setattr(dynamics, "_kron_sum_factors", spy)
     for n in (2, 4, 6, 8):
         cert = verify_cpt(SystemSpec(n=n, params=params_from_pair(11, 5, -1.2)))
         # lab row n^2 - n is -V(Y)/sqrt(n), so the product-frame overlap is the amplitude's modulus
         assert cert.tp_overlap == abs(cert.phase)
-        assert seen == [((n * n, n * n), (n * n,), (n * n,), (n * n,))]
+        assert seen == [(n * n, n * n), (2, n, n)]
         seen.clear()
 
 
 def test_verify_cpt_takes_the_real_eigensolver(monkeypatch):
-    # one real SVD of the half-size block between C's sectors; no eigensolver, no full propagator
+    # one batched real eigh of the two n x n factors (the closed form at n = 2); no SVD, no n^2 x n^2 eigensolver
     seen = []
-    real_svd = np.linalg.svd
+    real_eigh = np.linalg.eigh
 
-    def svd(a, *args, **kwargs):
+    def eigh(a, *args, **kwargs):
         seen.append((np.shape(a), np.asarray(a).dtype))
-        return real_svd(a, *args, **kwargs)
+        return real_eigh(a, *args, **kwargs)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("verify_cpt ran an eigensolver or formed a full propagator")
+        raise AssertionError("verify_cpt ran an SVD, a general eigensolver or formed a full propagator")
 
     assert not hasattr(dynamics, "matexp_unitary")
     assert not hasattr(dynamics, "propagator_elements")
     monkeypatch.setattr(linalg, "matexp_unitary", refuse)
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
-    monkeypatch.setattr(np.linalg, "svd", svd)
-    for n in (2, 4, 6):
+    for name in ("svd", "eig", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    for n in (2, 4, 6, 8):
         seen.clear()
         assert verify_cpt(SystemSpec(n=n, params=params_from_pair(3, 1, 0.3))).passed
-        assert seen == [((n * n // 2, n * n // 2), np.float64)]
+        assert seen == ([] if n == 2 else [((2, n, n), np.float64)])
 
 
 def test_verify_cpt_nan_tau_raises():
@@ -389,24 +393,55 @@ def test_verify_cpt_nan_tau_raises():
 
 
 def test_verify_cpt_rejects_a_non_orthonormal_eigenbasis(monkeypatch):
-    real_svd = np.linalg.svd
+    real_eigh = np.linalg.eigh
 
     def skewed(a, *args, **kwargs):
-        u, sigma, vh = real_svd(a, *args, **kwargs)
-        u[:, 0] += 1e-6 * u[:, 1]
-        return u, sigma, vh
+        evals, evecs = real_eigh(a, *args, **kwargs)
+        evecs[..., :, 0] += 1e-6 * evecs[..., :, 1]
+        return evals, evecs
 
-    monkeypatch.setattr(np.linalg, "svd", skewed)
+    monkeypatch.setattr(np.linalg, "eigh", skewed)
     with pytest.raises(ValueError, match="eigenbasis is not unitary"):
         verify_cpt(SystemSpec(n=4, params=params_from_pair(3, 1, 0.3)))
 
 
-def test_verify_cpt_rejects_a_generator_that_c_does_not_negate(monkeypatch):
-    # h + c I commutes with C = Y (x) Y, so its evolution leaves the +1 sector and the cosine reading would be wrong
+def _plant_in_h_tp(monkeypatch, part):
+    """Make dynamics.build_h_tp return its h plus ``part(n)``."""
     real = dynamics.build_h_tp
-    monkeypatch.setattr(dynamics, "build_h_tp", lambda n, params: real(n, params) + 1e-6 * np.eye(n * n))
-    with pytest.raises(ValueError, match="generator does not anticommute with C"):
+    monkeypatch.setattr(dynamics, "build_h_tp", lambda n, params: real(n, params) + part(n))
+
+
+def test_verify_cpt_rejects_a_generator_that_c_does_not_negate(monkeypatch):
+    # h + c I commutes with C = Y (x) Y; read as traceless factors it leaves the residual c I, so the Kronecker-sum
+    # gate refuses it before the cosine reading could go wrong
+    _plant_in_h_tp(monkeypatch, lambda n: 1e-6 * np.eye(n * n))
+    with pytest.raises(ValueError, match=r"generator is not a traceless Kronecker sum: max \|h - \(h1 \(x\) I"):
         verify_cpt(SystemSpec(n=4, params=params_from_pair(3, 1, 0.3)))
+
+
+def test_verify_cpt_rejects_a_factor_that_y_does_not_negate(monkeypatch):
+    # a traceless J3^2 in the first factor is a Kronecker sum, but Y J3^2 Y^T = J3^2, so the chirality gate refuses it
+    def part(n):
+        j3 = np.diag(np.arange(n - 1, -n, -2) / 2)
+        return kron(1e-6 * (j3 @ j3 - np.trace(j3 @ j3) / n * np.eye(n)), np.eye(n))
+
+    _plant_in_h_tp(monkeypatch, part)
+    with pytest.raises(ValueError, match=r"factor does not anticommute with Y: max \|f \+ Y f Y\^T\| = "):
+        verify_cpt(SystemSpec(n=4, params=params_from_pair(3, 1, 0.3)))
+
+
+def test_verify_cpt_rejects_a_non_hermitian_factor(monkeypatch):
+    # an antisymmetric part of the second factor is a Kronecker sum, so the Hermiticity gate on the factors refuses it
+    _plant_in_h_tp(monkeypatch, lambda n: kron(np.eye(n), 1e-6 * (np.eye(n, k=1) - np.eye(n, k=-1))))
+    with pytest.raises(ValueError, match=r"factor is not Hermitian: max \|h - h\^dagger\| = "):
+        verify_cpt(SystemSpec(n=4, params=params_from_pair(3, 1, 0.3)))
+
+
+def test_verify_cpt_rejects_an_angle_that_overflows():
+    # each factor's largest eigenvalue is 5e307, finite; their sum times tau is not
+    params = CouplingParams(5e307, 0.0, 0.0, 5e307, tau=2.0)
+    with pytest.raises(ValueError, match=r"propagator is not unitary: \(max\|lambda1\| \+ max\|lambda2\|\) \* tau"):
+        verify_cpt(SystemSpec(n=2, params=params))
 
 
 @pytest.mark.parametrize("row, what", [(12, "bra"), (0, "ket")])
@@ -422,6 +457,49 @@ def test_verify_cpt_rejects_a_transfer_row_outside_the_sector(monkeypatch, row, 
     monkeypatch.setattr(dynamics, "lab_frame", frame)
     with pytest.raises(ValueError, match=rf"^{what} is not in the \+1 sector of C"):
         verify_cpt(SystemSpec(n=4, params=params_from_pair(3, 1, 0.3)))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_kron_sum_gate_holds_a_non_kronecker_part_to_its_tolerance(scale):
+    # +c on an entry of h1's block a = 0, which the read-back takes into f1, and -c on the same entry of the block
+    # a = 1: the residual there is 2c, held against KRON_SUM_TOL * max(1, max|h1| + max|h2|)
+    n = 4
+    h = scale * build_h_tp(n, params_from_pair(7, 3, 0.3))
+    f = dynamics._kron_sum_factors(h.copy())
+    allowed = dynamics.KRON_SUM_TOL * max(1.0, np.abs(f).max(axis=(1, 2)).sum())
+
+    def planted(c):
+        g = h.copy()
+        for (x, y), sign in (((0, n), 1.0), ((1, n + 1), -1.0)):  # rows and columns (i, a) = (0, a) and (1, a)
+            g[x, y] += sign * c
+            g[y, x] += sign * c
+        return g
+
+    dynamics._kron_sum_factors(planted(0.25 * allowed))
+    with pytest.raises(ValueError, match=r"generator is not a traceless Kronecker sum: max \|h - \(h1 \(x\) I"):
+        dynamics._kron_sum_factors(planted(allowed))
+
+
+@pytest.mark.parametrize("n", range(2, 33))
+def test_build_h_tp_layout_reads_back_its_traceless_factors(n):
+    # dyadic drives: the diagonals' sums and means are exact, and the off-diagonal entries are copies
+    exact = [
+        CouplingParams(3.0, -2.0, 5.0, 7.0, tau=1.0),
+        CouplingParams(0.0, 0.0, 0.0, 0.0, tau=1.0),
+        CouplingParams(-1.5, 0.0, -0.25, 2.0, tau=1.0),
+        CouplingParams(0.75, -2.0, 0.0, 0.0, tau=1.0),
+    ]
+    for params in exact + _h_tp_drives(n):
+        h = build_h_tp(n, params)
+        scale = np.abs(h).max()
+        want = np.array([build_h_single(n, params.delta1, params.omega1), build_h_single(n, params.delta2, params.omega2)])
+        got = dynamics._kron_sum_factors(h)
+        if params in exact:
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * scale
+        # the gate leaves the residual in h: rounding of the diagonal at most
+        assert np.max(h) <= 4 * np.finfo(float).eps * scale
 
 
 @pytest.mark.parametrize("tol", [float("inf"), -float("inf"), float("nan"), -1e-9, 0.0])

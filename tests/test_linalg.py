@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from pythcpt import linalg
 from pythcpt.frames import entanglement_entropy
 from pythcpt.linalg import (
-    chiral_amplitude,
     complete_orthogonal,
     hermiticity_deviation,
     kron,
@@ -22,8 +21,9 @@ from pythcpt.linalg import (
     vectorize,
 )
 from pythcpt.retrograde import PulseSchedule, general_recipe, ordered_propagator, time_independent_conditions
+from pythcpt.tolerances import CHIRALITY_TOL
 
-from dense_oracle import dense_complete_orthogonal, dense_propagator, dense_simulate, propagator_elements
+from dense_oracle import chiral_amplitude, dense_complete_orthogonal, dense_propagator, dense_simulate, propagator_elements
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -423,7 +423,7 @@ def test_chiral_amplitude_of_a_two_qubit_drive():
 def test_chiral_amplitude_gates_a_part_that_commutes_with_c(scale):
     # h + c I: the residual max|h + C h C| is 2c, held against CHIRALITY_TOL * max(1, max|h|)
     h = scale * CHIRAL_H
-    allowed = linalg.CHIRALITY_TOL * max(1.0, np.abs(h).max())
+    allowed = CHIRALITY_TOL * max(1.0, np.abs(h).max())
     chiral_amplitude(h + 0.25 * allowed * np.eye(4), 1.0, CHIRAL_SIGNS, BELL, BELL)
     with pytest.raises(ValueError, match=r"generator does not anticommute with C: max \|h \+ C h C\| = "):
         chiral_amplitude(h + allowed * np.eye(4), 1.0, CHIRAL_SIGNS, BELL, BELL)

@@ -21,7 +21,7 @@ def test_star_import_binds_exactly_all():
     namespace: dict = {}
     exec("from pythcpt import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(pythcpt.__all__)
-    assert len(pythcpt.__all__) == 56
+    assert len(pythcpt.__all__) == 55
     assert "time_independent_conditions" in pythcpt.__all__
 
 

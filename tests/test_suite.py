@@ -6,7 +6,8 @@ from pythcpt.suite import CheckResult, SuiteReport, run_suite
 def test_suite_report_as_json_holds_every_verdict_and_no_timing():
     report = run_suite(tol=1e-300)
     expected = [r.passed for r in report.results]
-    assert expected.count(False) == 5 and len(expected) == 11
+    # representation_lift passes even here: its n = 2, 4 and 8 fidelities at (3, 1, 0) read 1.0 or above
+    assert expected.count(False) == 4 and len(expected) == 11
     payload = report.as_json()
     assert list(payload) == ["all_passed", "checks"]
     assert payload["checks"] == [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in report.results]

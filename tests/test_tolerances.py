@@ -53,6 +53,7 @@ def test_every_constant_has_a_reason_line():
     [
         ("dynamics", "CPT_TOL"),
         ("dynamics", "require_tol"),
+        ("dynamics", "KRON_SUM_TOL"),
         ("linalg", "HERMITICITY_TOL"),
         ("linalg", "UNITARITY_TOL"),
         ("frames", "SYMMETRY_TOL"),
