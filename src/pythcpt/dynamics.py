@@ -482,22 +482,26 @@ def verify_cpt(spec: SystemSpec, tol: float = CPT_TOL) -> CptCertificate:
     and with V1, V2 orthogonal ||x||_F = ||A||_F = 1 and ||z||_F =
     ||B||_F = 1. In floats, F - 1 <= ||x||_F^2 ||z||_F^2 - 1 plus twice
     the rounding of the sum, to first order. (1) With
-    V_i V_i^T = I + E_i, ||x||_F^2 - 1 = <A, E1 A> + <A, A E2>, at most
-    ||E1||_2 + ||E2||_2, and likewise for z; the closed form at n = 2 is
-    a rotation to an eps, and ``eigh`` kept ||E||_2 within 8 eps at
-    n = 4 and 20 eps at n = 24 over random drives. (2) The two GEMMs
-    that form each of x and z round each entry by about n eps of its
-    terms' moduli, which sum to at most a few times |A| and |B| entries.
-    (3) The n^2 products x_ab z_ab cos(.) round by 2 eps each, and
-    numpy's pairwise ``ndarray.sum`` (eight running sums up to 128
+    V_i V_i^T = I + E_i, ||x||_F^2 - 1 = <A, E1 A> + <A, A E2>. A and
+    B are orthogonal over sqrt(n) (the identity, and Y_n up to sign and
+    transpose), so both terms together are (tr E1 + tr E2)/n, for z as
+    for x; tr E_i is the columns' total excess of squared length.
+    ``eigh``'s columns run a few eps long each (tr E_i up to 20 eps at
+    n = 4), so after the unitarity gate each is rescaled to unit
+    length, which leaves tr E_i at the rescaling's rounding, about an
+    eps a column, as for the closed-form rotation at n = 2. (2) The two
+    GEMMs that form each of x and z round each entry by about n eps of
+    its terms' moduli, which sum to at most a few times |A| and |B|
+    entries. (3) The n^2 products x_ab z_ab cos(.) round by 2 eps each,
+    and numpy's pairwise ``ndarray.sum`` (eight running sums up to 128
     terms) adds at most about (n^2/8 + log2(n^2)) eps. So F - 1 is
-    about 2 (||E1||_2 + ||E2||_2) + n^2 eps/4 + O(n eps) at most. That
-    is far below (n^2 + 4) eps from n = 6 on; at n = 2 only the sum
-    rounds (4 eps allowed); at n = 4 the bound rests on the eigenbases
-    staying as close to orthonormal as observed. Over even n <= 24 and
-    random triples the largest excess seen was 2 eps at n = 2, 16 eps
-    at n = 4 (20 allowed, once in 20,000 triples; 12 eps in 31) and
-    14 eps at n = 6.
+    about 2 (tr E1 + tr E2)/n + n^2 eps/4 + O(n eps) at most. That is
+    far below (n^2 + 4) eps from n = 6 on. At n = 2 and 4 it is below
+    the bound as observed, not as proven: a worst-case bound on the
+    rescaling's rounding alone reaches it. Over even n <= 24 and random
+    triples the largest excess seen was 2 eps at n = 2 (8 allowed),
+    8 eps at n = 4 (20 allowed; 4,000,000 triples, where without
+    the rescaling it reached 20 eps) and 8 eps at n = 6 and n = 24.
 
     Gates, in order: h within KRON_SUM_TOL of f1 (x) I + I (x) f2
     (:func:`_kron_sum_factors`, one pass over h, which it overwrites;
@@ -537,6 +541,8 @@ def verify_cpt(spec: SystemSpec, tol: float = CPT_TOL) -> CptCertificate:
     else:
         spectra, bases = np.linalg.eigh(f)
         require_unitary(bases, "eigenbasis")
+        # eigh's columns run a few eps long, and their lengths reach F at first order: make each a unit vector
+        bases /= np.sqrt((bases * bases).sum(axis=1, keepdims=True))
         (low1, high1), (low2, high2) = spectra[:, :: n - 1].tolist()  # ascending, so the extremes
         reach = (max(-low1, high1) + max(-low2, high2)) * tau
     # Python floats overflow to inf without a warning, and every |lambda1_a + lambda2_b| tau is at most this one

@@ -106,7 +106,7 @@ def hermiticity_deviation(h: np.ndarray) -> float:
     :func:`_max_abs`).
     """
     h = np.asarray(h)
-    return _max_abs(h - h.conj().mT) if h.size else 0.0
+    return _max_abs(h - h.conj().swapaxes(-1, -2)) if h.size else 0.0
 
 
 def require_hermitian(h: np.ndarray, what: str) -> None:
@@ -146,7 +146,7 @@ def require_unitary(u: np.ndarray, what: str) -> None:
     (``reshape``, not the slower ``flat`` iterator).
     """
     d = u.shape[-1]
-    gram = u @ u.conj().mT
+    gram = u @ u.conj().swapaxes(-1, -2)
     gram.reshape(-1, d * d)[:, :: d + 1] -= 1
     err = _max_abs(gram)
     if not err <= UNITARITY_TOL:

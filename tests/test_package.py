@@ -1,5 +1,6 @@
 """The package namespace: one export table, each layer imported on first use, nothing cached."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -9,6 +10,9 @@ from pathlib import Path
 import pythcpt
 
 SRC = Path(pythcpt.__file__).resolve().parent.parent
+
+# attributes NumPy added in 2.0; pyproject declares numpy>=1.25, where each raises AttributeError
+NUMPY_2_ONLY = frozenset({"mT", "matrix_transpose", "vecdot", "matvec", "vecmat", "permute_dims", "unstack", "concat"})
 
 
 def run_fresh(code: str) -> subprocess.CompletedProcess:
@@ -78,3 +82,28 @@ def test_cli_import_loads_only_the_layers_every_command_shares():
         "assert not loaded, sorted(loaded)\n"
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def numpy_2_only_attributes(path: Path) -> list[tuple[int, str]]:
+    """(line, name) of each attribute access in a source file that NumPy 1.x lacks."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in NUMPY_2_ONLY
+    ]
+
+
+def test_the_library_runs_on_the_declared_numpy_floor():
+    found = {
+        f"{path.name}:{line}": name
+        for path in sorted((SRC / "pythcpt").glob("*.py"))
+        for line, name in numpy_2_only_attributes(path)
+    }
+    assert found == {}, "NumPy 1.25 lacks these; use swapaxes(-1, -2) for .mT"
+
+
+def test_the_numpy_floor_scan_sees_an_attribute(tmp_path):
+    planted = tmp_path / "planted.py"
+    planted.write_text("def gram(u):\n    return u @ u.conj().mT\n", encoding="utf-8")
+    assert numpy_2_only_attributes(planted) == [(2, "mT")]
