@@ -33,9 +33,11 @@ V(I)/sqrt(n) and V(Y)/sqrt(n). The amplitude between them is therefore
 real: it is sum_ab x_ab z_ab cos((lambda1_a + lambda2_b) tau) over the
 factors' eigenvalues, with x and z the two rows in the factors'
 eigenbases, from one batched n x n ``eigh`` (the closed form at
-n = 2). At n = 24 that is 2.3 ms a certificate; the SVD of the
-(n^2/2) x (n^2/2) block of h between C's sectors, an independent
-oracle in ``tests/dense_oracle.py``, takes 15.9 ms.
+n = 2). The two rows are copied out of the frame before h is built, so
+one n^4 array is alive at a time and h reuses the heap the frame just
+freed. At n = 24 that is 1.05 ms a certificate with no page faults;
+the SVD of the (n^2/2) x (n^2/2) block of h between C's sectors, an
+independent oracle in ``tests/dense_oracle.py``, takes 15.9 ms.
 """
 
 from __future__ import annotations
@@ -510,27 +512,33 @@ def verify_cpt(spec: SystemSpec, tol: float = CPT_TOL) -> CptCertificate:
     C's +1 sector (SECTOR_TOL), an orthonormal eigenbasis
     (``require_unitary``), and a finite (max|lambda1| + max|lambda2|) tau.
 
-    Cost: 2.3 ms at n = 24 and 2.0 ms at n = 32, where the chiral-block
+    Memory: the two transfer rows (2 n^2 floats) are copied out of
+    ``lab_frame(n)`` and the frame is dropped before ``build_h_tp``
+    allocates h, so the call holds one n^4 array at a time: its traced
+    peak is at most 1.3 n^4 floats at every even n from 12 to 32, where
+    frame and h alive together read 2.06-2.28. h then takes the heap
+    chunk the frame freed, and the freed top stays below glibc's trim
+    threshold, so a repeated certificate faults no page in again (at
+    n = 24 it took 1,268 minor faults a call with both alive).
+
+    Cost: 1.05 ms at n = 24 and 2.5 ms at n = 32, where the chiral-block
     SVD oracle of ``tests/dense_oracle.py`` takes 15.9 and 76 ms (best
     of 30, one BLAS thread, 2-CPU x86-64). At n = 24 ``lab_frame``
-    takes 0.22 ms, ``build_h_tp`` 0.16 ms, the Kronecker-sum gate
-    0.3 ms and ``eigh`` 0.09 ms; most of the rest is first-touch page
-    faults on the two fresh n^4 arrays, h and the frame, which glibc
-    hands back to the system between calls (0.95 ms a certificate with
-    its trim and mmap thresholds raised). The power-of-two frame at
-    n = 32 is cached, so n = 32 costs less than n = 24.
+    takes 0.25 ms, ``build_h_tp`` 0.19 ms, the Kronecker-sum gate
+    0.31 ms and ``eigh`` 0.09 ms. At n = 32 the frame is cached, and
+    zeroing and gating the 8 MB h set the cost.
     """
     require_tol(tol)
     n = spec.n
     tau = spec.params.tau
-    w = lab_frame(n)
     target = n * n - n  # 0-based
+    # lab rows 0 and n^2 - n (ket, bra), copied out so the frame is freed before h takes its place
+    rows = lab_frame(n)[::target].reshape(2, n, n).copy()
     # build_h_tp returns a fresh array, so the Kronecker-sum gate may overwrite it
     f = _kron_sum_factors(build_h_tp(n, spec.params))
     require_hermitian(f, "factor")
     signs = _y_signs(n)
     _require_chiral(f, signs)
-    rows = w[::target].reshape(2, n, n)  # lab rows 0 and n^2 - n: ket, bra
     _require_in_sector(rows, signs)
     if n == 2:
         (d1, o1), (d2, o2) = f[:, 0].tolist()

@@ -21,11 +21,11 @@ time fell from 154 to 95 ms.
 
 ``matexp_unitary`` evolves by a Hermitian generator, returning the
 whole propagator exp(-i h t), chosen by shape: a 2 x 2 h (every
-two-level segment, as in the sweep's pulses) takes the SU(2) closed
+two-level segment, the lifted pulses' included) takes the SU(2) closed
 form e^{-i a t} [cos(r t) I - i (sin(r t)/r) (h - a I)] on Python
 scalars, with a the mean of the diagonal and r = hypot of the
-half-difference and |h01|; a larger h (the lifted spin-(n-1)/2
-generators) keeps ``eigh``. Either way ``require_hermitian`` runs
+half-difference and |h01|; a larger h (an n x n segment of an
+arbitrary schedule) keeps ``eigh``. Either way ``require_hermitian`` runs
 before and ``require_unitary`` after. The two gates also take a stack
 of matrices (the last two axes), as ``dynamics.verify_cpt`` passes its
 two n x n factors and their eigenbases in one call. Single elements

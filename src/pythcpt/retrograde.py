@@ -33,6 +33,20 @@ state has the measured overlap and 2-norm residual.
 of positive length, compared exactly, and returns the adjoint for a
 reversed one, so ``factors`` costs two calls.
 
+A lifted schedule (``PulseSchedule.n`` above its segments' dimension)
+keeps traceless 2 x 2 segments: ``ordered_propagator`` multiplies their
+2 x 2 exponentials and lifts the product once to spin-(n-1)/2 with
+:func:`pythcpt.su2.lift`, one n x n product, then gates it with
+``require_unitary``. ``pythagorean_pulse(p, q, k, n)`` is such a
+schedule, so each half step of the doubled-space reports is two 2 x 2
+exponentials at most and one lift at every n >= 3, and no n x n
+``eigh`` runs. The lift is an exact representation matrix up to
+rounding, so it intertwines Y_n to rounding whatever p: at large c the
+float angles put U(T, 0) off Y by ~eps p, which the reports measure,
+and the intertwining gate does not fire. ``basic_cpts`` builds the
+images of its n/2 pair states as one batch of rank-2 products, each
+from the two columns of fwd and rev on the pair's levels.
+
 ``check_equivalence`` and ``basic_cpts`` each take a ``tol`` (default
 CPT_TOL), reject one that is not finite and positive, and judge every
 verdict of their reports with it: the two sides of the equivalence,
@@ -50,24 +64,36 @@ import numpy as np
 
 from .dynamics import build_h_single
 from .linalg import matexp_unitary, require_hermitian, require_normalized, require_unitary, vectorize
-from .su2 import y_matrix
+from .su2 import lift, y_matrix
 from .tolerances import (
     CPT_TOL, INTERTWINING_TOL, PARTIAL_OVERLAP_MAX, PHASE_MEASURABLE_MIN, PROPORTIONAL_TO_Y_TOL, TIME_SLACK,
-    require_tol,
+    TRACELESS_TOL, require_tol,
 )
 from .triples import params_from_pair
 
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """Piecewise-constant Hamiltonian: ordered (generator, duration) segments, their durations summed once."""
+    """Piecewise-constant Hamiltonian: ordered (generator, duration) segments, their durations summed once.
+
+    ``n`` is the dimension the schedule acts in, by default its
+    segments'. An ``n`` other than that lifts the schedule: its segments
+    must then be traceless 2 x 2 generators (TRACELESS_TOL), and every
+    propagator is their 2 x 2 product lifted to the spin-(n-1)/2
+    representation by :func:`pythcpt.su2.lift`, so a segment h acts as
+    its lift, Delta sigma_z + Omega sigma_x as 2 Delta J3 + 2 Omega J1.
+    """
 
     segments: tuple[tuple[np.ndarray, float], ...]
+    n: int | None = None
 
     def __post_init__(self):
         if not self.segments:
             raise ValueError("schedule needs at least one segment")
         dim = self.segments[0][0].shape[0]
+        lifted = self.n is not None and self.n != dim
+        if lifted and not (dim == 2 and self.n >= 2):
+            raise ValueError(f"a lifted schedule needs 2 x 2 segments and n >= 2, got {dim} x {dim} and n = {self.n}")
         bounds = [0.0]
         for h, d in self.segments:
             if h.shape != (dim, dim):
@@ -75,12 +101,14 @@ class PulseSchedule:
             if not (math.isfinite(d) and d > 0):
                 raise ValueError(f"segment durations must be finite and positive, got {d}")
             require_hermitian(h, "segment generator")
+            if lifted and not abs(h.trace()) <= TRACELESS_TOL * max(1.0, float(np.abs(h).max())):
+                raise ValueError(f"a lifted segment generator must be traceless, got trace {h.trace()!r}")
             bounds.append(bounds[-1] + float(d))
         object.__setattr__(self, "_bounds", tuple(bounds))  # the one sum that T, boundaries and ordered_propagator read
 
     @property
     def dim(self) -> int:
-        return self.segments[0][0].shape[0]
+        return self.segments[0][0].shape[0] if self.n is None else self.n
 
     @property
     def T(self) -> float:
@@ -100,6 +128,8 @@ def ordered_propagator(schedule: PulseSchedule, t0: float, t1: float) -> np.ndar
     The product starts from the first overlapped segment's exponential.
     Times are compared exactly with the schedule's boundaries; a time may
     lie TIME_SLACK * T outside [0, T], and the interval is clipped to it.
+    A lifted schedule multiplies its 2 x 2 steps, lifts the product once
+    (:func:`pythcpt.su2.lift`) and gates the lift with ``require_unitary``.
     """
     T = schedule.T
     for t in (t0, t1):
@@ -114,6 +144,9 @@ def ordered_propagator(schedule: PulseSchedule, t0: float, t1: float) -> np.ndar
             u = step if u is None else step @ u
     if u is None:
         return np.eye(schedule.dim, dtype=complex)
+    if len(u) != schedule.dim:
+        u = lift(u, schedule.dim)
+        require_unitary(u, "lifted propagator")
     return u.conj().T if t1 < t0 else u
 
 
@@ -123,14 +156,16 @@ def pythagorean_pulse(p: int, q: int, k: float = 0.0, n: int = 2) -> PulseSchedu
     First segment drives with (delta1, omega1), the second with the
     negated (delta2, omega2), each for the transfer time tau; in the
     two-level case U(T, 0) = (-1)^((p+q)/2) [[0, 1], [-1, 0]]. The
-    optional ``n`` lifts the same drive to the spin-(n-1)/2
-    representation.
+    segments stay the traceless 2 x 2 drives at every n, and the
+    schedule records ``n``, so above n = 2 its propagators are the 2 x 2
+    ones lifted to the spin-(n-1)/2 representation, where
+    U(T, 0) = (-1)^((p+q)/2) Y_n up to rounding (Y_n = D(Y_2)).
     """
     params = params_from_pair(p, q, k)
     tau = params.tau
-    h_a = build_h_single(n, params.delta1, params.omega1)
-    h_b = -build_h_single(n, params.delta2, params.omega2)
-    return PulseSchedule(segments=((h_a, tau), (h_b, tau)))
+    h_a = build_h_single(2, params.delta1, params.omega1)
+    h_b = -build_h_single(2, params.delta2, params.omega2)
+    return PulseSchedule(segments=((h_a, tau), (h_b, tau)), n=n)
 
 
 @dataclass(frozen=True)
@@ -494,20 +529,24 @@ def basic_cpts(n: int, p: int, q: int, k: float = 0.0, tol: float = CPT_TOL) -> 
         raise ValueError(f"pulse propagator for (p, q, k)=({p}, {q}, {k}) is not proportional to Y")
     sign = equiv.propagator_phase
 
-    def final(d: np.ndarray) -> np.ndarray:  # V(diag(d)) at T/2, the measured sign divided out
-        return np.conj(sign) * vectorize((fwd * d) @ rev.T)
-
+    unsign = np.conj(sign)
     pairs = np.arange(n // 2)
     d = np.zeros((n, n // 2))
     d[pairs, pairs] = 1.0 / np.sqrt(2.0)
     d[n - 1 - pairs, pairs] = (-1.0) ** n / np.sqrt(2.0)
     gram = d.T @ (fwd * rev) @ d
+    # pair i's image fwd diag(d_i) rev^T is rank 2, on its levels l = (i, n - 1 - i): transposed, it is
+    # rev[:, l] (d_i[l] fwd[:, l])^T, one (n x 2)(2 x n) product of a batch; its rows, read in order, are V(image)
+    levels = np.stack((pairs, n - 1 - pairs), axis=1)
+    finals = rev.T[levels].transpose(0, 2, 1) @ (fwd.T[levels] * (unsign * d[levels, pairs[:, None], None]))
+    initials = np.zeros((n // 2, n * n))
+    initials[:, :: n + 1] = d.T  # V(diag(d_i)): entry (j, j) sits at j (n + 1)
     records = tuple(
-        BasicCptRecord(i + 1, vectorize(np.diag(col)), final(col), float(abs(gram[i, i])), tol)
-        for i, col in enumerate(d.T)
+        BasicCptRecord(i + 1, initial, final, float(abs(gram[i, i])), tol)
+        for i, (initial, final) in enumerate(zip(initials, finals.reshape(n // 2, n * n)))
     )
     uniform = np.full(n, 1.0 / np.sqrt(2.0)) / np.sqrt(n / 2)  # V(I)/sqrt(n) as V(diag(uniform))
-    uniform_final = final(uniform)
+    uniform_final = unsign * vectorize((fwd * uniform) @ rev.T)  # V(I) at T/2, the measured sign divided out
     uniform_resid = float(np.max(np.abs(uniform_final - vectorize(y) / np.sqrt(n))))
     return BasicCptReport(
         n=n,

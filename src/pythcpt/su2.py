@@ -1,5 +1,16 @@
-"""Irreducible spin-(n-1)/2 generators of su(2), the 2x2 Sigma set, and
-the anti-diagonal rotation Y_n = exp(i pi J2).
+"""Irreducible spin-(n-1)/2 generators of su(2), the 2x2 Sigma set, the
+anti-diagonal rotation Y_n = exp(i pi J2), and the lift of SU(2) to the
+spin-(n-1)/2 representation.
+
+:func:`lift` maps g in SU(2) to D(g) = exp(-i alpha J3) exp(-i beta J2)
+exp(-i gamma J3), with the ZYZ Euler angles read off g's first row. The
+J2 eigenbasis that gives the Wigner-d factor exp(-i beta J2) is
+diagonalized once per n (the exact diagonalization of Feng, Wang, Yang
+and Jin, Phys. Rev. E 92, 043307 (2015)) and cached, so a lift costs
+one complex n x n product and two diagonal scalings. Every 2 x 2
+exponential exp(-i t (Delta sigma_z + Omega sigma_x)) lifts to
+exp(-i t (2 Delta J3 + 2 Omega J1)), so a lifted pulse is exponentiated
+in 2 x 2 and lifted once.
 
 The Sigma set is a NamedTuple: sigma_k reads by name (``s.sigma1``),
 by index (``s[1]``), by iteration or by unpacking, and every
@@ -8,7 +19,9 @@ by index (``s[1]``), by iteration or by unpacking, and every
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -106,3 +119,48 @@ def y_matrix(n: int) -> np.ndarray:
     k = np.arange(n)
     y[k, n - 1 - k] = (-1.0) ** k
     return y
+
+
+def lift(g: np.ndarray, n: int) -> np.ndarray:
+    """D(g) of g in SU(2) in the spin-(n-1)/2 representation, as a complex n x n array.
+
+    g = [[u, v], [-conj(v), conj(u)]] is read from its first row alone.
+    Its ZYZ angles are beta = 2 atan2(|v|, |u|), stable at beta near 0
+    and pi where an arccos of |u| is not, and, from the phases,
+    (alpha + gamma)/2 = -arg u and (alpha - gamma)/2 = -arg(-v). Then
+    D(g) = exp(-i alpha J3) V exp(-i beta mu) V^dagger exp(-i gamma J3)
+    with J2 = V diag(mu) V^dagger from :func:`_j2_eigenbasis`: the 3n
+    phases come from one ``np.exp``, V is scaled on both sides and
+    V^dagger on its columns, and one product joins them. A phase
+    that g does not fix (arg v at beta = 0, arg u at beta = pi) cancels
+    from D(g) exactly. At even n, D(-g) = -D(g), so the sign of g
+    matters; both half-angle phases are read mod 2 pi, and a shift of
+    either by 2 pi moves alpha and gamma by 2 pi together, which leaves
+    D(g) unchanged. At n = 2, D(g) is g up to rounding.
+    """
+    if n < 2:
+        raise ValueError(f"representation dimension must be >= 2, got {n}")
+    (u, v), _ = np.asarray(g).tolist()
+    beta = 2.0 * math.atan2(abs(v), abs(u))
+    plus, minus = -cmath.phase(u), -cmath.phase(-v)  # (alpha + gamma)/2, (alpha - gamma)/2
+    m, basis, basis_h = _j2_eigenbasis(n)
+    # rows: exp(-i alpha m), exp(-i beta mu) with mu = -m (J2's ascending eigenvalues), exp(-i gamma m)
+    phases = np.exp(np.array((-1j * (plus + minus), 1j * beta, -1j * (plus - minus)))[:, None] * m)
+    return (basis * phases[0, :, None] * phases[1]) @ (basis_h * phases[2])
+
+
+@functools.lru_cache(maxsize=SPIN_CACHE_SIZE)
+def _j2_eigenbasis(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only per-n constants of :func:`lift`: J3's diagonal m, and J2's eigenbasis V and V^dagger.
+
+    m = j, j - 1, ..., -j (descending). ``eigh`` lists J2's eigenvalues
+    ascending, and they are exactly -m; :func:`lift` takes those exact
+    values, not the solver's.
+    """
+    rep = spin_generators(n)
+    basis = np.linalg.eigh(rep.J2)[1]
+    m = np.diag(rep.J3).copy()
+    basis_h = basis.conj().T.copy()
+    for a in (m, basis, basis_h):
+        a.flags.writeable = False
+    return m, basis, basis_h

@@ -61,6 +61,9 @@ FRAME_MAGNITUDE_TOL = 1e-12
 
 # |<i|f>| below this: the recipe's two states are distinct; 1 - |<i|f>| of equal unit states rounds to ~eps.
 PARTIAL_OVERLAP_MAX = 1.0 - 1e-12
+# |tr h| of a 2 x 2 segment that a PulseSchedule lifts, relative to max(1, max|h|): su2.lift reads SU(2), and a drive
+# Delta sigma_z + Omega sigma_x is traceless exactly, so a phase part above rounding is refused.
+TRACELESS_TOL = 1e-12
 # ordered_propagator takes t within TIME_SLACK * T of [0, T]: m durations summed in another order miss T by ~m*eps*T.
 TIME_SLACK = 1e-12
 # _phase_match makes |overlap| >= this a unit phase: rounding overlaps are ~1e-16, odd-n semi's is 1/3.

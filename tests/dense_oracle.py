@@ -11,7 +11,9 @@ its spectral decomposition. :func:`chiral_amplitude` reads one such
 element from one SVD of a half-size block, for a generator that a
 signed reversal anticommutes with; the two are independent references
 for ``dynamics.verify_cpt``, which reads its element from the two n x n
-factors of ``build_h_tp``.
+factors of ``build_h_tp``. :func:`dense_pulse_propagator` exponentiates
+the n x n segments of a lifted Pythagorean pulse, the reference for
+``su2.lift`` of its 2 x 2 product.
 
 Two builders keep their dense form here. :func:`dense_h_tp` is the
 Kronecker sum h1 (x) I + I (x) h2 from two ``kron`` products, the
@@ -27,10 +29,10 @@ import math
 import numpy as np
 
 from pythcpt.dynamics import SimulationResult, build_h_single
-from pythcpt.linalg import kron, require_hermitian, require_normalized, require_unitary, vectorize
+from pythcpt.linalg import kron, matexp_unitary, require_hermitian, require_normalized, require_unitary, vectorize
 from pythcpt.su2 import y_matrix
 from pythcpt.tolerances import CHIRALITY_TOL, COMPLETION_NONZERO, SECTOR_TOL, UNITARITY_TOL
-from pythcpt.triples import CouplingParams
+from pythcpt.triples import CouplingParams, params_from_pair
 
 
 def dense_h_tp(n: int, params: CouplingParams) -> np.ndarray:
@@ -171,3 +173,19 @@ def chiral_amplitude(h: np.ndarray, t: float, signs: np.ndarray, bra: np.ndarray
 def c_signs(n: int) -> np.ndarray:
     """The signs of C = Y_n (x) Y_n as the signed reversal of :func:`chiral_amplitude`: (C v)[x] = signs[x] v[-1 - x]."""
     return np.fliplr(kron(y_matrix(n), y_matrix(n))).diagonal().copy()
+
+
+def dense_pulse_propagator(p: int, q: int, k: float, n: int, t: float) -> np.ndarray:
+    """U(t, 0) of ``retrograde.pythagorean_pulse(p, q, k, n)`` from its dense n x n segments, 0 <= t <= T.
+
+    Each segment is ``build_h_single(n, ...)`` exponentiated by
+    ``matexp_unitary`` over its part of [0, t], and the parts are
+    multiplied in order, the reference for the pulse's lifted 2 x 2
+    product.
+    """
+    params = params_from_pair(p, q, k)
+    tau = params.tau
+    u = matexp_unitary(build_h_single(n, params.delta1, params.omega1), min(t, tau))
+    if t > tau:
+        u = matexp_unitary(-build_h_single(n, params.delta2, params.omega2), t - tau) @ u
+    return u

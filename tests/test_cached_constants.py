@@ -22,6 +22,9 @@ from pythcpt.su2 import SPIN_CACHE_SIZE, spin_generators, y_matrix
         lambda: build_w(3).W[:, 0].__setitem__(0, 0.0),
         lambda: np.multiply(build_w(1).W, 2.0, out=build_w(1).W),
         lambda: dynamics._y_signs(4).__setitem__((0, 0), 0.0),
+        lambda: su2._j2_eigenbasis(4)[0].__setitem__(0, 0.0),
+        lambda: su2._j2_eigenbasis(4)[1].__setitem__((0, 0), 0.0),
+        lambda: su2._j2_eigenbasis(4)[2].__setitem__((0, 0), 0.0),
     ],
 )
 def test_cached_arrays_refuse_in_place_writes(write):
@@ -44,6 +47,18 @@ def test_spin_generators_builds_each_representation_once():
     assert all(spin_generators(6) is first for _ in range(4))
     info = su2._spin_rep.cache_info()
     assert (info.misses, info.hits, info.maxsize) == (1, 4, SPIN_CACHE_SIZE)
+
+
+def test_the_j2_eigenbasis_is_built_once_per_n():
+    su2._j2_eigenbasis.cache_clear()
+    first = su2._j2_eigenbasis(6)
+    assert all(su2._j2_eigenbasis(6) is first for _ in range(4))
+    info = su2._j2_eigenbasis.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 4, SPIN_CACHE_SIZE)
+    # J2 = V diag(-m) V^dagger, with m J3's descending diagonal
+    m, basis, basis_h = first
+    assert np.array_equal(m, np.diag(spin_generators(6).J3))
+    assert np.abs((basis * -m) @ basis_h - spin_generators(6).J2).max() <= 1e-14
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 16])

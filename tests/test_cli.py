@@ -375,9 +375,11 @@ def _all_ok_fails(real):
     return lambda *args: dataclasses.replace(real(*args), combination_bound=1.0)
 
 
+# at (7, 3, 0.3), n = 4 the tol 1e-15 lies between the propagator residual (1.47e-15) and the doubled-state residual
+# (5.4e-16), so only the forward side fails
 @pytest.mark.parametrize(
     "variant, tol, defect, passed",
-    [("retrograde", CPT_TOL, None, True), ("retrograde", 3e-15, None, False),
+    [("retrograde", CPT_TOL, None, True), ("retrograde", 1e-15, None, False),
      ("retrograde", CPT_TOL, _all_ok_fails, False), ("semi", CPT_TOL, None, False)],
     ids=["passes", "forward_fails", "all_ok_fails", "semi"],
 )

@@ -27,7 +27,14 @@ from pythcpt.retrograde import (
 from pythcpt.su2 import spin_generators, y_matrix
 from pythcpt.triples import OddPair, coupling_params, params_from_lab_couplings, params_from_pair, triple_from_pair
 
-from dense_oracle import c_signs, chiral_amplitude, dense_propagator, dense_simulate, propagator_elements
+from dense_oracle import (
+    c_signs,
+    chiral_amplitude,
+    dense_propagator,
+    dense_pulse_propagator,
+    dense_simulate,
+    propagator_elements,
+)
 
 odd_pairs = st.tuples(st.integers(1, 60), st.integers(0, 59)).filter(lambda t: t[0] > t[1]).map(
     lambda t: (2 * t[0] + 1, 2 * t[1] + 1)
@@ -636,6 +643,33 @@ def test_doubled_space_reports_never_form_the_dense_propagator(monkeypatch):
         linalg.kron(*RetrogradeSystem(pulse, "retrograde").factors(pulse.T / 2.0))
 
 
+# A lifted pulse propagator and the dense n x n segment product differ by about n eps per unit of the largest phase,
+# (n - 1) omega_i t <= (n - 1) pi (p + q)/4. Nearly all of it is the dense side's: at the worst of 1500 random draws
+# (5.6 n eps (p + q), the first example below) a 40-digit mpmath reference put the lift within 0.22 n eps (p + q).
+# Over 10,000 further draws the largest was 4.8.
+LIFT_C = 8.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pq=coprime_pairs_c_1e4,
+    k=st.floats(-3.0, 3.0, allow_nan=False),
+    n=st.integers(2, 32),
+    frac=st.floats(0.0, 1.0),
+)
+@example(pq=(119, 39), k=-2.1930660635312424, n=22, frac=0.8801357560581438)
+@example(pq=(3, 1), k=0.0, n=3, frac=1.0)
+@example(pq=(141, 1), k=3.0, n=32, frac=0.5)
+def test_lifted_pulse_matches_the_dense_segment_product(pq, k, n, frac):
+    # odd n included: the lift serves every n >= 2
+    p, q = pq
+    pulse = pythagorean_pulse(p, q, k, n=n)
+    t = frac * pulse.T
+    lifted = ordered_propagator(pulse, 0.0, t)
+    assert lifted.shape == (n, n)
+    assert np.abs(lifted - dense_pulse_propagator(p, q, k, n, t)).max() <= LIFT_C * n * EPS * (p + q)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     pq=coprime_pairs_c_1e4,
@@ -645,23 +679,27 @@ def test_doubled_space_reports_never_form_the_dense_propagator(monkeypatch):
 )
 @example(pq=(43, 3), k=-1.15625, n=7, variant="retrograde")
 def test_equivalence_equals_segment_product_oracle(pq, k, n, variant):
-    # the oracle exponentiates each segment and multiplies them in order;
-    # the report builds U(T, 0) from the two half-period factors instead
-    pulse = pythagorean_pulse(*pq, k, n=n)
+    # the oracle exponentiates each dense n x n segment and multiplies them in order;
+    # the report lifts the 2 x 2 half-period factors instead
+    p, q = pq
+    pulse = pythagorean_pulse(p, q, k, n=n)
     # complex, as the report takes y, so both sides divide the same target
     y = (y_matrix(n) if variant == "retrograde" else np.eye(n)).astype(complex)
     rep = check_equivalence(pulse, y, variant=variant)
-    u_first, u_second = (matexp_unitary(h, d) for h, d in pulse.segments)
-    u_full = u_second @ u_first
-    rev = u_second.conj().T  # U(T/2, T)
+    u_first = dense_pulse_propagator(p, q, k, n, pulse.T / 2.0)
+    u_full = dense_pulse_propagator(p, q, k, n, pulse.T)
+    rev = u_first @ u_full.conj().T  # U(T/2, T)
     if variant == "semi":
         rev = rev.conj()
     root = np.sqrt(n)
     _, prop_phase, prop_resid = retrograde._phase_match(u_full, y, CPT_TOL)
-    _, _, state_resid = retrograde._phase_match(u_first @ rev.T / root, y / root, CPT_TOL)
-    assert rep.propagator_phase == prop_phase
-    assert rep.propagator_residual == prop_resid
-    assert rep.doubled_state_residual == state_resid
+    _, state_phase, state_resid = retrograde._phase_match(u_first @ rev.T / root, y / root, CPT_TOL)
+    # each side differs from the oracle's by the two propagators' distance, LIFT_C n eps (p + q) each
+    gap = 2 * LIFT_C * n * EPS * (p + q)
+    assert abs(rep.propagator_phase - prop_phase) <= gap
+    assert abs(rep.doubled_phase - state_phase) <= gap
+    assert abs(rep.propagator_residual - prop_resid) <= 2 * gap
+    assert abs(rep.doubled_state_residual - state_resid) <= 2 * gap
 
 
 @settings(max_examples=60, deadline=None)

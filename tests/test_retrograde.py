@@ -82,6 +82,47 @@ def test_schedule_validation():
         PulseSchedule(segments=((SZ, 1.0), (np.eye(3, dtype=complex), 1.0)))
 
 
+def test_lifted_schedule_validation():
+    with pytest.raises(ValueError, match="2 x 2 segments"):
+        PulseSchedule(segments=((np.eye(3, dtype=complex), 1.0),), n=4)
+    with pytest.raises(ValueError, match="n >= 2"):
+        PulseSchedule(segments=((SZ, 1.0),), n=1)
+    # a phase part would make the 2 x 2 product leave SU(2), which the lift reads
+    with pytest.raises(ValueError, match="traceless"):
+        PulseSchedule(segments=((SZ + 1e-9 * np.eye(2), 1.0),), n=4)
+    lifted = PulseSchedule(segments=((SZ, 1.0), (SX, 0.5)), n=5)
+    assert lifted.dim == 5 and lifted.T == 1.5
+    # n equal to the segments' dimension lifts nothing, so any Hermitian generator serves
+    assert PulseSchedule(segments=((np.diag([1.0, 2.0]), 1.0),), n=2).dim == 2
+
+
+def test_pythagorean_pulse_keeps_its_two_level_segments_at_every_n():
+    two = pythagorean_pulse(7, 3, 0.3)
+    for n in (2, 3, 8):
+        pulse = pythagorean_pulse(7, 3, 0.3, n=n)
+        assert pulse.n == n and pulse.dim == n
+        for (h, d), (h2, d2) in zip(pulse.segments, two.segments):
+            assert np.array_equal(h, h2) and d == d2
+
+
+def test_a_lifted_propagator_is_gated_as_unitary(monkeypatch):
+    monkeypatch.setattr(retrograde, "lift", lambda g, n: 1.001 * np.eye(n, dtype=complex))
+    with pytest.raises(ValueError, match="lifted propagator is not unitary"):
+        ordered_propagator(pythagorean_pulse(3, 1, n=4), 0.0, 0.1)
+
+
+def test_a_lifted_propagator_is_one_lift_of_the_two_level_product(monkeypatch):
+    real, lifted = retrograde.lift, []
+    monkeypatch.setattr(retrograde, "lift", lambda g, n: lifted.append(g.shape) or real(g, n))
+    pulse = pythagorean_pulse(7, 3, 0.3, n=6)
+    u = ordered_propagator(pulse, 0.0, pulse.T)
+    assert lifted == [(2, 2)]
+    two = pythagorean_pulse(7, 3, 0.3)
+    assert np.abs(u - real(ordered_propagator(two, 0.0, two.T), 6)).max() == 0.0
+    # the reversed interval is the adjoint of the same lift
+    assert np.array_equal(ordered_propagator(pulse, pulse.T, 0.0), u.conj().T)
+
+
 @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
 def test_schedule_rejects_non_finite_duration(duration):
     with pytest.raises(ValueError, match="finite and positive"):
@@ -667,10 +708,20 @@ def test_basic_cpts_two_level_large_c_keeps_its_report():
 
 
 def test_basic_cpts_large_c_is_rejected():
-    # at c near 1e9 the lifted pulse keeps Y only to ~3e-7, at odd n as at even n
+    # at c near 1e9 the float angles put U(T, 0) off Y by ~eps p, at odd n as at even n; the lifted half steps still
+    # intertwine Y to rounding, so the "proportional to Y" gate is what refuses the pulse
     for n in (3, 4):
-        with pytest.raises(ValueError, match="intertwine"):
+        with pytest.raises(ValueError, match="not proportional to Y"):
             basic_cpts(n, 999999937, 1, 0.5)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 16, 24])
+def test_a_large_c_pulse_intertwines_y_and_misses_it_at_every_n(n):
+    # lifted half steps are exact representation matrices up to rounding, so y passes the intertwining gate at any
+    # p; the float angles still put U(T, 0) ~eps p off y, so both sides fail the default tolerance, as at n = 2
+    rep = check_equivalence(pythagorean_pulse(10**8 + 1, 1, 0.5, n=n), y_matrix(n))
+    assert rep.as_pair() == (False, False)
+    assert retrograde.CPT_TOL < rep.propagator_residual < 1e-6
 
 
 BAD_TOLERANCES = [float("nan"), float("inf"), -float("inf"), 0.0, -1e-9]
@@ -747,8 +798,8 @@ def test_equivalence_is_cpt_reads_the_given_tolerance():
 
 
 def _separating_report():
-    # tol 3e-15 lies between the two sides' residuals (3.98e-15 and 1.79e-15), so it separates them
-    tol = 3e-15
+    # tol 1e-15 lies between the two sides' residuals (1.47e-15 and 5.4e-16), so it separates them
+    tol = 1e-15
     report = basic_cpts(4, 7, 3, 0.3, tol)
     equiv = report.equivalence
     assert equiv.doubled_state_residual < tol < equiv.propagator_residual and report.sign.imag != 0

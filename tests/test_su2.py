@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pythcpt.linalg import matexp_unitary
-from pythcpt.su2 import sigma_set, spin_generators, y_matrix
+from pythcpt.su2 import lift, sigma_set, spin_generators, y_matrix
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -160,3 +160,73 @@ def test_sigma_products():
     s = sigma_set()
     # sigma1 @ sigma3 = [[0, -1], [1, 0]] = -sigma2
     assert np.array_equal(s.sigma1 @ s.sigma3, -s.sigma2)
+
+
+EPS = np.finfo(float).eps
+Y2 = np.array([[0.0, 1.0], [-1.0, 0.0]])  # i sigma_y
+
+
+def _rz(phi):
+    """exp(-i phi sigma_z / 2), whose lift is exp(-i phi J3) = diag(exp(-i phi m))."""
+    return np.diag([np.exp(-0.5j * phi), np.exp(0.5j * phi)])
+
+
+def _rz_lift(phi, n):
+    return np.diag(np.exp(-1j * phi * np.diag(spin_generators(n).J3)))
+
+
+# (g, its lift at n): the elements whose ZYZ angles degenerate, beta = 0 or pi, where one of the two phases of g's
+# first row is 0 and tells nothing; signed zeros included, since the phase of -0.0 reads pi
+DEGENERATE = {
+    "identity": (lambda: np.eye(2), lambda n: np.eye(n)),
+    "minus_identity": (lambda: -np.eye(2), lambda n: (-1.0) ** (n - 1) * np.eye(n)),
+    "i_sigma_y": (lambda: Y2, y_matrix),
+    "minus_i_sigma_y": (lambda: -Y2, lambda n: y_matrix(n).T),
+    "i_sigma_y_signed_zeros": (lambda: Y2 * np.array([[-1.0, 1.0], [1.0, -1.0]]), y_matrix),
+    "diagonal": (lambda: _rz(0.7), lambda n: _rz_lift(0.7, n)),
+    "diagonal_minus": (lambda: -_rz(-2.9), lambda n: (-1.0) ** (n - 1) * _rz_lift(-2.9, n)),
+    "anti_diagonal": (lambda: _rz(0.7) @ Y2, lambda n: _rz_lift(0.7, n) @ y_matrix(n)),
+    "anti_diagonal_both_sides": (
+        lambda: _rz(-1.3) @ Y2 @ _rz(2.2),
+        lambda n: _rz_lift(-1.3, n) @ y_matrix(n) @ _rz_lift(2.2, n),
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 24, 31, 32])
+@pytest.mark.parametrize("element", list(DEGENERATE))
+def test_lift_of_degenerate_elements(element, n):
+    g, expected = DEGENERATE[element]
+    d = lift(g(), n)
+    assert d.shape == (n, n) and d.dtype == complex
+    assert np.abs(d - expected(n)).max() <= 8 * n * EPS
+
+
+def _generator(a, n):
+    """2 (a1 J1 + a2 J2 + a3 J3), the lift of a1 sigma_x + a2 sigma_y + a3 sigma_z."""
+    rep = spin_generators(n)
+    return 2 * (a[0] * rep.J1 + a[1] * rep.J2 + a[2] * rep.J3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 32])
+def test_lift_is_the_exponential_of_the_lifted_generator(n):
+    rng = np.random.default_rng(n)
+    for _ in range(8):
+        a, t = rng.normal(size=3), rng.uniform(-4.0, 4.0)
+        g = matexp_unitary(_generator(a, 2), t)
+        scale = max(1.0, np.abs(a).sum() * abs(t))
+        assert np.abs(lift(g, n) - matexp_unitary(_generator(a, n), t)).max() <= 8 * n * EPS * scale
+        # at even n the lift is faithful: -g lifts to -D(g); at odd n both lift to D(g)
+        assert np.abs(lift(-g, n) - (-1.0) ** (n - 1) * lift(g, n)).max() <= 8 * n * EPS * scale
+
+
+def test_lift_reads_the_first_row_and_keeps_the_spin_half():
+    g = matexp_unitary(SX + 0.4 * SZ, 0.9)
+    assert np.abs(lift(g, 2) - g).max() <= 4 * EPS
+    # an SU(2) element is fixed by its first row, so the second one is not read
+    assert np.array_equal(lift(np.vstack([g[0], [np.nan, np.nan]]), 5), lift(g, 5))
+
+
+def test_lift_rejects_small_dimension():
+    with pytest.raises(ValueError, match=">= 2"):
+        lift(np.eye(2), 1)
