@@ -57,14 +57,16 @@ verdict of their reports with it: the two sides of the equivalence,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import build_h_single
 from .linalg import matexp_unitary, require_hermitian, require_normalized, require_unitary, vectorize
-from .su2 import lift, y_matrix
+from .su2 import SPIN_CACHE_SIZE, lift, y_matrix
 from .tolerances import (
     CPT_TOL, INTERTWINING_TOL, PARTIAL_OVERLAP_MAX, PHASE_MEASURABLE_MIN, PROPORTIONAL_TO_Y_TOL, TIME_SLACK,
     TRACELESS_TOL, require_tol,
@@ -101,8 +103,10 @@ class PulseSchedule:
             if not (math.isfinite(d) and d > 0):
                 raise ValueError(f"segment durations must be finite and positive, got {d}")
             require_hermitian(h, "segment generator")
-            if lifted and not abs(h.trace()) <= TRACELESS_TOL * max(1.0, float(np.abs(h).max())):
-                raise ValueError(f"a lifted segment generator must be traceless, got trace {h.trace()!r}")
+            if lifted:
+                (a, b), (c, e) = h.tolist()  # Python scalars: four entries cost less than array reductions
+                if not abs(a + e) <= TRACELESS_TOL * max(1.0, abs(a), abs(b), abs(c), abs(e)):
+                    raise ValueError(f"a lifted segment generator must be traceless, got trace {a + e!r}")
             bounds.append(bounds[-1] + float(d))
         object.__setattr__(self, "_bounds", tuple(bounds))  # the one sum that T, boundaries and ordered_propagator read
 
@@ -464,7 +468,9 @@ class BasicCptReport:
     of the pairwise initial states overlaps its image by more than
     ``combination_bound``. The uniform state V(I)/sqrt(n) reaches the universal V(Y)/sqrt(n) independently
     of the drive; at even n it is the uniform combination of the
-    pairwise initial states. ``equivalence`` is the
+    pairwise initial states. ``uniform_initial`` is a per-n constant,
+    one read-only array shared by every report of that n; the records'
+    states and ``uniform_final`` are built per call. ``equivalence`` is the
     :func:`check_equivalence` report of the pulse against Y that the
     sign and the half-step factors come from; its ``is_cpt`` is False
     at odd n, where V(I) and V(Y) overlap by |trace(Y)|/n = 1/n.
@@ -520,6 +526,12 @@ def basic_cpts(n: int, p: int, q: int, k: float = 0.0, tol: float = CPT_TOL) -> 
     finite positive ``tol``; ``all_ok`` judges ``combination_bound`` and
     the uniform residual, and every pair's ``ok`` follows from the first,
     since |G_ii| = |e_i^T G e_i| <= ||G||_2.
+
+    The arrays that depend on n alone (D, the pair levels and their
+    weights, the uniform weights, ``uniform_initial`` and the target)
+    are built once per n by :func:`_pair_constants`; the report's
+    ``uniform_initial`` is that shared, read-only array. The O(n^3)
+    pair initial states are built per call.
     """
     require_tol(tol)
     base = pythagorean_pulse(p, q, k, n=n)
@@ -530,24 +542,19 @@ def basic_cpts(n: int, p: int, q: int, k: float = 0.0, tol: float = CPT_TOL) -> 
     sign = equiv.propagator_phase
 
     unsign = np.conj(sign)
-    pairs = np.arange(n // 2)
-    d = np.zeros((n, n // 2))
-    d[pairs, pairs] = 1.0 / np.sqrt(2.0)
-    d[n - 1 - pairs, pairs] = (-1.0) ** n / np.sqrt(2.0)
-    gram = d.T @ (fwd * rev) @ d
+    c = _pair_constants(n)
+    gram = c.d.T @ (fwd * rev) @ c.d
     # pair i's image fwd diag(d_i) rev^T is rank 2, on its levels l = (i, n - 1 - i): transposed, it is
     # rev[:, l] (d_i[l] fwd[:, l])^T, one (n x 2)(2 x n) product of a batch; its rows, read in order, are V(image)
-    levels = np.stack((pairs, n - 1 - pairs), axis=1)
-    finals = rev.T[levels].transpose(0, 2, 1) @ (fwd.T[levels] * (unsign * d[levels, pairs[:, None], None]))
+    finals = rev.T[c.levels].transpose(0, 2, 1) @ (fwd.T[c.levels] * (unsign * c.weights))
     initials = np.zeros((n // 2, n * n))
-    initials[:, :: n + 1] = d.T  # V(diag(d_i)): entry (j, j) sits at j (n + 1)
+    initials[:, :: n + 1] = c.d.T  # V(diag(d_i)): entry (j, j) sits at j (n + 1)
     records = tuple(
         BasicCptRecord(i + 1, initial, final, float(abs(gram[i, i])), tol)
         for i, (initial, final) in enumerate(zip(initials, finals.reshape(n // 2, n * n)))
     )
-    uniform = np.full(n, 1.0 / np.sqrt(2.0)) / np.sqrt(n / 2)  # V(I)/sqrt(n) as V(diag(uniform))
-    uniform_final = unsign * vectorize((fwd * uniform) @ rev.T)  # V(I) at T/2, the measured sign divided out
-    uniform_resid = float(np.max(np.abs(uniform_final - vectorize(y) / np.sqrt(n))))
+    uniform_final = unsign * vectorize((fwd * c.uniform) @ rev.T)  # V(I) at T/2, the measured sign divided out
+    uniform_resid = float(np.max(np.abs(uniform_final - c.target)))
     return BasicCptReport(
         n=n,
         p=p,
@@ -556,9 +563,42 @@ def basic_cpts(n: int, p: int, q: int, k: float = 0.0, tol: float = CPT_TOL) -> 
         sign=sign,
         equivalence=equiv,
         records=records,
-        combination_bound=float(np.linalg.norm(gram, 2)),
-        uniform_initial=vectorize(np.diag(uniform)),
+        combination_bound=float(np.linalg.svd(gram, compute_uv=False).max()),  # ||G||_2, as np.linalg.norm(gram, 2)
+        uniform_initial=c.uniform_initial,
         uniform_final=uniform_final,
         uniform_target_residual=uniform_resid,
         tolerance=tol,
     )
+
+
+class _PairConstants(NamedTuple):
+    """The read-only per-n arrays of :func:`basic_cpts`, each O(n^2) floats."""
+
+    d: np.ndarray  # n x (n // 2): pair i is (e_i + (-1)^n e_(n-1-i))/sqrt(2)
+    levels: np.ndarray  # (n // 2) x 2: pair i's levels (i, n - 1 - i)
+    weights: np.ndarray  # (n // 2) x 2 x 1: d on those levels, gathered
+    uniform: np.ndarray  # V(I)/sqrt(n) as V(diag(uniform))
+    uniform_initial: np.ndarray  # V(diag(uniform)) = V(I)/sqrt(n)
+    target: np.ndarray  # V(Y)/sqrt(n), the universal target
+
+
+# typed, as su2's caches are, so a float n fails in the builder even after an equal integer n is cached
+@functools.lru_cache(maxsize=SPIN_CACHE_SIZE, typed=True)
+def _pair_constants(n: int) -> _PairConstants:
+    pairs = np.arange(n // 2)
+    d = np.zeros((n, n // 2))
+    d[pairs, pairs] = 1.0 / np.sqrt(2.0)
+    d[n - 1 - pairs, pairs] = (-1.0) ** n / np.sqrt(2.0)
+    levels = np.stack((pairs, n - 1 - pairs), axis=1)
+    uniform = np.full(n, 1.0 / np.sqrt(2.0)) / np.sqrt(n / 2)
+    constants = _PairConstants(
+        d=d,
+        levels=levels,
+        weights=d[levels, pairs[:, None], None],
+        uniform=uniform,
+        uniform_initial=vectorize(np.diag(uniform)),
+        target=vectorize(y_matrix(n)) / np.sqrt(n),
+    )
+    for a in constants:
+        a.flags.writeable = False
+    return constants

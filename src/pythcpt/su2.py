@@ -111,13 +111,23 @@ def y_matrix(n: int) -> np.ndarray:
 
     The rotation sends the J3 state m to (-1)^(j+m) times the state -m,
     so Y[k, n-1-k] = (-1)^k and Y is zero elsewhere; for odd n the
-    central entry sits on the diagonal.
+    central entry sits on the diagonal. Y_n is built once per n (the
+    last ``SPIN_CACHE_SIZE`` dimensions are kept), so repeated calls
+    return the same shared, read-only float64 array; copy it before
+    writing to it.
     """
     if n < 2:
         raise ValueError(f"representation dimension must be >= 2, got {n}")
+    return _y_matrix(n)
+
+
+# typed, so a float n fails in the builder even after an equal integer n (say np.int64(4)) is cached
+@functools.lru_cache(maxsize=SPIN_CACHE_SIZE, typed=True)
+def _y_matrix(n: int) -> np.ndarray:
     y = np.zeros((n, n))
     k = np.arange(n)
     y[k, n - 1 - k] = (-1.0) ** k
+    y.flags.writeable = False
     return y
 
 

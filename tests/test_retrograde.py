@@ -3,8 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pythcpt import retrograde
+from pythcpt.dynamics import build_h_single
 from pythcpt.linalg import kron, matexp_unitary, vectorize
 from pythcpt.retrograde import (
     PulseSchedule,
@@ -17,6 +20,7 @@ from pythcpt.retrograde import (
     time_independent_conditions,
 )
 from pythcpt.su2 import y_matrix
+from pythcpt.tolerances import TRACELESS_TOL
 from pythcpt.triples import params_from_pair
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -94,6 +98,31 @@ def test_lifted_schedule_validation():
     assert lifted.dim == 5 and lifted.T == 1.5
     # n equal to the segments' dimension lifts nothing, so any Hermitian generator serves
     assert PulseSchedule(segments=((np.diag([1.0, 2.0]), 1.0),), n=2).dim == 2
+
+
+@pytest.mark.parametrize(
+    "h, trace",
+    [
+        (np.array([[1.0, 0.5], [0.5, 0.2]]), "1.2"),
+        (np.array([[1.0, 0.5j], [-0.5j, 0.2]]), "(1.2+0j)"),
+    ],
+)
+def test_a_lifted_segment_names_its_trace_as_a_python_number(h, trace):
+    # the same message on every NumPy: no np.float64(...) wrapper
+    with pytest.raises(ValueError) as info:
+        PulseSchedule(segments=((h, 1.0),), n=4)
+    assert str(info.value) == f"a lifted segment generator must be traceless, got trace {trace}"
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_the_lifted_trace_gate_is_relative_to_the_largest_entry(scale):
+    # |tr h| <= TRACELESS_TOL * max(1, max|h_ij|): the off-diagonal entry sets the scale here
+    def segment(trace):
+        return np.array([[trace, scale], [scale, 0.0]])
+
+    PulseSchedule(segments=((segment(0.5 * TRACELESS_TOL * scale), 1.0),), n=3)
+    with pytest.raises(ValueError, match="traceless"):
+        PulseSchedule(segments=((segment(2.0 * TRACELESS_TOL * scale), 1.0),), n=3)
 
 
 def test_pythagorean_pulse_keeps_its_two_level_segments_at_every_n():
@@ -866,3 +895,60 @@ def test_basic_cpt_report_passed_reads_all_ok():
     assert report.equivalence.passed and not report.all_ok
     assert payload["forward"] is True and payload["backward"] is True
     assert report.passed is False and payload["pass"] is False
+
+
+@st.composite
+def spin_block_dims(draw, total=12):
+    """Block dimensions m_1 ... m_r with 2 <= sum <= total; a block of 1 is a spectator level."""
+    dims = [draw(st.integers(1, total))]
+    while sum(dims) < total and (sum(dims) < 2 or draw(st.booleans())):
+        dims.append(draw(st.integers(1, total - sum(dims))))
+    return dims
+
+
+def _direct_sum(blocks):
+    n = sum(len(b) for b in blocks)
+    out = np.zeros((n, n))
+    start = 0
+    for b in blocks:
+        out[start:start + len(b), start:start + len(b)] = b
+        start += len(b)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=spin_block_dims(),
+    pq=st.sampled_from([(3, 1), (5, 3), (7, 1), (7, 3), (11, 5), (13, 3)]),
+    k=st.floats(-2.0, 2.0, allow_nan=False),
+)
+def test_a_direct_sum_of_spin_blocks_transfers_blockwise(dims, pq, k):
+    # each block of dimension m plays the pulse lifted to spin-(m-1)/2, a spectator (m = 1) holds a zero
+    # generator; the block's U(T, 0) is D((-1)^((p+q)/2) Y_2) = s Y_m with s = (-1)^(((p+q)/2)(m-1))
+    p, q = pq
+    params = params_from_pair(p, q, k)
+
+    def segment(delta, omega, sign):
+        return _direct_sum([sign * build_h_single(m, delta, omega) if m > 1 else np.zeros((1, 1)) for m in dims])
+
+    pulse = PulseSchedule(
+        segments=(
+            (segment(params.delta1, params.omega1, 1.0), params.tau),
+            (segment(params.delta2, params.omega2, -1.0), params.tau),
+        )
+    )
+    n = sum(dims)
+    assert pulse.n is None and pulse.dim == n  # the n x n path, no lift
+    y = _direct_sum([(-1.0) ** (((p + q) // 2) * (m - 1)) * y_matrix(m) if m > 1 else np.ones((1, 1)) for m in dims])
+    u = ordered_propagator(pulse, 0.0, pulse.T)
+    phase = np.vdot(y, u) / n
+    assert abs(abs(phase) - 1.0) <= 1e-9
+    assert np.abs(u - phase * y).max() <= 1e-9
+    rep = check_equivalence(pulse, y)
+    assert rep.as_pair() == (True, True)
+    # Y_m is traceless at even m and (-1)^((m-1)/2) at its centre at odd m, where s = 1
+    trace = sum((-1) ** ((m - 1) // 2) for m in dims if m % 2)
+    assert rep.trace_y == trace
+    assert rep.is_cpt is (trace == 0)
+    if n % 2:  # an odd count of odd blocks: tr y is odd, so V(I) and V(y) overlap by at least 1/n
+        assert trace % 2 == 1 and abs(rep.trace_y) / n >= 1.0 / n
